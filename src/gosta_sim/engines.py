@@ -4,16 +4,39 @@ All protocols share the iteration model: one global step draws one edge
 uniformly at random (two for the double-propagation protocol). Observations
 travel by index; kernel values are looked up in the precomputed kernel
 matrix, while communication accounting still charges d units per logical
-observation transfer and 1 unit per transmitted scalar estimate.
+observation transfer and 1 unit per transmitted scalar estimate. Every
+iteration costs the same, so communication after t iterations is
+``rate * t``: 2 for boyd, 2d for u1 and flooding, 4d for u2 and 2 + 2d for
+both GoSta protocols.
 
-A single run is strictly sequential and driven by one seeded random stream;
-edge draws are generated in iteration order. Identical (graph, kernel,
-config, seed) inputs produce bit-identical traces.
+A run is strictly sequential and driven by one seeded random stream: all
+edge draws come first, in iteration order (flooding's per-iteration picks
+follow them). ``_drive`` walks the segments between checkpoints, handing
+each step its edges as Python ints in bounded chunks. An iteration touches
+only the 2-4 nodes on its drawn edges, so a checkpoint copies just the
+nodes touched since the last one into numpy mirrors of the per-node state,
+and snapshots and invariant checks run on blocks of mirror rows.
+
+- u1, u2 and gosta_sync fold a pair value into every node's running average
+  on every iteration. Node k instead keeps ``S_k = t * Z_k``, its current
+  pair value ``cur_k`` and the iteration ``last_k`` up to which ``S_k`` is
+  complete. An event flushes its nodes (``S_k += cur_k * (t - last_k)``)
+  before it averages or swaps; a checkpoint flushes all nodes at once,
+  ``Z = (S + cur * (t - last)) / t``. Pairwise averaging acts on S as on Z,
+  since both nodes share t. These agree with the eager scalar references to
+  rounding (atol 1e-12).
+- boyd, gosta_async and flooding keep their state in Python lists and do the
+  scalar references' arithmetic in the same order, so their estimates are
+  bit-identical to those references.
+
+Identical (graph, kernel, config, seed) inputs produce bit-identical traces.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,21 +44,10 @@ from .graph import Graph, warn_if_unsuitable
 from .kernels import KernelMatrix
 
 __all__ = [
-    "PROTOCOLS",
-    "EngineConfig",
-    "ProtocolState",
-    "Trace",
-    "RelativeError",
-    "run_boyd",
-    "run_u1",
-    "run_u2",
-    "run_gosta_sync",
-    "run_gosta_async",
-    "run_flooding",
-    "run_master_node",
-    "run_protocol",
-    "relative_error",
-    "derive_seed",
+    "PROTOCOLS", "EngineConfig", "ProtocolState", "Trace", "RelativeError",
+    "InvariantError", "run_boyd", "run_u1", "run_u2", "run_gosta_sync",
+    "run_gosta_async", "run_flooding", "run_master_node", "run_protocol",
+    "relative_error", "derive_seed",
 ]
 
 PROTOCOLS = ("boyd", "u1", "u2", "gosta_sync", "gosta_async",
@@ -154,51 +166,108 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_permutation(y: np.ndarray) -> None:
-    assert np.array_equal(np.sort(y), np.arange(y.shape[0])), \
-        "auxiliary index list is no longer a permutation"
+class InvariantError(RuntimeError):
+    """A protocol invariant failed during a run."""
 
 
-def _recorder(cfg: EngineConfig, n: int, with_m: bool = False):
-    ts = cfg.checkpoint_iters()
+def _check_permutation(y) -> None:
+    """Every row of ``y`` must be a permutation of 0..n-1."""
+    if not (np.sort(y, axis=-1) == np.arange(np.shape(y)[-1])).all():
+        raise InvariantError("auxiliary index list is no longer a permutation")
+
+
+# Iterations whose edge draws are held as Python ints at one time, and
+# elements of the (checkpoints x nodes) blocks in which snapshots are taken.
+_CHUNK = 1024
+_BLOCK = 1 << 13
+
+
+def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
+           step, lists, snapshot, perms=(), pairs: bool = False):
+    """Run ``cfg.max_iters`` iterations segment by segment.
+
+    ``step(events, t)`` applies the iterations after the t-th, one per item
+    of ``events``: the drawn edge ``(i, j)``, or both edges ``(i, j, a, b)``
+    for ``pairs``, as Python ints from one flat list per chunk (a list per
+    edge would keep the cyclic garbage collector busy). It may change the
+    per-node ``lists`` only at those endpoints. ``snapshot(t, *blocks)``
+    maps a column of checkpoints and the lists' rows at them to estimates,
+    checking invariants of its own; the blocks at positions ``perms`` must
+    be permutations in every row. Returns the checkpoints, the snapshots
+    and the communication ``rate * t``.
+    """
+    warn_if_unsuitable(g, cfg.protocol)
+    n, w = g.n, 4 if pairs else 2
+    eidx = rng.integers(0, g.num_edges,
+                        size=(cfg.max_iters, 2) if pairs else cfg.max_iters)
+    ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
     est = np.empty((len(ts), n))
-    comm = np.empty(len(ts), dtype=np.int64)
-    msnap = np.empty((len(ts), n)) if with_m else None
-    return list(ts), est, comm, msnap
+    # array buffers take single-node writes at list speed, and numpy views
+    # of them copy whole rows; a long segment refreshes whole lists
+    bufs = [array("d" if isinstance(v[0], float) else "q", v) for v in lists]
+    mirrors = [np.asarray(buf) for buf in bufs]
+    depth = min(len(ts), max(1, _BLOCK // n))
+    stack = [np.empty((depth, n), m.dtype) for m in mirrors]
+    k0 = t = a = b = 0
+    for k, stop in enumerate((*ts.tolist(), cfg.max_iters)):
+        short = (stop - t) * w < n
+        touched: list[int] = []
+        while t < stop:
+            if t == b:
+                a, b = t, min(t + _CHUNK, cfg.max_iters)
+                ends = g.edges[eidx[a:b]].ravel().tolist()
+                events = zip(*[iter(ends)] * w)
+            end = min(stop, b)
+            step(islice(events, end - t), t)
+            if short:
+                touched += ends[(t - a) * w:(end - a) * w]
+            t = end
+        if k == len(ts):
+            break
+        for buf, m, v, rows in zip(bufs, mirrors, lists, stack):
+            if short:
+                for i in touched:
+                    buf[i] = v[i]
+            else:
+                m[:] = v
+            rows[k - k0] = m
+        if k + 1 - k0 == depth or k + 1 == len(ts):
+            blocks = [rows[:k + 1 - k0] for rows in stack]
+            est[k0:k + 1] = snapshot(ts[k0:k + 1, None], *blocks)
+            for i in perms:
+                _check_permutation(blocks[i])
+            k0 = k + 1
+    return ts, est, rate * ts
+
+
+def _lazy_state(h, n: int):
+    """Empty running sums S, their completion iterations and the pair values
+    of the identity assignment (the zero diagonal of a kernel matrix)."""
+    return [0.0] * n, [0] * n, [h[k, k] for k in range(n)]
+
+
+def _flushed_mean(t, s, last, cur, *aux) -> np.ndarray:
+    """Estimates Z = S / t, every node flushed to t (zero at t = 0)."""
+    num = np.asarray(s) + np.asarray(cur) * (t - np.asarray(last))
+    return np.divide(num, t, out=np.zeros(num.shape), where=t > 0)
 
 
 def run_boyd(g: Graph, x: np.ndarray, cfg: EngineConfig) -> Trace:
     """Plain randomized averaging: the drawn pair replaces both estimates by
     their midpoint. The estimate sum is invariant; truth is the sample mean."""
-    warn_if_unsuitable(g, "boyd")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise ValueError("x must hold one value per node")
-    rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=cfg.max_iters)
-    z = x.copy()
-    ts, est, comm_arr, _ = _recorder(cfg, g.n)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = z
-        comm_arr[k] = 0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        i, j = edges[eidx[t - 1]]
-        mid = 0.5 * (z[i] + z[j])
-        z[i] = mid
-        z[j] = mid
-        comm += 2
-        if t in cps:
-            est[k] = z
-            comm_arr[k] = comm
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=z.copy())
-    return Trace("boyd", np.array(ts), est, comm_arr, truth=float(x.mean()),
-                 final_state=state)
+    z = x.tolist()
+
+    def step(events, t):
+        for i, j in events:
+            z[i] = z[j] = 0.5 * (z[i] + z[j])
+
+    out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2, step, (z,),
+                 lambda t, zm: zm)
+    state = ProtocolState(t=cfg.max_iters, estimates=np.array(z))
+    return Trace("boyd", *out, truth=float(x.mean()), final_state=state)
 
 
 def run_u1(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -208,38 +277,27 @@ def run_u1(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     every node folds its current pair value into a running average. Each node
     converges to its own partial mean, so truth is the row-mean vector.
     """
-    warn_if_unsuitable(g, "u1")
-    h = km.dense()
-    n = km.n
-    rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=cfg.max_iters)
-    z = np.zeros(n)
-    y = np.arange(n)
-    rows = np.arange(n)
-    ts, est, comm_arr, _ = _recorder(cfg, n)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = z
-        comm_arr[k] = 0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        i, j = edges[eidx[t - 1]]
-        y[i], y[j] = y[j], y[i]
-        z *= (t - 1) / t
-        z += h[rows, y] / t
-        comm += 2 * km.dim
-        if t in cps:
-            _check_permutation(y)
-            est[k] = z
-            comm_arr[k] = comm
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=z.copy(),
-                          aux_primary=y.copy())
-    return Trace("u1", np.array(ts), est, comm_arr, truth=km.row_means.copy(),
-                 final_state=state)
+    h = memoryview(km.dense())
+    s, last, cur = _lazy_state(h, km.n)
+    y = list(range(km.n))
+
+    def step(events, t):
+        for i, j in events:
+            # iteration t+1 swaps before it folds: flush i and j to t
+            s[i] += cur[i] * (t - last[i])
+            s[j] += cur[j] * (t - last[j])
+            last[i] = last[j] = t
+            y[i], y[j] = y[j], y[i]
+            cur[i] = h[i, y[i]]
+            cur[j] = h[j, y[j]]
+            t += 1
+
+    out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 * km.dim, step,
+                 (s, last, cur, y), _flushed_mean, perms=(3,))
+    state = ProtocolState(t=cfg.max_iters,
+                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
+                          aux_primary=np.array(y))
+    return Trace("u1", *out, truth=km.row_means.copy(), final_state=state)
 
 
 def run_u2(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -250,41 +308,36 @@ def run_u2(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     swap the first resp. second auxiliaries. Two observation exchanges per
     iteration cost 4d units; there is no estimate exchange.
     """
-    warn_if_unsuitable(g, "u2")
-    h = km.dense()
-    n = km.n
-    rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=(cfg.max_iters, 2))
-    z = np.zeros(n)
-    y1 = np.arange(n)
-    y2 = np.arange(n)
-    ts, est, comm_arr, _ = _recorder(cfg, n)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = z
-        comm_arr[k] = 0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        z *= (t - 1) / t
-        z += h[y1, y2] / t
-        i, j = edges[eidx[t - 1, 0]]
-        y1[i], y1[j] = y1[j], y1[i]
-        a, b = edges[eidx[t - 1, 1]]
-        y2[a], y2[b] = y2[b], y2[a]
-        comm += 4 * km.dim
-        if t in cps:
-            _check_permutation(y1)
-            _check_permutation(y2)
-            est[k] = z
-            comm_arr[k] = comm
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=z.copy(),
-                          aux_primary=y1.copy(), aux_secondary=y2.copy())
-    return Trace("u2", np.array(ts), est, comm_arr, truth=km.u_stat,
-                 final_state=state)
+    h = memoryview(km.dense())
+    s, last, cur = _lazy_state(h, km.n)
+    y1 = list(range(km.n))
+    y2 = list(range(km.n))
+
+    def step(events, t):
+        for i, j, a, b in events:
+            t += 1
+            # fold iteration t before the swaps; a node on both edges is
+            # flushed twice, the second time with weight 0
+            s[i] += cur[i] * (t - last[i])
+            s[j] += cur[j] * (t - last[j])
+            last[i] = last[j] = t
+            s[a] += cur[a] * (t - last[a])
+            s[b] += cur[b] * (t - last[b])
+            last[a] = last[b] = t
+            y1[i], y1[j] = y1[j], y1[i]
+            y2[a], y2[b] = y2[b], y2[a]
+            cur[i] = h[y1[i], y2[i]]
+            cur[j] = h[y1[j], y2[j]]
+            cur[a] = h[y1[a], y2[a]]
+            cur[b] = h[y1[b], y2[b]]
+
+    out = _drive(g, cfg, np.random.default_rng(cfg.seed), 4 * km.dim, step,
+                 (s, last, cur, y1, y2), _flushed_mean, perms=(3, 4),
+                 pairs=True)
+    state = ProtocolState(t=cfg.max_iters,
+                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
+                          aux_primary=np.array(y1), aux_secondary=np.array(y2))
+    return Trace("u2", *out, truth=km.u_stat, final_state=state)
 
 
 def run_gosta_sync(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -295,41 +348,27 @@ def run_gosta_sync(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     swaps auxiliary observations. One estimate exchange (2 units) plus one
     observation swap (2d units) per iteration.
     """
-    warn_if_unsuitable(g, "gosta_sync")
-    h = km.dense()
-    n = km.n
-    rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=cfg.max_iters)
-    z = np.zeros(n)
-    y = np.arange(n)
-    rows = np.arange(n)
-    ts, est, comm_arr, _ = _recorder(cfg, n)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = z
-        comm_arr[k] = 0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        z *= (t - 1) / t
-        z += h[rows, y] / t
-        i, j = edges[eidx[t - 1]]
-        mid = 0.5 * (z[i] + z[j])
-        z[i] = mid
-        z[j] = mid
-        y[i], y[j] = y[j], y[i]
-        comm += 2 + 2 * km.dim
-        if t in cps:
-            _check_permutation(y)
-            est[k] = z
-            comm_arr[k] = comm
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=z.copy(),
-                          aux_primary=y.copy())
-    return Trace("gosta_sync", np.array(ts), est, comm_arr, truth=km.u_stat,
-                 final_state=state)
+    h = memoryview(km.dense())
+    s, last, cur = _lazy_state(h, km.n)
+    y = list(range(km.n))
+
+    def step(events, t):
+        for i, j in events:
+            t += 1
+            # flush i and j through the fold of iteration t, then average
+            s[i] = s[j] = 0.5 * ((s[i] + cur[i] * (t - last[i]))
+                                 + (s[j] + cur[j] * (t - last[j])))
+            last[i] = last[j] = t
+            y[i], y[j] = y[j], y[i]
+            cur[i] = h[i, y[i]]
+            cur[j] = h[j, y[j]]
+
+    out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 + 2 * km.dim,
+                 step, (s, last, cur, y), _flushed_mean, perms=(3,))
+    state = ProtocolState(t=cfg.max_iters,
+                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
+                          aux_primary=np.array(y))
+    return Trace("gosta_sync", *out, truth=km.u_stat, final_state=state)
 
 
 def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -343,49 +382,39 @@ def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     used directly, which keeps the first-touch coefficient exactly zero on
     the stale estimate.
     """
-    warn_if_unsuitable(g, "gosta_async")
-    h = km.dense()
-    n = km.n
-    rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=cfg.max_iters)
+    h = memoryview(km.dense())
     p = g.degrees / g.num_edges
-    z = np.zeros(n)
-    y = np.arange(n)
-    activations = np.zeros(n, dtype=np.int64)
-    ts, est, comm_arr, msnap = _recorder(cfg, n, with_m=True)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = z
-        comm_arr[k] = 0
-        msnap[k] = 0.0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        i, j = edges[eidx[t - 1]]
-        activations[i] += 1
-        activations[j] += 1
-        mid = 0.5 * (z[i] + z[j])
-        z[i] = mid
-        z[j] = mid
-        assert activations[i] >= 1 and activations[j] >= 1
-        wi = 1.0 / activations[i]
-        z[i] = (1.0 - wi) * z[i] + wi * h[i, y[i]]
-        wj = 1.0 / activations[j]
-        z[j] = (1.0 - wj) * z[j] + wj * h[j, y[j]]
-        y[i], y[j] = y[j], y[i]
-        comm += 2 + 2 * km.dim
-        if t in cps:
-            _check_permutation(y)
-            est[k] = z
-            comm_arr[k] = comm
-            msnap[k] = activations / p
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=z.copy(),
-                          aux_primary=y.copy(),
-                          iter_counters=activations / p)
-    return Trace("gosta_async", np.array(ts), est, comm_arr, truth=km.u_stat,
+    z = [0.0] * km.n
+    y = list(range(km.n))
+    activations = [0] * km.n
+    msnap = np.empty((len(cfg.checkpoint_iters()), km.n))
+    done = 0
+
+    def step(events, t):
+        for i, j in events:
+            activations[i] += 1
+            activations[j] += 1
+            mid = 0.5 * (z[i] + z[j])
+            wi = 1.0 / activations[i]
+            z[i] = (1.0 - wi) * mid + wi * h[i, y[i]]
+            wj = 1.0 / activations[j]
+            z[j] = (1.0 - wj) * mid + wj * h[j, y[j]]
+            y[i], y[j] = y[j], y[i]
+
+    def snapshot(t, zm, act, ym):
+        nonlocal done
+        if (act.sum(axis=1) != 2 * t[:, 0]).any():
+            raise InvariantError("activation counts no longer sum to 2t")
+        np.divide(act, p, out=msnap[done:done + len(t)])
+        done += len(t)
+        return zm
+
+    out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 + 2 * km.dim,
+                 step, (z, activations, y), snapshot, perms=(2,))
+    state = ProtocolState(t=cfg.max_iters, estimates=np.array(z),
+                          aux_primary=np.array(y),
+                          iter_counters=np.array(activations) / p)
+    return Trace("gosta_async", *out, truth=km.u_stat,
                  m_snapshots=msnap, final_state=state)
 
 
@@ -398,16 +427,13 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     values over held indices other than itself, or 0 while it holds nothing
     else. Every transfer costs d units whether or not it is a duplicate.
     """
-    warn_if_unsuitable(g, "flooding")
-    h = km.dense()
+    h = memoryview(km.dense())
     n = km.n
     rng = np.random.default_rng(cfg.seed)
-    edges = g.edges
-    eidx = rng.integers(0, g.num_edges, size=cfg.max_iters)
     held_lists: list[list[int]] = [[v] for v in range(n)]
     held_sets: list[set[int]] = [{v} for v in range(n)]
-    sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
+    sums = [0.0] * n
+    counts = [0] * n
 
     def deliver(node: int, obs: int) -> None:
         if obs in held_sets[node]:
@@ -418,36 +444,21 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
             sums[node] += h[node, obs]
             counts[node] += 1
 
-    def snapshot() -> np.ndarray:
-        out = np.zeros(n)
-        nz = counts > 0
-        out[nz] = sums[nz] / counts[nz]
-        return out
+    def step(events, t):
+        for i, j in events:
+            pick_i = held_lists[i][int(rng.integers(0, len(held_lists[i])))]
+            pick_j = held_lists[j][int(rng.integers(0, len(held_lists[j])))]
+            deliver(j, pick_i)
+            deliver(i, pick_j)
 
-    ts, est, comm_arr, _ = _recorder(cfg, n)
-    cps = set(ts)
-    comm = 0
-    k = 0
-    if 0 in cps:
-        est[k] = snapshot()
-        comm_arr[k] = 0
-        k += 1
-    for t in range(1, cfg.max_iters + 1):
-        i, j = edges[eidx[t - 1]]
-        pick_i = held_lists[i][int(rng.integers(0, len(held_lists[i])))]
-        pick_j = held_lists[j][int(rng.integers(0, len(held_lists[j])))]
-        deliver(j, pick_i)
-        deliver(i, pick_j)
-        comm += 2 * km.dim
-        if t in cps:
-            est[k] = snapshot()
-            comm_arr[k] = comm
-            k += 1
-    state = ProtocolState(t=cfg.max_iters, estimates=snapshot(),
-                          flood_holdings=tuple(frozenset(s)
-                                               for s in held_sets))
-    return Trace("flooding", np.array(ts), est, comm_arr, truth=km.u_stat,
-                 final_state=state)
+    def snapshot(t, sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
+        return np.divide(sm, cm, out=np.zeros(sm.shape), where=cm > 0)
+
+    out = _drive(g, cfg, rng, 2 * km.dim, step, (sums, counts), snapshot)
+    final = snapshot(cfg.max_iters, np.array(sums), np.array(counts))
+    state = ProtocolState(t=cfg.max_iters, estimates=final,
+                          flood_holdings=tuple(map(frozenset, held_sets)))
+    return Trace("flooding", *out, truth=km.u_stat, final_state=state)
 
 
 def run_master_node(km: KernelMatrix, n: int, d: int,
@@ -462,27 +473,21 @@ def run_master_node(km: KernelMatrix, n: int, d: int,
     if n != km.n:
         raise ValueError(f"n={n} does not match the kernel matrix size {km.n}")
     h = km.dense()
-    ts, est, comm_arr, _ = _recorder(cfg, n)
     idx = np.arange(n)
-    for k, t in enumerate(ts):
-        b = min(t, n)
-        if b == 0:
-            est[k] = 0.0
-        else:
-            sums = h[:, :b].sum(axis=1)
-            counts = b - (idx < b).astype(np.int64)
-            out = np.zeros(n)
-            nz = counts > 0
-            out[nz] = sums[nz] / counts[nz]
-            est[k] = out
-        comm_arr[k] = n * d * (1 + b)
-    b = min(cfg.max_iters, n)
-    sums = h[:, :b].sum(axis=1)
-    counts = b - (idx < b).astype(np.int64)
-    final = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    state = ProtocolState(t=cfg.max_iters, estimates=final)
-    return Trace("master_node", np.array(ts), est, comm_arr, truth=km.u_stat,
-                 final_state=state)
+
+    def estimate(b: int) -> np.ndarray:
+        # node k holds observations 0..b-1 and its own
+        counts = b - (idx < b).astype(np.int64)
+        return np.divide(h[:, :b].sum(axis=1), counts, out=np.zeros(n),
+                         where=counts > 0)
+
+    ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
+    received = np.minimum(ts, n)
+    est = np.array([estimate(int(b)) for b in received])
+    state = ProtocolState(t=cfg.max_iters,
+                          estimates=estimate(min(cfg.max_iters, n)))
+    return Trace("master_node", ts, est, n * d * (1 + received),
+                 truth=km.u_stat, final_state=state)
 
 
 def run_protocol(cfg: EngineConfig, g: Graph | None = None,
@@ -502,13 +507,8 @@ def run_protocol(cfg: EngineConfig, g: Graph | None = None,
         raise ValueError(f"{name} needs a graph and a kernel matrix")
     if g.n != km.n:
         raise ValueError(f"graph size {g.n} does not match sample size {km.n}")
-    runner = {
-        "u1": run_u1,
-        "u2": run_u2,
-        "gosta_sync": run_gosta_sync,
-        "gosta_async": run_gosta_async,
-        "flooding": run_flooding,
-    }[name]
+    runner = {"u1": run_u1, "u2": run_u2, "gosta_sync": run_gosta_sync,
+              "gosta_async": run_gosta_async, "flooding": run_flooding}[name]
     return runner(g, km, cfg)
 
 

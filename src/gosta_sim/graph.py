@@ -2,7 +2,9 @@
 
 Vertices are 0-indexed internally and 1-indexed in the text file format and
 all human-facing output. Graphs are immutable after construction (the edge
-and degree arrays are set read-only) and safe to share across threads.
+and degree arrays are set read-only) and safe to share across threads; the
+diagnostics a graph caches on first use are the same whichever thread
+computes them.
 """
 
 from __future__ import annotations
@@ -204,7 +206,22 @@ def _adjacency_lists(g: Graph) -> list[list[int]]:
 
 
 def diagnose(g: Graph) -> GraphDiagnostics:
-    """Connectivity and bipartiteness via a single BFS 2-coloring sweep."""
+    """Connectivity and bipartiteness via a single BFS 2-coloring sweep.
+
+    The result is cached on the graph, which is immutable, so each graph is
+    swept once however many runs and oracles use it.
+    """
+    diag = g.__dict__.get("_diagnostics")
+    if diag is None:
+        # Built once the sweep has freed its adjacency lists, so that the
+        # cached object does not keep their allocator arena resident.
+        diag = GraphDiagnostics(*_sweep(g))
+        object.__setattr__(g, "_diagnostics", diag)
+    return diag
+
+
+def _sweep(g: Graph) -> tuple[bool, bool]:
+    """(connected, bipartite)."""
     adj = _adjacency_lists(g)
     color = np.full(g.n, -1, dtype=np.int8)
     bipartite = True
@@ -223,7 +240,7 @@ def diagnose(g: Graph) -> GraphDiagnostics:
                     queue.append(u)
                 elif color[u] == color[v]:
                     bipartite = False
-    return GraphDiagnostics(connected=(components == 1), bipartite=bipartite)
+    return components == 1, bipartite
 
 
 def sample_edge(g: Graph, rng: np.random.Generator) -> tuple[int, int]:
@@ -259,13 +276,15 @@ def warn_if_unsuitable(g: Graph, context: str) -> GraphDiagnostics:
 
     Bipartite graphs (e.g. 2-D grids) are accepted because they are useful
     test topologies, but averaging-based protocols lack the strict spectral
-    gap guarantee there, so the caller is warned rather than stopped.
+    gap guarantee there, so the caller is warned rather than stopped. The
+    warning is logged once per graph, by its first caller.
     """
     diag = diagnose(g)
     if not diag.connected:
         raise ValueError(f"{context}: graph is disconnected; estimates cannot "
                          "converge to a global value")
-    if diag.bipartite:
+    if diag.bipartite and not g.__dict__.get("_bipartite_warned"):
+        object.__setattr__(g, "_bipartite_warned", True)
         logger.warning("%s: graph is bipartite; convergence guarantees are "
                        "weaker on bipartite topologies", context)
     return diag

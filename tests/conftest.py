@@ -2,8 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gosta_sim as gs
+
+# Property tests draw the same examples on every run, so they cannot flake,
+# and carry no deadline, which a loaded shared host would break.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gosta_sim as gs
-from gosta_sim.engines import EngineConfig, derive_seed, relative_error
+from gosta_sim.engines import (EngineConfig, InvariantError,
+                               _check_permutation, derive_seed, relative_error)
 
 import _reference as ref
 
@@ -263,30 +267,122 @@ def test_master_node_comm_and_estimates(rng, kernel_factory):
 # ------------------------------------------------------- differential tests
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_engines_match_reference_implementations(seed, rng, kernel_factory):
-    g = small_graph()
-    km = kernel_factory(6, np.random.default_rng(seed + 50))
+SHORT_CPS = {1, 3, 7, 20, 60}
+# t=0, a run of consecutive checkpoints and the horizon, over a path graph
+# (u2's two draws often share a node) long enough that the lazy running sums
+# of u1, u2 and gosta_sync go many iterations between flushes
+LONG_CPS = {0, *range(1000, 1012), 3000}
+# a checkpoint at every iteration for more rows than one snapshot block
+# holds, then segments long enough to refresh whole lists, then dense again
+DENSE_CPS = {*range(1200), *range(1200, 2990, 450), *range(2990, 3001)}
+
+
+@pytest.mark.parametrize("seed, path, iters, cps", [
+    pytest.param(0, False, 60, SHORT_CPS, id="0"),
+    pytest.param(1, False, 60, SHORT_CPS, id="1"),
+    pytest.param(2, False, 60, SHORT_CPS, id="2"),
+    pytest.param(3, True, 3000, LONG_CPS, id="long_path"),
+    pytest.param(4, True, 3000, DENSE_CPS, id="dense_path"),
+])
+def test_engines_match_reference_implementations(seed, path, iters, cps,
+                                                 kernel_factory):
+    g = gs.make_graph(8, [(v, v + 1) for v in range(7)]) if path \
+        else small_graph()
+    km = kernel_factory(g.n, np.random.default_rng(seed + 50))
     h = np.asarray(km.dense())
-    cps = {1, 3, 7, 20, 60}
-    pairs = [
-        ("gosta_sync", gs.run_gosta_sync, ref.ref_run_gosta_sync),
-        ("u1", gs.run_u1, ref.ref_run_u1),
-        ("u2", gs.run_u2, ref.ref_run_u2),
-        ("gosta_async", gs.run_gosta_async, ref.ref_run_gosta_async),
-        ("flooding", gs.run_flooding, ref.ref_run_flooding),
-    ]
-    for name, engine, reference in pairs:
-        tr = engine(g, km, cfg_for(name, 60, seed, cps=sorted(cps)))
-        expected = reference(g, h, 60, seed, cps)
+    # the lazy running sums round differently from the eager references;
+    # gosta_async and flooding repeat their arithmetic exactly
+    for name, engine, reference, exact in [
+        ("gosta_sync", gs.run_gosta_sync, ref.ref_run_gosta_sync, False),
+        ("u1", gs.run_u1, ref.ref_run_u1, False),
+        ("u2", gs.run_u2, ref.ref_run_u2, False),
+        ("gosta_async", gs.run_gosta_async, ref.ref_run_gosta_async, True),
+        ("flooding", gs.run_flooding, ref.ref_run_flooding, True),
+    ]:
+        tr = engine(g, km, cfg_for(name, iters, seed, cps=sorted(cps)))
+        expected = reference(g, h, iters, seed, cps)
+        expected[0] = np.zeros(g.n)
         for k, t in enumerate(tr.ts):
-            assert np.allclose(tr.estimates[k], expected[int(t)],
-                               rtol=0, atol=1e-12), f"{name} at t={t}"
-    x = np.random.default_rng(seed + 99).normal(size=6)
-    tr = gs.run_boyd(g, x, cfg_for("boyd", 60, seed, cps=sorted(cps)))
-    expected = ref.ref_run_boyd(g, x, 60, seed, cps)
+            if exact:
+                assert np.array_equal(tr.estimates[k], expected[int(t)]), \
+                    f"{name} at t={t}"
+            else:
+                assert np.allclose(tr.estimates[k], expected[int(t)],
+                                   rtol=0, atol=1e-12), f"{name} at t={t}"
+    x = np.random.default_rng(seed + 99).normal(size=g.n)
+    tr = gs.run_boyd(g, x, cfg_for("boyd", iters, seed, cps=sorted(cps)))
+    expected = ref.ref_run_boyd(g, x, iters, seed, cps)
+    expected[0] = x
     for k, t in enumerate(tr.ts):
         assert np.array_equal(tr.estimates[k], expected[int(t)])
+
+
+@st.composite
+def engine_scenarios(draw):
+    """A random connected graph (a random tree plus extra edges), a seed,
+    a horizon, a checkpoint set and an observation dimension."""
+    n = draw(st.integers(3, 20))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    node = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    iters = draw(st.integers(1, 200))
+    cps = sorted(draw(st.sets(st.integers(0, iters), min_size=1, max_size=8)))
+    return (gs.make_graph(n, sorted(edges)), draw(st.integers(0, 2**32 - 1)),
+            iters, cps, draw(st.integers(1, 4)))
+
+
+@given(engine_scenarios())
+def test_engines_match_reference_on_random_graphs(scenario):
+    g, seed, iters, cps, d = scenario
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(g.n, g.n))
+    h = (h + h.T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    km = gs.KernelMatrix.from_dense(h, dim=d)
+    x = rng.normal(size=g.n)
+    rates = {"boyd": 2, "u1": 2 * d, "u2": 4 * d, "gosta_sync": 2 + 2 * d,
+             "gosta_async": 2 + 2 * d, "flooding": 2 * d}
+    for name, exact in [("boyd", True), ("u1", False), ("u2", False),
+                        ("gosta_sync", False), ("gosta_async", True),
+                        ("flooding", True)]:
+        tr = gs.run_protocol(cfg_for(name, iters, seed, cps=cps), g=g, km=km,
+                             x=x)
+        if name == "boyd":
+            expected = ref.ref_run_boyd(g, x, iters, seed, set(cps))
+            expected[0] = x
+        else:
+            expected = getattr(ref, f"ref_run_{name}")(g, h, iters, seed,
+                                                      set(cps))
+            expected[0] = np.zeros(g.n)
+        for k, t in enumerate(cps):
+            if exact:
+                assert np.array_equal(tr.estimates[k], expected[t])
+            else:
+                assert np.allclose(tr.estimates[k], expected[t],
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(tr.comm_units, [rates[name] * t for t in cps])
+        state = tr.final_state
+        for aux in (state.aux_primary, state.aux_secondary):
+            if aux is not None:
+                assert sorted(aux) == list(range(g.n))
+
+
+def test_check_permutation_raises_named_error():
+    _check_permutation([2, 0, 1])
+    with pytest.raises(InvariantError):
+        _check_permutation([0, 2, 2])
+
+
+def test_bipartite_warning_logged_once_per_graph(caplog, kernel_factory):
+    g = gs.make_grid2d(3, 3)
+    km = kernel_factory(9, np.random.default_rng(0))
+    with caplog.at_level(logging.WARNING, logger="gosta_sim.graph"):
+        for proto in ("gosta_sync", "u1", "u2", "gosta_async", "flooding"):
+            gs.run_protocol(cfg_for(proto, 20, 0), g=g, km=km)
+        gs.run_boyd(g, np.zeros(9), cfg_for("boyd", 20, 0))
+    assert sum("bipartite" in r.message for r in caplog.records) == 1
 
 
 def test_determinism_bit_for_bit(rng, kernel_factory):
