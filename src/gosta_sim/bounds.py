@@ -15,13 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .expectation import (gosta_async_expectation, gosta_sync_expectation,
-                          u2_expectation)
+from .expectation import ORACLES
 from .graph import Graph
 from .kernels import KernelMatrix
 from .spectral import SpectralSummary, spectral_summary
 
 __all__ = [
+    "BOUND_PROTOCOLS",
     "BoundReport",
     "AsyncConstants",
     "FitResult",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 FIT_MODELS = ("inv_t", "logt_over_t", "exp")
+BOUND_PROTOCOLS = ("gosta_sync", "u2", "gosta_async")
 
 
 @dataclass(frozen=True)
@@ -182,30 +183,23 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     return FitResult(constant=k, residual=resid, envelope=env)
 
 
-def bound_report(g: Graph, km: KernelMatrix, protocol: str, t_grid,
-                 cap: int | None = None) -> BoundReport:
+def bound_report(g: Graph, km: KernelMatrix, protocol: str,
+                 t_grid) -> BoundReport:
     """Exact oracle error together with the matching bound on a time grid.
 
     For the asynchronous protocol, whose theory only asserts an O(log t / t)
     rate with an unconstructed constant, ``bound_val`` is the fitted
     ``K * log t / t`` curve and the fit constant is reported alongside the
-    spectral constants. ``cap`` overrides the oracle size limits.
+    spectral constants.
     """
     t_grid = sorted({int(t) for t in t_grid})
     if not t_grid or t_grid[0] < 1:
         raise ValueError("t_grid must contain iterations >= 1")
-    s = spectral_summary(g)
-    target = km.u_stat
-    kwargs = {} if cap is None else {"cap": cap}
-    if protocol == "gosta_sync":
-        oracle = gosta_sync_expectation(g, km, t_grid[-1], t_grid, **kwargs)
-    elif protocol == "u2":
-        oracle = u2_expectation(g, km, t_grid[-1], t_grid, **kwargs)
-    elif protocol == "gosta_async":
-        oracle = gosta_async_expectation(g, km, t_grid[-1], t_grid, **kwargs)
-    else:
+    if protocol not in BOUND_PROTOCOLS:
         raise ValueError(f"no bound available for protocol '{protocol}'")
-    actual = np.array([np.linalg.norm(oracle[t] - target) for t in t_grid])
+    s = spectral_summary(g)
+    oracle = ORACLES[protocol].curve(g, km, t_grid[-1], t_grid)
+    actual = np.array([np.linalg.norm(oracle[t] - km.u_stat) for t in t_grid])
     constants = {
         "gap_c": s.gap_c,
         "lambda2_w2": s.lambda2_of_w2,

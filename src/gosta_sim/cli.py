@@ -21,7 +21,6 @@ from .graph import read_graph_file, write_graph_file
 from .spectral import beta_second_smallest
 
 PROTOCOL_CHOICES = engines.PROTOCOLS
-BOUND_PROTOCOLS = ("gosta_sync", "u2", "gosta_async")
 
 
 def _load_graph(spec_text: str, seed: int):
@@ -90,28 +89,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_expect(args) -> int:
     g = _load_graph(args.graph, args.seed)
     km, design = _load_kernel(args.kernel, args.data, args.cell_column)
-    cps = expectation.geometric_checkpoints(args.t_max)
-    kw = {} if args.cap is None else {"cap": args.cap}
-    if args.protocol == "boyd":
-        x = design.rows[:, 0].copy()
-        oracle = expectation.boyd_expectation(g, x, args.t_max, cps, **kw)
-        target = np.full(g.n, x.mean())
-    elif args.protocol == "gosta_sync":
-        oracle = expectation.gosta_sync_expectation(g, km, args.t_max, cps,
-                                                    **kw)
-        target = np.full(g.n, km.u_stat)
-    elif args.protocol == "gosta_async":
-        oracle = expectation.gosta_async_expectation(g, km, args.t_max, cps,
-                                                     **kw)
-        target = np.full(g.n, km.u_stat)
-    elif args.protocol == "u1":
-        oracle = expectation.u1_expectation(g, km, args.t_max, cps, **kw)
-        target = km.row_means
-    elif args.protocol == "u2":
-        oracle = expectation.u2_expectation(g, km, args.t_max, cps, **kw)
-        target = np.full(g.n, km.u_stat)
-    else:
+    if args.protocol not in expectation.ORACLES:
         raise ValueError(f"no expectation oracle for '{args.protocol}'")
+    curve, limit = expectation.ORACLES[args.protocol]
+    source = design.rows[:, 0].copy() if args.protocol == "boyd" else km
+    oracle = curve(g, source, args.t_max,
+                   expectation.geometric_checkpoints(args.t_max))
+    target = limit(source)
     lines = ["t,node,expected_Z,target,abs_err"]
     for t in sorted(oracle):
         for node in range(g.n):
@@ -127,8 +111,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.graph, args.seed)
     km, _ = _load_kernel(args.kernel, args.data, args.cell_column)
     grid = expectation.geometric_checkpoints(args.t_max)
-    report = bounds_mod.bound_report(g, km, args.protocol, grid,
-                                     cap=args.cap)
+    report = bounds_mod.bound_report(g, km, args.protocol, grid)
     lines = ["t,actual_err,bound_val,ratio"]
     for k, t in enumerate(report.t_grid):
         actual = report.actual_err[k]
@@ -225,19 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("expect", help="expected-dynamics oracle curves")
-    add_common(p, protocols=("boyd", "u1", "u2", "gosta_sync", "gosta_async"))
+    p = sub.add_parser(
+        "expect", help="expected-dynamics oracle curves: closed forms in the "
+        "Laplacian eigenbasis, independent of t (gosta_async: an O(n^2) "
+        "mean-field step per iteration)")
+    add_common(p, protocols=tuple(expectation.ORACLES))
     p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None,
-                   help="override the oracle size cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_expect)
 
-    p = sub.add_parser("bounds", help="bound vs exact expected error")
-    add_common(p, protocols=BOUND_PROTOCOLS)
+    p = sub.add_parser("bounds", help="bound vs the expected error of the "
+                       "eigenbasis oracles")
+    add_common(p, protocols=bounds_mod.BOUND_PROTOCOLS)
     p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None,
-                   help="override the oracle size cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 

@@ -210,3 +210,91 @@ def ref_run_flooding(g, h, max_iters, seed, checkpoints):
         if t in checkpoints:
             out[t] = np.array([estimate(k) for k in range(n)])
     return out
+
+
+# ------------------------------------------------ expected-dynamics recursions
+#
+# The step-by-step recursions the eigenbasis oracles replaced, kept as
+# independent references. The propagation of the auxiliary observations is
+# tracked through an n x n matrix R whose row k lists the expected pair
+# values node k would read for each auxiliary position; one swap event
+# applies W1 on the position axis, so R evolves as ``R @ W1`` (the
+# Kronecker-structured n^2 x n^2 propagation, applied blockwise).
+
+
+def _ref_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def _async_m1(g, w2, t):
+    """Per-step mean-field transition of the asynchronous protocol."""
+    dinv_a = _ref_adjacency(g) / g.degrees[:, None]
+    return w2 - (np.eye(g.n) + dinv_a) / (2.0 * t)
+
+
+def ref_gosta_sync_expectation(g, h, t_max, checkpoints):
+    w2 = brute_force_w_alpha(g, 2.0)
+    w1 = brute_force_w_alpha(g, 1.0)
+    z = np.zeros(g.n)
+    r = np.array(h, dtype=float)
+    out = {}
+    for t in range(1, t_max + 1):
+        z = w2 @ (((t - 1) / t) * z + np.diagonal(r) / t)
+        r = r @ w1
+        if t in checkpoints:
+            out[t] = z.copy()
+    return out
+
+
+def ref_gosta_async_expectation(g, h, t_max, checkpoints):
+    w2 = brute_force_w_alpha(g, 2.0)
+    w1 = brute_force_w_alpha(g, 1.0)
+    z = np.zeros(g.n)
+    r = np.array(h, dtype=float)
+    out = {}
+    for t in range(1, t_max + 1):
+        z = _async_m1(g, w2, t) @ z + np.diagonal(r) / t
+        r = r @ w1
+        if t in checkpoints:
+            out[t] = z.copy()
+    return out
+
+
+def ref_u1_expectation(g, h, t_max, checkpoints):
+    w1 = brute_force_w_alpha(g, 1.0)
+    v = np.array(h, dtype=float)
+    acc = np.zeros(g.n)
+    out = {}
+    for t in range(1, t_max + 1):
+        v = v @ w1
+        acc += np.diagonal(v)
+        if t in checkpoints:
+            out[t] = acc / t
+    return out
+
+
+def ref_u2_expectation(g, h, t_max, checkpoints):
+    w1 = brute_force_w_alpha(g, 1.0)
+    gmat = np.array(h, dtype=float)
+    acc = np.zeros(g.n)
+    out = {}
+    for t in range(1, t_max + 1):
+        acc += np.diagonal(gmat)
+        if t in checkpoints:
+            out[t] = acc / t
+        gmat = w1 @ gmat @ w1
+    return out
+
+
+def ref_boyd_expectation(g, x, t_max, checkpoints):
+    w2 = brute_force_w_alpha(g, 2.0)
+    z = np.array(x, dtype=float)
+    out = {}
+    for t in range(1, t_max + 1):
+        z = w2 @ z
+        if t in checkpoints:
+            out[t] = z.copy()
+    return out

@@ -99,6 +99,20 @@ def test_u2_bound_dominates_oracle_error(rng, kernel_factory):
         assert u2_error_bound(g, km, t, s) >= err
 
 
+@pytest.mark.parametrize("g", [
+    gs.make_watts_strogatz(300, 5, 0.3, np.random.default_rng(11)),
+    gs.make_grid2d(15, 20),
+], ids=["watts_strogatz_300", "grid_15x20"])
+def test_bounds_dominate_oracle_error_at_hundreds_of_nodes(g, kernel_factory):
+    grid = geometric_checkpoints(10**6)
+    for seed in range(3):
+        km = kernel_factory(g.n, np.random.default_rng(seed))
+        for protocol in ("gosta_sync", "u2"):
+            rep = bound_report(g, km, protocol, grid)
+            assert np.isfinite(rep.actual_err).all()
+            assert (rep.bound_val >= rep.actual_err).all()
+
+
 # ------------------------------------------------------------- constants
 
 

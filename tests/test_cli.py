@@ -89,19 +89,21 @@ def test_expect_csv(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 10
 
 
-def test_expect_cap_override(tmp_path, capsys):
+def test_expect_complete_70_uncapped(tmp_path, capsys):
+    # the oracles have no size limit
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "plain", "--n", "70", "--d", "1",
             "--out", str(data))
     out = tmp_path / "exp.csv"
-    args = ("expect", "--protocol", "gosta_sync", "--graph", "complete:n=70",
-            "--kernel", "variance", "--data", str(data), "--t-max", "10",
-            "--out", str(out))
-    code, _, err = run_cli(capsys, *args)
-    assert code == 1 and "cap" in err  # default full-state cap is 60
-    code, _, _ = run_cli(capsys, *args, "--cap", "80")
-    assert code == 0
-    assert out.exists()
+    code, _, err = run_cli(capsys, "expect", "--protocol", "gosta_sync",
+                           "--graph", "complete:n=70", "--kernel", "variance",
+                           "--data", str(data), "--t-max", "10",
+                           "--out", str(out))
+    assert code == 0, err
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,node,expected_Z,target,abs_err"
+    # geometric grid {1,2,5,10} x 70 nodes
+    assert len(lines) == 1 + 4 * 70
 
 
 def test_bounds_csv_dominance(tmp_path, capsys):

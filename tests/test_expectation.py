@@ -1,13 +1,18 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gosta_sim as gs
+import _reference as ref
 from gosta_sim.engines import EngineConfig, derive_seed
-from gosta_sim.expectation import geometric_checkpoints, _async_m1
+from gosta_sim.expectation import (ORACLES, divided_difference,
+                                   geometric_checkpoints)
 from gosta_sim.graph import adjacency
 from gosta_sim.spectral import w_alpha
 
-from _reference import brute_force_propagation
+from _reference import _async_m1, brute_force_propagation
 
 
 def small_graph():
@@ -97,7 +102,7 @@ def test_sync_oracle_matches_monte_carlo(rng, kernel_factory):
 def test_propagation_kronecker_axis_against_brute_force(rng):
     # at n=4, apply the full n^2 x n^2 expected swap matrix to stacked
     # states and compare with the blockwise W1 application used in the
-    # recursions
+    # reference recursions
     g = gs.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     big = brute_force_propagation(g)
     w1 = w_alpha(g, 1.0)
@@ -219,8 +224,9 @@ def test_u2_oracle_matches_monte_carlo(kernel_factory):
 
 def test_boyd_ones_fixed_point():
     g = small_graph()
-    out = gs.boyd_expectation(g, np.ones(6), 100, [100])
+    out = gs.boyd_expectation(g, np.ones(6), 10**12, [100, 10**12])
     assert np.allclose(out[100], 1.0, atol=1e-12)
+    assert np.allclose(out[10**12], 1.0, atol=1e-12)
 
 
 def test_boyd_single_edge_expected_mean_after_one_step():
@@ -254,7 +260,7 @@ def test_boyd_error_dominated_by_spectral_decay(rng):
         assert err <= s.lambda2_of_w2**t * dev0 + 1e-12
 
 
-# ------------------------------------------------------------ limits & caps
+# ------------------------------------------------------------ limits
 
 
 @pytest.mark.parametrize("protocol", ["boyd", "u1", "u2", "gosta_sync",
@@ -287,15 +293,16 @@ def test_limit_error_decreases_to_zero(protocol, kernel_factory):
     assert errs[2] < 1e-3
 
 
-def test_caps_rejected_with_advice(rng):
+def test_sync_oracle_uncapped_matches_reference_on_complete_70(
+        rng, kernel_factory):
+    # the oracles have no size limit
     g = gs.make_complete(70)
-    h = np.zeros((70, 70))
-    km = gs.KernelMatrix.from_dense(h)
-    with pytest.raises(ValueError, match="Monte-Carlo"):
-        gs.gosta_sync_expectation(g, km, 10, [10])
-    # overridable
-    out = gs.gosta_sync_expectation(g, km, 2, [2], cap=100)
-    assert (out[2] == 0.0).all()
+    km = kernel_factory(70, rng)
+    cps = [1, 2, 10, 30]
+    out = gs.gosta_sync_expectation(g, km, 30, cps)
+    expected = ref.ref_gosta_sync_expectation(g, km.dense(), 30, set(cps))
+    for t in cps:
+        assert np.allclose(out[t], expected[t], rtol=0, atol=1e-12)
 
 
 def test_oracles_reject_disconnected(kernel_factory):
@@ -303,3 +310,138 @@ def test_oracles_reject_disconnected(kernel_factory):
     km = kernel_factory(4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         gs.gosta_sync_expectation(g, km, 5, [5])
+
+
+# ------------------------------------------- eigenbasis vs step recursions
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """A random connected graph, a symmetric zero-diagonal kernel, a start
+    vector for boyd and a checkpoint set. Stars (the two-node graph among
+    them) give W1 negative eigenvalues; the bipartite kind keeps a random
+    tree bipartite while adding edges."""
+    kind = draw(st.sampled_from(["random", "bipartite", "star"]))
+    n = draw(st.integers(2, 20))
+    if kind == "star":
+        edges = {(0, v) for v in range(1, n)}
+    else:
+        parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+        edges = {(parent[v], v) for v in range(1, n)}
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        node = st.integers(0, n - 1)
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+            if a != b and (kind == "random" or (depth[a] - depth[b]) % 2):
+                edges.add((min(a, b), max(a, b)))
+    t_max = draw(st.integers(1, 300))
+    cps = draw(st.sets(st.integers(1, t_max), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=(n, n))
+    h = (h + h.T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    return (gs.make_graph(n, sorted(edges)), h, rng.normal(size=n), t_max,
+            sorted(cps))
+
+
+def assert_oracles_match_recursions(g, km, x, t_max, cps):
+    for protocol, oracle in ORACLES.items():
+        source, ref_source = (x, x) if protocol == "boyd" else (km, km.dense())
+        got = oracle.curve(g, source, t_max, cps)
+        expected = getattr(ref, f"ref_{protocol}_expectation")(
+            g, ref_source, t_max, set(cps))
+        assert sorted(got) == cps
+        for t in cps:
+            assert np.allclose(got[t], expected[t], rtol=0, atol=1e-12)
+
+
+@given(oracle_scenarios())
+def test_eigenbasis_oracles_match_step_recursions(scenario):
+    g, h, x, t_max, cps = scenario
+    assert_oracles_match_recursions(g, gs.KernelMatrix.from_dense(h), x,
+                                    t_max, cps)
+
+
+# ----------------------------------------- divided difference of powers
+
+
+def exact_divided_difference(da, db, t):
+    """``(a^t - b^t)/(a - b)`` at 60 significant digits, a = 1 - da and
+    b = 1 - db taken exactly from the float defects."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = 1 - Decimal(da), 1 - Decimal(db)
+        if a == b:
+            return 1.0 if t == 1 else float(t * a ** (t - 1))
+        return float((a ** t - b ** t) / (a - b))
+
+
+# (defect of a, defect of b): 1 - a = beta_a/(2m) or beta_a/m, 1 - b = beta/m
+DEFECT_PAIRS = {
+    "cycle4_mu_equals_lambda": (0.5, 0.5),  # beta=4 for mu, beta=2 for lambda
+    "cycle4_nearly_equal": (0.5, 0.5 + 1e-13),
+    "cycle4_mu_vs_zero_lambda": (0.5, 1.0),
+    "two_node_lambda_minus_one": (0.0, 2.0),
+    "two_node_mu_zero_vs_lambda_one": (1.0, 0.0),
+    "two_node_mu_zero_vs_minus_one": (1.0, 2.0),
+    "two_node_mu_zero_twice": (1.0, 1.0),
+    "star6_negative_lambda": (0.0, 1.2),
+    "star6_mu_vs_negative_lambda": (0.6, 1.2),
+    "near_one": (0.0, 1e-9),
+    "near_one_nearly_equal": (1e-9, 1e-9 + 1e-17),
+    "near_zero_vs_near_one": (0.999999, 1e-12),
+}
+
+
+@pytest.mark.parametrize("pair", DEFECT_PAIRS.values(), ids=DEFECT_PAIRS)
+@pytest.mark.parametrize("t", [1, 2, 3, 10, 1000, 10**5, 10**7])
+def test_divided_difference_matches_exact_sum(pair, t):
+    da, db = pair
+    got = float(divided_difference(da, db, t))
+    assert np.isfinite(got)
+    assert got == pytest.approx(exact_divided_difference(da, db, t),
+                                rel=1e-12, abs=1e-300)
+
+
+def test_divided_difference_null_mode_counts_steps():
+    # beta = 0 gives a = b = 1, where the sum of t ones must be exactly t
+    for t in (1, 2, 7, 1000, 10**7):
+        assert divided_difference(0.0, 0.0, t) == t
+    assert (divided_difference(np.zeros(3), 0.0, 0) == 0).all()
+
+
+def test_divided_difference_broadcasts_over_eigenvalue_pairs():
+    da = np.array([0.0, 0.25, 0.5, 1.0])
+    db = np.array([0.0, 0.5, 1.2, 2.0])
+    got = divided_difference(da[:, None], db, 13)
+    for i, a in enumerate(da):
+        for j, b in enumerate(db):
+            assert got[i, j] == pytest.approx(
+                exact_divided_difference(a, b, 13), rel=1e-12, abs=1e-300)
+
+
+SPECIAL_GRAPHS = {
+    "cycle4": gs.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "two_node": gs.make_graph(2, [(0, 1)]),
+    "star6": gs.make_graph(6, [(0, v) for v in range(1, 6)]),
+}
+
+
+@pytest.mark.parametrize("g", SPECIAL_GRAPHS.values(), ids=SPECIAL_GRAPHS)
+def test_oracles_on_coincident_and_negative_eigenvalues(g, kernel_factory):
+    km = kernel_factory(g.n, np.random.default_rng(g.n))
+    x = np.random.default_rng(1).normal(size=g.n)
+    assert_oracles_match_recursions(g, km, x, 400, [1, 2, 3, 50, 400])
+    for protocol, oracle in ORACLES.items():
+        if protocol == "gosta_async":  # its step loop is not run to 10^7
+            continue
+        source = x if protocol == "boyd" else km
+        late = oracle.curve(g, source, 10**7, [10**7])[10**7]
+        limit = oracle.limit(source)
+        if protocol == "u2" and g.n == 2:
+            # W1 is the swap of the two nodes, so W1^s H W1^s = H and u2
+            # reads the zero diagonal at every step
+            limit = np.zeros(2)
+        assert np.isfinite(late).all()
+        assert np.abs(late - limit).max() < 1e-5
