@@ -163,6 +163,13 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
     non-adjacent vertices, so no self-loops or duplicate edges appear and the
     edge count is preserved. Disconnected outputs are rejected and regenerated
     up to ``max_retries`` times, then an error is raised.
+
+    Edges are visited in sorted order with one ``rng.random()`` each; a
+    rewired edge (a, b) then draws ``idx = rng.integers(0, c)`` with
+    ``c = n - 1 - deg(a)`` the number of non-neighbors of a (the edge is left
+    in place when c = 0). The new endpoint is the idx-th vertex outside
+    ``{a} | N(a)``, found by stepping idx past the sorted excluded vertices,
+    so a rewire costs O(k log k) rather than an O(n) candidate list.
     """
     if k < 2 or k >= n:
         raise ValueError(f"need n > k >= 2, got n={n}, k={k}")
@@ -177,11 +184,14 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
         for a, b in sorted(edge_set):
             if rng.random() >= p:
                 continue
-            candidates = [w for w in range(n)
-                          if w != a and w not in adjacency_sets[a]]
-            if not candidates:
+            count = n - 1 - len(adjacency_sets[a])
+            if count == 0:
                 continue
-            w = candidates[int(rng.integers(0, len(candidates)))]
+            w = int(rng.integers(0, count))
+            for excluded in sorted(adjacency_sets[a] | {a}):
+                if excluded > w:
+                    break
+                w += 1
             edge_set.discard((a, b))
             adjacency_sets[a].discard(b)
             adjacency_sets[b].discard(a)

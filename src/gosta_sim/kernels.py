@@ -9,6 +9,14 @@ and the per-node partial means are ``row_means[i] = (1/n) * sum_j H_ij``.
 The two dispersion norms carried on :class:`KernelMatrix` (Frobenius norm of
 the row-centered matrix, Euclidean norm of the centered row means) are the
 data-dependent constants of the convergence bounds.
+
+The dense build holds one n x n float64 buffer. The Gram matrix is written
+into it by one ``matmul``; squared distances, clipping, the ``(a + b.T) / 2``
+symmetrization, ``sqrt`` and the cell mask are then applied in place, one row
+block or one pair of tiles at a time. :meth:`KernelMatrix.from_dense` checks
+and centers the matrix block by block as well, so no step allocates a second
+n x n array. Per element the arithmetic is that of the whole-matrix
+expressions, and the results are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -126,11 +134,45 @@ class KernelSpec:
     pair_fn: Callable[[np.ndarray, int, int], float]
 
 
+# Row-block height and tile edge of the dense build and checks: temporaries
+# are one block (at most _BLOCK x n) or one tile at a time.
+_BLOCK = 256
+
+
+def _spans(n: int) -> list[slice]:
+    return [slice(r, min(r + _BLOCK, n)) for r in range(0, n, _BLOCK)]
+
+
+def _tile_pairs(n: int):
+    """Slice pairs ``(a, b)`` of the tiles on and above the diagonal."""
+    spans = _spans(n)
+    for i, a in enumerate(spans):
+        for b in spans[i:]:
+            yield a, b
+
+
+def _symmetrize(h: np.ndarray) -> None:
+    """``h <- (h + h.T) / 2`` in place, one pair of tiles at a time."""
+    for a, b in _tile_pairs(h.shape[0]):
+        t = h[a, b] + h[b, a].T
+        t /= 2.0
+        h[a, b] = t
+        h[b, a] = t.T
+
+
+def _all_finite(h: np.ndarray) -> bool:
+    return all(np.isfinite(h[s]).all() for s in _spans(h.shape[0]))
+
+
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2 = (d2 + d2.T) / 2.0
+    d2 = np.matmul(x, x.T, out=np.empty((x.shape[0], x.shape[0])))
+    for s in _spans(x.shape[0]):
+        blk = d2[s]
+        blk *= 2.0
+        np.subtract(sq[s, None] + sq, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+    _symmetrize(d2)
     np.fill_diagonal(d2, 0.0)
     return d2
 
@@ -141,8 +183,10 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
     cells = partition.assignment
 
     def matrix_fn(x: np.ndarray) -> np.ndarray:
-        h = np.sqrt(_pairwise_sq_dists(x))
-        h *= (cells[:, None] == cells[None, :])
+        h = _pairwise_sq_dists(x)
+        np.sqrt(h, out=h)
+        for s in _spans(h.shape[0]):
+            h[s] *= cells[s, None] == cells
         return h
 
     def pair_fn(x: np.ndarray, i: int, j: int) -> float:
@@ -166,10 +210,12 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
     lab = np.asarray(labels, dtype=np.int64)
 
     def matrix_fn(x: np.ndarray) -> np.ndarray:
-        s = x @ theta
-        ls = lab * s
-        h = (1.0 - np.outer(lab, lab)) * (ls[:, None] > -ls[None, :])
-        h = (h + h.T) / 2.0  # already symmetric; enforce exact bit equality
+        ls = lab * (x @ theta)
+        h = np.empty((ls.shape[0], ls.shape[0]))
+        for s in _spans(ls.shape[0]):
+            np.multiply(1.0 - np.outer(lab[s], lab), ls[s, None] > -ls,
+                        out=h[s])
+        _symmetrize(h)  # already symmetric; enforce exact bit equality
         np.fill_diagonal(h, 0.0)
         return h
 
@@ -187,7 +233,9 @@ def variance_kernel() -> KernelSpec:
     variance (1/n) * sum_i ||X_i - mean||^2."""
 
     def matrix_fn(x: np.ndarray) -> np.ndarray:
-        return _pairwise_sq_dists(x) / 2.0
+        h = _pairwise_sq_dists(x)
+        h /= 2.0
+        return h
 
     def pair_fn(x: np.ndarray, i: int, j: int) -> float:
         if i == j:
@@ -235,16 +283,20 @@ class KernelMatrix:
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("kernel matrix must be square")
-        if not np.isfinite(h).all():
+        n = h.shape[0]
+        if not _all_finite(h):
             raise ValueError("kernel matrix contains non-finite values")
-        if (h != h.T).any():
+        if any((h[a, b] != h[b, a].T).any() for a, b in _tile_pairs(n)):
             raise ValueError("kernel matrix must be exactly symmetric")
         if np.diagonal(h).any():
             raise ValueError("kernel diagonal must be exactly zero")
-        n = h.shape[0]
         u = float(h.sum() / n**2)
         row_means = h.sum(axis=1) / n
-        frob = float(np.linalg.norm(h - row_means[:, None]))
+        frob_sq = 0.0
+        for s in _spans(n):
+            c = h[s] - row_means[s, None]
+            frob_sq += float(np.vdot(c, c))
+        frob = float(np.sqrt(frob_sq))
         vec = float(np.linalg.norm(row_means - u))
         h.flags.writeable = False
         return cls(n=n, dim=dim, u_stat=u, row_means=row_means,
@@ -274,7 +326,7 @@ def build_kernel_matrix(kernel, data, partition: Partition | None = None,
     n = design.n
     if n <= dense_limit:
         h = kernel.matrix_fn(x)
-        if not np.isfinite(h).all():
+        if not _all_finite(h):
             raise ValueError(f"kernel '{kernel.name}' produced non-finite values")
         km = KernelMatrix.from_dense(h, dim=design.d)
         return km

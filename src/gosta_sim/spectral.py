@@ -113,11 +113,15 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
                          maxiter: int = 20000) -> float:
     """Second-smallest Laplacian eigenvalue via a constrained iterative solve.
 
-    Uses LOBPCG restricted to the complement of the all-ones null vector;
-    falls back to the dense spectrum when the graph is small or the
-    iteration fails to converge.
+    A simple graph with n(n-1)/2 edges is complete, whose Laplacian
+    ``n I - 1 1^T`` has beta_{n-1} = n exactly; that value is returned
+    without a solve. Otherwise uses LOBPCG restricted to the complement of
+    the all-ones null vector, falling back to the dense spectrum when the
+    graph is small or the iteration fails to converge.
     """
     n = g.n
+    if n >= 2 and g.num_edges == n * (n - 1) // 2:
+        return float(n)
     if n <= 32:
         return float(laplacian_spectrum(g)[-2])
     lap = _sparse_laplacian(g)

@@ -298,3 +298,93 @@ def ref_boyd_expectation(g, x, t_max, checkpoints):
         if t in checkpoints:
             out[t] = z.copy()
     return out
+
+
+def _ref_ws_base_ring(n, k):
+    half = k // 2
+    edges = set()
+    for v in range(n):
+        for off in range(1, half + 1):
+            u = (v + off) % n
+            edges.add((min(v, u), max(v, u)))
+    if k % 2 == 1:
+        off = half + 1
+        for v in range(0, n, 2):
+            u = (v + off) % n
+            if u != v:
+                edges.add((min(v, u), max(v, u)))
+    return edges
+
+
+def ref_make_watts_strogatz(n, k, p, rng, max_retries=100):
+    """Watts-Strogatz rewiring with an explicit O(n) candidate list per
+    rewired edge; returns the sorted (m, 2) int64 edge array.
+
+    Consumes the random stream exactly as ``make_watts_strogatz``: one
+    ``rng.random()`` per edge in sorted order and, on a rewire with a
+    nonempty candidate list, one ``rng.integers(0, len(candidates))``.
+    """
+    for _ in range(max_retries):
+        edge_set = _ref_ws_base_ring(n, k)
+        adj = {v: set() for v in range(n)}
+        for a, b in edge_set:
+            adj[a].add(b)
+            adj[b].add(a)
+        for a, b in sorted(edge_set):
+            if rng.random() >= p:
+                continue
+            candidates = [w for w in range(n) if w != a and w not in adj[a]]
+            if not candidates:
+                continue
+            w = candidates[int(rng.integers(0, len(candidates)))]
+            edge_set.discard((a, b))
+            adj[a].discard(b)
+            adj[b].discard(a)
+            edge_set.add((min(a, w), max(a, w)))
+            adj[a].add(w)
+            adj[w].add(a)
+        edges = sorted(edge_set)
+        if bfs_connected(n, edges):
+            return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    raise ValueError("failed to generate a connected Watts-Strogatz graph")
+
+
+def ref_pairwise_sq_dists(x):
+    """Whole-matrix squared distances: ``(sq_i + sq_j) - 2 x_i.x_j``, clipped
+    at 0, symmetrized as ``(d2 + d2.T) / 2``, zero diagonal."""
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    d2 = (d2 + d2.T) / 2.0
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def ref_scatter_matrix(x, cells):
+    h = np.sqrt(ref_pairwise_sq_dists(x))
+    h *= (cells[:, None] == cells[None, :])
+    return h
+
+
+def ref_variance_matrix(x):
+    return ref_pairwise_sq_dists(x) / 2.0
+
+
+def ref_auc_matrix(x, theta, labels):
+    s = x @ theta
+    ls = labels * s
+    h = (1.0 - np.outer(labels, labels)) * (ls[:, None] > -ls[None, :])
+    h = (h + h.T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    return h
+
+
+def ref_kernel_statistics(h):
+    """(u_stat, row_means, frob_centered, vec_centered) from whole-matrix
+    expressions."""
+    n = h.shape[0]
+    u = float(h.sum() / n**2)
+    row_means = h.sum(axis=1) / n
+    frob = float(np.linalg.norm(h - row_means[:, None]))
+    vec = float(np.linalg.norm(row_means - u))
+    return u, row_means, frob, vec

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gosta_sim as gs
 from gosta_sim.graph import adjacency, warn_if_unsuitable
 
-from _reference import bfs_connected
+from _reference import bfs_connected, ref_make_watts_strogatz
 
 
 def test_complete_small():
@@ -68,6 +69,66 @@ def test_ws_bad_degree():
 def test_ws_odd_k_mean_degree(rng):
     g = gs.make_watts_strogatz(100, 5, 0.0, rng)
     assert g.degrees.mean() == pytest.approx(5.0, abs=0.1)
+
+
+def _ws_outcome(make, n, k, p, seed, max_retries=100):
+    """Edge array (or None if no connected graph came out) and the final
+    generator state, so equal outcomes mean equal random-stream use too."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = make(n, k, p, rng, max_retries=max_retries)
+    except ValueError:
+        out = None
+    edges = out.edges if isinstance(out, gs.Graph) else out
+    return edges, rng.bit_generator.state
+
+
+def _assert_same_as_reference(n, k, p, seed, max_retries=100):
+    edges, state = _ws_outcome(gs.make_watts_strogatz, n, k, p, seed,
+                               max_retries)
+    ref_edges, ref_state = _ws_outcome(ref_make_watts_strogatz, n, k, p, seed,
+                                       max_retries)
+    assert state == ref_state
+    if ref_edges is None:
+        assert edges is None
+    else:
+        assert edges is not None and np.array_equal(edges, ref_edges)
+    return edges
+
+
+@given(n=st.integers(3, 40), k_frac=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1),
+       p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+       max_retries=st.sampled_from([1, 3, 100]))
+def test_ws_matches_candidate_list_reference(n, k_frac, seed, p, max_retries):
+    k = 2 + int(k_frac * (n - 3))  # 2 <= k < n
+    _assert_same_as_reference(n, k, p, seed, max_retries)
+
+
+@pytest.mark.parametrize("n, k", [(6, 5), (7, 6), (9, 7), (12, 10)])
+def test_ws_exhausted_candidates_match_reference(n, k):
+    # k close to n leaves some (for k = n - 1 with even n: every) vertex
+    # without a non-neighbor, so rewires are skipped after their draw.
+    for seed in range(4):
+        edges = _assert_same_as_reference(n, k, 1.0, seed)
+        if k == n - 1 and n % 2 == 0:
+            assert len(edges) == n * (n - 1) // 2
+
+
+def test_ws_disconnected_retry_matches_reference():
+    # At n=6, k=2, p=1 the first attempt is often disconnected: pick seeds
+    # that need a retry and check the regenerated graph.
+    def connected_within(seed, max_retries):
+        edges = _ws_outcome(ref_make_watts_strogatz, 6, 2, 1.0, seed,
+                            max_retries)[0]
+        return edges is not None
+
+    retried = [s for s in range(40)
+               if not connected_within(s, 1) and connected_within(s, 100)]
+    assert retried
+    for seed in retried[:5]:
+        _assert_same_as_reference(6, 2, 1.0, seed)
+        _assert_same_as_reference(6, 2, 1.0, seed, max_retries=1)
 
 
 @pytest.mark.parametrize("seed", range(8))

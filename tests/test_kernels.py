@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from gosta_sim.kernels import (DesignMatrix, KernelMatrix, LabeledDataset,
                                load_partitioned_csv, mean_difference_direction,
                                write_design_csv)
 
-from _reference import auc_double_loop, scatter_double_loop, u_stat_double_loop
+from gosta_sim.kernels import _BLOCK
+
+from _reference import (auc_double_loop, ref_auc_matrix, ref_kernel_statistics,
+                        ref_scatter_matrix, ref_variance_matrix,
+                        scatter_double_loop, u_stat_double_loop)
 
 
 def test_zero_kernel_targets():
@@ -219,3 +225,78 @@ def test_mean_difference_direction():
     x = np.array([[1.0, 0.0], [3.0, 0.0], [-1.0, 2.0], [-3.0, 2.0]])
     ds = LabeledDataset(DesignMatrix(x), np.array([1, 1, -1, -1]))
     assert np.allclose(mean_difference_direction(ds), [4.0, -2.0])
+
+
+def _kernel_case(name, n, seed=0):
+    """(spec, data, whole-matrix reference H) for one of the three kernels on
+    clustered points, both classes present."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 3, size=n)
+    x = rng.normal(size=(n, 2)) + 4.0 * cells[:, None]
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    labels[:2] = (1, -1)
+    if name == "scatter":
+        return (gs.scatter_kernel(Partition(cells)), DesignMatrix(x),
+                ref_scatter_matrix(x, cells))
+    if name == "variance":
+        return gs.variance_kernel(), DesignMatrix(x), ref_variance_matrix(x)
+    theta = rng.normal(size=2)
+    return (gs.auc_kernel(theta, labels),
+            LabeledDataset(DesignMatrix(x), labels),
+            ref_auc_matrix(x, theta, labels))
+
+
+@pytest.mark.parametrize("n", [2, 7, 100, 257, 2 * _BLOCK + 91])
+@pytest.mark.parametrize("name", ["scatter", "variance", "auc"])
+def test_blocked_build_matches_whole_matrix_reference(name, n):
+    spec, data, h_ref = _kernel_case(name, n)
+    km = build_kernel_matrix(spec, data)
+    u, row_means, frob, vec = ref_kernel_statistics(h_ref)
+    assert np.array_equal(km.dense(), h_ref)
+    assert km.u_stat == u
+    assert np.array_equal(km.row_means, row_means)
+    assert km.frob_centered == pytest.approx(frob, rel=1e-12)
+    assert km.vec_centered == pytest.approx(vec, rel=1e-12)
+
+
+_TILED_N = 2 * _BLOCK + 5  # three row blocks, the last one 5 rows high
+
+
+@pytest.mark.parametrize("i, j", [(_TILED_N - 1, _TILED_N - 3),  # last tile
+                                  (3, _BLOCK + 7),  # off-diagonal tile
+                                  (_BLOCK + 7, 3)])
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "non-finite"), ("inf", "non-finite"),
+    ("asymmetric", "exactly symmetric")])
+def test_from_dense_tiled_checks_see_every_element(i, j, fault, message):
+    h = _kernel_case("variance", _TILED_N)[2].copy()
+    if fault == "asymmetric":
+        h[i, j] += 1.0
+    else:
+        h[i, j] = float(fault)
+    with pytest.raises(ValueError, match=message):
+        KernelMatrix.from_dense(h)
+
+
+@pytest.mark.parametrize("i", [_TILED_N - 1, _BLOCK + 7, 0])
+def test_from_dense_tiled_diagonal_check(i):
+    h = _kernel_case("variance", _TILED_N)[2].copy()
+    h[i, i] = 1e-300
+    with pytest.raises(ValueError, match="diagonal must be exactly zero"):
+        KernelMatrix.from_dense(h)
+
+
+@pytest.mark.parametrize("name", ["scatter", "variance", "auc"])
+def test_dense_build_holds_one_n2_buffer(name):
+    # numpy reports its buffers to tracemalloc; the n x n result is 8 n^2
+    # bytes and every temporary of the build is one row block or tile.
+    n = 2000
+    spec, data = _kernel_case(name, n)[:2]
+    tracemalloc.start()
+    try:
+        km = build_kernel_matrix(spec, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert km.H.nbytes == 8 * n * n
+    assert peak <= 1.5 * 8 * n * n

@@ -140,3 +140,28 @@ def test_summary_large_graph_skips_dense_spectrum():
     s = gs.spectral_summary(g, dense_limit=100)
     assert s.laplacian_eigs is None
     assert s.gap_c == pytest.approx(1.0 / 149, rel=1e-6)
+
+
+def test_beta_complete_closed_form_without_solver(monkeypatch):
+    # A simple graph with n(n-1)/2 edges is complete: beta_{n-1} = n exactly,
+    # with no iterative solve.
+    import gosta_sim.spectral as spectral
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("LOBPCG called on a complete graph")
+
+    monkeypatch.setattr(spectral, "lobpcg", no_solver)
+    for n in (2, 5, 33, 200):
+        g = gs.make_complete(n)
+        assert beta_second_smallest(g) == float(n)
+        assert beta_second_smallest(g) == pytest.approx(
+            gs.laplacian_spectrum(g)[-2], rel=1e-12)
+
+
+def test_beta_near_complete_graph_still_solved():
+    # One edge short of complete: beta_{n-1} = n - 2, found by the solver.
+    n = 40
+    g = gs.make_graph(n, gs.make_complete(n).edges[1:])
+    dense = gs.laplacian_spectrum(g)[-2]
+    assert dense == pytest.approx(n - 2, rel=1e-12)
+    assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
