@@ -16,8 +16,7 @@ from .expectation import (boyd_expectation, geometric_checkpoints,
                           u1_expectation, u2_expectation)
 from .graph import (Graph, GraphDiagnostics, diagnose, laplacian,
                     make_complete, make_graph, make_grid2d,
-                    make_watts_strogatz, read_graph_file, sample_edge,
-                    write_graph_file)
+                    make_watts_strogatz, read_graph_file, write_graph_file)
 from .harness import (AggregateResult, ExperimentSpec, load_experiment,
                       reaching_time, run_experiment, synth_gaussian_mixture,
                       synth_two_class, table1)

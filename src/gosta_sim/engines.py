@@ -10,12 +10,15 @@ iteration costs the same, so communication after t iterations is
 both GoSta protocols.
 
 A run is strictly sequential and driven by one seeded random stream: all
-edge draws come first, in iteration order (flooding's per-iteration picks
-follow them). ``_drive`` walks the segments between checkpoints, handing
-each step its edges as Python ints in bounded chunks. An iteration touches
-only the 2-4 nodes on its drawn edges, so a checkpoint copies just the
-nodes touched since the last one into numpy mirrors of the per-node state,
-and snapshots and invariant checks run on blocks of mirror rows.
+edge draws come first, in iteration order. Flooding's per-iteration picks
+follow them on the same stream, as 32-bit words taken in bulk and mapped
+exactly as ``rng.integers(0, c)`` maps them, so each pick is the value a
+scalar ``rng.integers`` call would return. ``_drive`` walks the segments
+between checkpoints, handing each step its edges as Python ints in bounded
+chunks. An iteration touches only the 2-4 nodes on its drawn edges, so a
+checkpoint copies just the nodes touched since the last one into numpy
+mirrors of the per-node state, and snapshots and invariant checks run on
+blocks of mirror rows.
 
 - u1, u2 and gosta_sync fold a pair value into every node's running average
   on every iteration. Node k instead keeps ``S_k = t * Z_k``, its current
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -176,8 +179,9 @@ def _check_permutation(y) -> None:
         raise InvariantError("auxiliary index list is no longer a permutation")
 
 
-# Iterations whose edge draws are held as Python ints at one time, and
-# elements of the (checkpoints x nodes) blocks in which snapshots are taken.
+# Iterations whose edge draws (and raw 64-bit outputs whose flooding words)
+# are held as Python ints at one time, and elements of the (checkpoints x
+# nodes) blocks in which snapshots are taken.
 _CHUNK = 1024
 _BLOCK = 1 << 13
 
@@ -418,6 +422,47 @@ def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
                  m_snapshots=msnap, final_state=state)
 
 
+def _uniform_below(rng: np.random.Generator):
+    """Return ``below(c)``, equal call for call to ``int(rng.integers(0, c))``
+    for 1 <= c <= 2**32, without a numpy call per draw.
+
+    numpy maps a 32-bit word w to ``(c * w) >> 32`` and draws again while
+    the low half of ``c * w`` is below ``(2**32 - c) % c`` (D. Lemire, "Fast
+    Random Integer Generation in an Interval", ACM TOMACS 2019); for c == 1
+    it draws nothing. The words are taken from the bit generator in bulk at
+    the first draw, in the order its ``next_uint32`` hands them out: the
+    half-word it may still hold, then the low and high halves of each raw
+    64-bit output. From then on the generator is ahead of the draws, so
+    nothing else may draw from it.
+    """
+    bg = rng.bit_generator
+
+    def chunks():
+        state = bg.state
+        if state["has_uint32"]:
+            yield (state["uinteger"],)
+        while True:
+            raw = bg.random_raw(_CHUNK)
+            words = np.empty(2 * _CHUNK, np.uint64)
+            words[0::2] = raw & 0xFFFFFFFF
+            words[1::2] = raw >> 32
+            yield words.tolist()
+
+    word = chain.from_iterable(chunks()).__next__
+
+    def below(c: int) -> int:
+        if c == 1:
+            return 0
+        m = c * word()
+        if m & 0xFFFFFFFF < c:
+            threshold = (0x100000000 - c) % c
+            while m & 0xFFFFFFFF < threshold:
+                m = c * word()
+        return m >> 32
+
+    return below
+
+
 def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     """Observation-flooding baseline with unbounded node memory.
 
@@ -426,30 +471,37 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     discarded on arrival). A node's estimate is the average of its pair
     values over held indices other than itself, or 0 while it holds nothing
     else. Every transfer costs d units whether or not it is a duplicate.
+    The picks follow the edge draws on the same stream, as 32-bit words
+    taken in bulk and mapped exactly as ``rng.integers(0, c)`` maps them
+    (``_uniform_below``), so a run is bit-identical to one that makes a
+    scalar ``rng.integers`` call per pick.
     """
     h = memoryview(km.dense())
     n = km.n
     rng = np.random.default_rng(cfg.seed)
+    below = _uniform_below(rng)
     held_lists: list[list[int]] = [[v] for v in range(n)]
     held_sets: list[set[int]] = [{v} for v in range(n)]
     sums = [0.0] * n
     counts = [0] * n
 
-    def deliver(node: int, obs: int) -> None:
-        if obs in held_sets[node]:
-            return
-        held_sets[node].add(obs)
-        held_lists[node].append(obs)
-        if obs != node:
-            sums[node] += h[node, obs]
-            counts[node] += 1
-
     def step(events, t):
         for i, j in events:
-            pick_i = held_lists[i][int(rng.integers(0, len(held_lists[i])))]
-            pick_j = held_lists[j][int(rng.integers(0, len(held_lists[j])))]
-            deliver(j, pick_i)
-            deliver(i, pick_j)
+            hi, hj = held_lists[i], held_lists[j]
+            pick_i = hi[below(len(hi))]
+            pick_j = hj[below(len(hj))]
+            # a node holds its own index from the start, so a new arrival
+            # is never the node itself
+            if pick_i not in held_sets[j]:
+                held_sets[j].add(pick_i)
+                hj.append(pick_i)
+                sums[j] += h[j, pick_i]
+                counts[j] += 1
+            if pick_j not in held_sets[i]:
+                held_sets[i].add(pick_j)
+                hi.append(pick_j)
+                sums[i] += h[i, pick_j]
+                counts[i] += 1
 
     def snapshot(t, sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
         return np.divide(sm, cm, out=np.zeros(sm.shape), where=cm > 0)

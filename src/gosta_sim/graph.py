@@ -1,4 +1,4 @@
-"""Undirected communication graphs: construction, validation, sampling, I/O.
+"""Undirected communication graphs: construction, validation, I/O.
 
 Vertices are 0-indexed internally and 1-indexed in the text file format and
 all human-facing output. Graphs are immutable after construction (the edge
@@ -23,7 +23,6 @@ __all__ = [
     "make_grid2d",
     "make_watts_strogatz",
     "diagnose",
-    "sample_edge",
     "laplacian",
     "adjacency",
     "read_graph_file",
@@ -77,13 +76,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted array of vertices adjacent to v."""
-        e = self.edges
-        out = np.concatenate([e[e[:, 0] == v, 1], e[e[:, 1] == v, 0]])
-        out.sort()
-        return out
 
 
 @dataclass(frozen=True)
@@ -251,15 +243,6 @@ def _sweep(g: Graph) -> tuple[bool, bool]:
                 elif color[u] == color[v]:
                     bipartite = False
     return components == 1, bipartite
-
-
-def sample_edge(g: Graph, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one edge uniformly at random; each edge has probability 1/m."""
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("cannot sample an edge from a graph with no edges")
-    idx = int(rng.integers(0, m))
-    return int(g.edges[idx, 0]), int(g.edges[idx, 1])
 
 
 def adjacency(g: Graph) -> np.ndarray:

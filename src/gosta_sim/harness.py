@@ -429,8 +429,10 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     """Averaging-gap table rows for a list of graph specs.
 
     Each row reports the vertex count, family label and the gap
-    ``c = beta_{n-1} / (2 m)``, computed through the iterative
-    second-eigenvalue path so large instances stay fast.
+    ``c = beta_{n-1} / (2 m)``. Complete graphs and 2-D grids get
+    beta_{n-1} in closed form (n, and 2 - 2cos(pi / max(rows, cols))); other
+    families go through the iterative second-eigenvalue solve, so large
+    instances stay fast.
     """
     rows = []
     for spec in graph_specs:

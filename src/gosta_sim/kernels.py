@@ -160,6 +160,10 @@ def _symmetrize(h: np.ndarray) -> None:
         h[b, a] = t.T
 
 
+class _NonFiniteError(ValueError):
+    """A dense kernel matrix holds a NaN or an infinity."""
+
+
 def _all_finite(h: np.ndarray) -> bool:
     return all(np.isfinite(h[s]).all() for s in _spans(h.shape[0]))
 
@@ -285,7 +289,7 @@ class KernelMatrix:
             raise ValueError("kernel matrix must be square")
         n = h.shape[0]
         if not _all_finite(h):
-            raise ValueError("kernel matrix contains non-finite values")
+            raise _NonFiniteError("kernel matrix contains non-finite values")
         if any((h[a, b] != h[b, a].T).any() for a, b in _tile_pairs(n)):
             raise ValueError("kernel matrix must be exactly symmetric")
         if np.diagonal(h).any():
@@ -325,11 +329,11 @@ def build_kernel_matrix(kernel, data, partition: Partition | None = None,
     x = design.rows
     n = design.n
     if n <= dense_limit:
-        h = kernel.matrix_fn(x)
-        if not _all_finite(h):
-            raise ValueError(f"kernel '{kernel.name}' produced non-finite values")
-        km = KernelMatrix.from_dense(h, dim=design.d)
-        return km
+        try:
+            return KernelMatrix.from_dense(kernel.matrix_fn(x), dim=design.d)
+        except _NonFiniteError:
+            raise ValueError(f"kernel '{kernel.name}' produced non-finite "
+                             "values") from None
     # Streaming statistics above the dense cap; pairs stay evaluable on demand.
     row_sums = np.zeros(n)
     for i in range(n):

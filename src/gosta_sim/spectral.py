@@ -19,13 +19,14 @@ edge-by-edge construction of the expected matrix; see the test suite.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import lobpcg
 
-from .graph import Graph, diagnose, laplacian
+from .graph import Graph, diagnose, laplacian, make_grid2d
 
 __all__ = [
     "SpectralSummary",
@@ -109,19 +110,48 @@ def _sparse_laplacian(g: Graph) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
 
 
+def _grid_shape(g: Graph) -> tuple[int, int] | None:
+    """``(rows, cols)`` when ``g`` has exactly the edges of
+    ``make_grid2d(rows, cols)``, else None.
+
+    A grid has n = rows * cols and m = 2n - rows - cols, so n and m fix
+    the two side lengths up to order.
+    """
+    n, s = g.n, 2 * g.n - g.num_edges  # s = rows + cols
+    if n < 2 or s < 2 or s * s < 4 * n:
+        return None
+    r = (s - math.isqrt(s * s - 4 * n)) // 2
+    if r * (s - r) != n:
+        return None
+    for shape in ((r, s - r), (s - r, r)):
+        if np.array_equal(g.edges, make_grid2d(*shape).edges):
+            return shape
+    return None
+
+
 def beta_second_smallest(g: Graph, tol: float = 1e-8,
                          maxiter: int = 20000) -> float:
     """Second-smallest Laplacian eigenvalue via a constrained iterative solve.
 
-    A simple graph with n(n-1)/2 edges is complete, whose Laplacian
-    ``n I - 1 1^T`` has beta_{n-1} = n exactly; that value is returned
-    without a solve. Otherwise uses LOBPCG restricted to the complement of
-    the all-ones null vector, falling back to the dense spectrum when the
-    graph is small or the iteration fails to converge.
+    Two families are answered in closed form, without a solve:
+    - a simple graph with n(n-1)/2 edges is complete, whose Laplacian
+      ``n I - 1 1^T`` has beta_{n-1} = n exactly;
+    - a graph with exactly the edges of ``make_grid2d(rows, cols)`` has the
+      Kronecker sum of two path Laplacians as its Laplacian, with
+      eigenvalues ``(2 - 2cos(pi a / rows)) + (2 - 2cos(pi b / cols))``, so
+      beta_{n-1} = 2 - 2cos(pi / max(rows, cols)) (F. Chung, *Spectral Graph
+      Theory*, 1997).
+    Otherwise uses LOBPCG restricted to the complement of the all-ones null
+    vector, falling back to the dense spectrum when the graph is small or
+    the iteration fails to converge.
     """
     n = g.n
     if n >= 2 and g.num_edges == n * (n - 1) // 2:
         return float(n)
+    shape = _grid_shape(g)
+    if shape is not None:
+        # 2 - 2cos(x) = 4 sin^2(x / 2), without the cancellation
+        return 4.0 * math.sin(math.pi / (2 * max(shape))) ** 2
     if n <= 32:
         return float(laplacian_spectrum(g)[-2])
     lap = _sparse_laplacian(g)

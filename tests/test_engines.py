@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import gosta_sim as gs
 from gosta_sim.engines import (EngineConfig, InvariantError,
-                               _check_permutation, derive_seed, relative_error)
+                               _check_permutation, _uniform_below,
+                               derive_seed, relative_error)
 
 import _reference as ref
 
@@ -241,6 +242,30 @@ def test_flooding_saturated_node_estimate(rng, kernel_factory):
     assert np.allclose(expected, km.row_means * 6 / 5, atol=1e-12)
 
 
+@pytest.mark.parametrize("prior", [0, 7, 8], ids=["none", "odd", "even"])
+def test_uniform_below_matches_numpy_integers(prior):
+    # flooding's picks must be numpy's own bounded draws, call for call; a
+    # numpy release that changes Generator.integers fails here
+    ranges = [1, 1, 2, 3, 5, 1, 30, 100, 1, 1000, 2**16 + 1, 2**31 + 1,
+              2**32 - 5, 2**32 - 1, 2**32]
+    for seed in range(20):
+        want = np.random.default_rng(seed)
+        got = np.random.default_rng(seed)
+        for rng in (want, got):
+            rng.integers(0, 13, size=prior)
+        # an odd-sized array draw leaves the second half of its last word
+        assert got.bit_generator.state["has_uint32"] == prior % 2
+        below = _uniform_below(got)
+        # c == 1 draws nothing: the generator has not moved
+        assert below(1) == int(want.integers(0, 1)) == 0
+        assert got.bit_generator.state == want.bit_generator.state
+        order = np.random.default_rng(seed + 100)
+        # about half the words drawn for c = 2**31 + 1 are rejected, so 3000
+        # draws run the rejection loop many times
+        for c in order.choice(ranges, size=3000):
+            assert below(int(c)) == int(want.integers(0, int(c))), (seed, c)
+
+
 # ---------------------------------------------------------------- master
 
 
@@ -277,17 +302,24 @@ LONG_CPS = {0, *range(1000, 1012), 3000}
 DENSE_CPS = {*range(1200), *range(1200, 2990, 450), *range(2990, 3001)}
 
 
-@pytest.mark.parametrize("seed, path, iters, cps", [
-    pytest.param(0, False, 60, SHORT_CPS, id="0"),
-    pytest.param(1, False, 60, SHORT_CPS, id="1"),
-    pytest.param(2, False, 60, SHORT_CPS, id="2"),
-    pytest.param(3, True, 3000, LONG_CPS, id="long_path"),
-    pytest.param(4, True, 3000, DENSE_CPS, id="dense_path"),
+GRAPHS = {"small": small_graph,
+          "path": lambda: gs.make_graph(8, [(v, v + 1) for v in range(7)]),
+          "complete": lambda: gs.make_complete(30)}
+
+
+@pytest.mark.parametrize("seed, graph, iters, cps", [
+    pytest.param(0, "small", 60, SHORT_CPS, id="0"),
+    pytest.param(1, "small", 60, SHORT_CPS, id="1"),
+    pytest.param(2, "small", 60, SHORT_CPS, id="2"),
+    pytest.param(3, "path", 3000, LONG_CPS, id="long_path"),
+    pytest.param(4, "path", 3000, DENSE_CPS, id="dense_path"),
+    # an odd horizon leaves half of the last edge-draw word for flooding's
+    # first pick, and holdings grow to tens of indices
+    pytest.param(5, "complete", 2001, {1, 2, 500, 2001}, id="odd_complete"),
 ])
-def test_engines_match_reference_implementations(seed, path, iters, cps,
+def test_engines_match_reference_implementations(seed, graph, iters, cps,
                                                  kernel_factory):
-    g = gs.make_graph(8, [(v, v + 1) for v in range(7)]) if path \
-        else small_graph()
+    g = GRAPHS[graph]()
     km = kernel_factory(g.n, np.random.default_rng(seed + 50))
     h = np.asarray(km.dense())
     # the lazy running sums round differently from the eager references;
@@ -309,6 +341,8 @@ def test_engines_match_reference_implementations(seed, path, iters, cps,
             else:
                 assert np.allclose(tr.estimates[k], expected[int(t)],
                                    rtol=0, atol=1e-12), f"{name} at t={t}"
+    if graph == "complete":  # tr is flooding's, the loop's last engine
+        assert max(map(len, tr.final_state.flood_holdings)) >= 20
     x = np.random.default_rng(seed + 99).normal(size=g.n)
     tr = gs.run_boyd(g, x, cfg_for("boyd", iters, seed, cps=sorted(cps)))
     expected = ref.ref_run_boyd(g, x, iters, seed, cps)

@@ -164,36 +164,6 @@ def test_diagnose_disjoint_edges():
     assert not d.connected and d.bipartite
 
 
-def test_sample_edge_single():
-    g = gs.make_graph(2, [(0, 1)])
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert gs.sample_edge(g, rng) == (0, 1)
-
-
-def test_sample_edge_uniform_frequency():
-    g = gs.make_complete(3)
-    rng = np.random.default_rng(99)
-    draws = 30_000
-    counts = np.zeros(3)
-    for _ in range(draws):
-        i, j = gs.sample_edge(g, rng)
-        for idx, (a, b) in enumerate(g.edges):
-            if (a, b) == (i, j):
-                counts[idx] += 1
-    freqs = counts / draws
-    assert np.abs(freqs - 1 / 3).max() < 0.02
-    # three-standard-error band per edge
-    se = np.sqrt((1 / 3) * (2 / 3) / draws)
-    assert np.abs(freqs - 1 / 3).max() < 3 * se + 1e-12
-
-
-def test_sample_edge_empty():
-    g = gs.make_graph(3, [])
-    with pytest.raises(ValueError):
-        gs.sample_edge(g, np.random.default_rng(0))
-
-
 def test_laplacian_single_edge():
     lap = gs.laplacian(gs.make_graph(2, [(0, 1)]))
     assert np.array_equal(lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -231,12 +201,6 @@ def test_graph_is_immutable():
         g.edges[0, 0] = 5
     with pytest.raises(ValueError):
         g.degrees[0] = 9
-
-
-def test_neighbors():
-    g = gs.make_graph(4, [(0, 1), (0, 2), (2, 3)])
-    assert list(g.neighbors(0)) == [1, 2]
-    assert list(g.neighbors(3)) == [2]
 
 
 def test_file_round_trip(tmp_path):

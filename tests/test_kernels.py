@@ -154,6 +154,26 @@ def test_from_dense_validation():
         KernelMatrix.from_dense(bad)
 
 
+def test_build_names_the_kernel_of_non_finite_output(monkeypatch, rng):
+    # one finiteness pass over the dense matrix, whose error names the kernel
+    import gosta_sim.kernels as kernels
+    passes = []
+    all_finite = kernels._all_finite
+    monkeypatch.setattr(kernels, "_all_finite",
+                        lambda h: passes.append(1) or all_finite(h))
+
+    def nan_matrix(x):
+        h = np.zeros((x.shape[0], x.shape[0]))
+        h[0, 1] = h[1, 0] = np.nan
+        return h
+
+    spec = gs.KernelSpec("broken", nan_matrix, lambda x, i, j: 0.0)
+    with pytest.raises(ValueError,
+                       match="kernel 'broken' produced non-finite values"):
+        build_kernel_matrix(spec, DesignMatrix(rng.normal(size=(4, 2))))
+    assert len(passes) == 1
+
+
 def test_dispersion_zero_iff_constant_rows():
     km = KernelMatrix.from_dense(np.zeros((5, 5)))
     assert km.frob_centered == 0.0

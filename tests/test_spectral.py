@@ -165,3 +165,34 @@ def test_beta_near_complete_graph_still_solved():
     dense = gs.laplacian_spectrum(g)[-2]
     assert dense == pytest.approx(n - 2, rel=1e-12)
     assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 7), (1, 40), (6, 6), (5, 3),
+                                        (39, 41)])
+def test_beta_grid_closed_form_without_solver(monkeypatch, rows, cols):
+    # The grid Laplacian is the Kronecker sum of two path Laplacians, so
+    # beta_{n-1} = 2 - 2cos(pi / max(rows, cols)), with no iterative solve.
+    import gosta_sim.spectral as spectral
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("LOBPCG called on a grid")
+
+    monkeypatch.setattr(spectral, "lobpcg", no_solver)
+    g = gs.make_grid2d(rows, cols)
+    beta = beta_second_smallest(g)
+    assert beta == pytest.approx(gs.laplacian_spectrum(g)[-2], rel=1e-10)
+    assert beta == pytest.approx(2.0 - 2.0 * np.cos(np.pi / max(rows, cols)),
+                                 rel=1e-12)
+    [row] = gs.table1([{"family": "grid2d", "rows": rows, "cols": cols}])
+    assert row["gap"] == beta / (2.0 * g.num_edges)
+
+
+def test_beta_near_grid_graph_still_solved():
+    # A 6 x 7 grid with one edge moved to a diagonal keeps n and m, but is
+    # no grid: the solver runs.
+    grid = gs.make_grid2d(6, 7)
+    g = gs.make_graph(grid.n, [*grid.edges[1:], (0, 8)])
+    assert g.num_edges == grid.num_edges
+    dense = gs.laplacian_spectrum(g)[-2]
+    assert dense != pytest.approx(beta_second_smallest(grid), rel=1e-3)
+    assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
