@@ -14,6 +14,14 @@ beta_{n-1} / (2 m)``; alpha=2 corresponds to the estimate-averaging step
 (both endpoints move to their midpoint in expectation) and alpha=1 to the
 observation-swap step. These closed forms were pinned against a brute-force
 edge-by-edge construction of the expected matrix; see the test suite.
+
+Large graphs skip the full spectrum and get beta_{n-1} alone: in closed form
+for complete graphs and grids, otherwise from a block-size-1 LOBPCG
+iteration written in numpy alone. It applies the Laplacian through the edge
+list, keeps its iterates off the all-ones null vector by subtracting their
+mean, stops on the relative residual ``||L x - beta x|| <= tol * beta`` and
+falls back to the dense spectrum (n <= 4000) or raises if it does not
+converge; see :func:`beta_second_smallest`.
 """
 
 from __future__ import annotations
@@ -23,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import lobpcg
 
 from .graph import Graph, diagnose, laplacian, make_grid2d
 
@@ -101,15 +107,6 @@ def w_alpha_eigs_from_laplacian(g: Graph, alpha: float) -> np.ndarray:
     return 1.0 - beta[::-1] / (alpha * m)
 
 
-def _sparse_laplacian(g: Graph) -> scipy.sparse.csr_matrix:
-    e = g.edges
-    m = e.shape[0]
-    rows = np.concatenate([e[:, 0], e[:, 1], np.arange(g.n)])
-    cols = np.concatenate([e[:, 1], e[:, 0], np.arange(g.n)])
-    vals = np.concatenate([-np.ones(2 * m), g.degrees.astype(np.float64)])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-
-
 def _grid_shape(g: Graph) -> tuple[int, int] | None:
     """``(rows, cols)`` when ``g`` has exactly the edges of
     ``make_grid2d(rows, cols)``, else None.
@@ -129,6 +126,53 @@ def _grid_shape(g: Graph) -> tuple[int, int] | None:
     return None
 
 
+def _lobpcg_beta(g: Graph, tol: float, maxiter: int) -> float | None:
+    """Smallest Laplacian eigenvalue off the all-ones vector by a
+    block-size-1 LOBPCG iteration, or None if it does not converge within
+    ``maxiter`` steps or its Rayleigh quotient stops being positive (as on a
+    disconnected graph). See :func:`beta_second_smallest`."""
+    n = g.n
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    deg = g.degrees.astype(np.float64)
+
+    def lap(y: np.ndarray) -> np.ndarray:
+        return deg * y - np.bincount(u, y[v], n) - np.bincount(v, y[u], n)
+
+    x = np.random.default_rng(0).standard_normal(n)
+    x -= x.mean()
+    x /= np.linalg.norm(x)
+    lx = lap(x)
+    p = lp = None
+    for _ in range(maxiter):
+        lam = (x @ lx) / (x @ x)
+        if not lam > 0:
+            return None
+        r = lx - lam * x
+        if np.linalg.norm(r) <= tol * lam:
+            # The carried L x drifts by rounding: confirm with a fresh product
+            # and restart from it if the true residual is still too large.
+            lx = lap(x)
+            lam = (x @ lx) / (x @ x)
+            r = lx - lam * x
+            if np.linalg.norm(r) <= tol * lam:
+                return float(lam)
+            p = None
+        r -= r.mean()
+        basis, images = [x, r], [lx, lap(r)]
+        if p is not None:
+            basis.append(p)
+            images.append(lp)
+        q, rt = np.linalg.qr(np.stack(basis).T)
+        # rows of Q^T and of (L Q)^T = R^-T (L S)^T
+        q, lq = q.T, np.linalg.inv(rt).T @ np.stack(images)
+        gram = q @ lq.T
+        c = np.linalg.eigh(gram + gram.T)[1][:, 0]
+        p, lp = c[1:] @ q[1:], c[1:] @ lq[1:]
+        x, lx = c @ q, c @ lq
+        x -= x.mean()  # leaves L x as it is, since L 1 = 0
+    return None
+
+
 def beta_second_smallest(g: Graph, tol: float = 1e-8,
                          maxiter: int = 20000) -> float:
     """Second-smallest Laplacian eigenvalue via a constrained iterative solve.
@@ -141,9 +185,24 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
       eigenvalues ``(2 - 2cos(pi a / rows)) + (2 - 2cos(pi b / cols))``, so
       beta_{n-1} = 2 - 2cos(pi / max(rows, cols)) (F. Chung, *Spectral Graph
       Theory*, 1997).
-    Otherwise uses LOBPCG restricted to the complement of the all-ones null
-    vector, falling back to the dense spectrum when the graph is small or
-    the iteration fails to converge.
+    Graphs with n <= 32 use the dense spectrum. Larger ones use a
+    block-size-1 LOBPCG iteration in numpy alone (A. Knyazev, "Toward the
+    optimal preconditioned eigensolver: LOBPCG", SIAM J. Sci. Comput. 2001):
+    - operator: ``L x = deg * x - bincount(u, x[v]) - bincount(v, x[u])``
+      over the edge list (u, v), with no dense or sparse matrix;
+    - deflation: the all-ones null vector is projected out by subtracting
+      the mean from the seeded start (``default_rng(0)``), from every
+      residual and from every new iterate;
+    - step: Rayleigh-Ritz on span{x, r, p}, orthonormalised by a QR; L x and
+      L p follow from the same linear combinations, so a step costs one
+      Laplacian product, L r;
+    - stopping rule: ``||L x - beta x|| <= tol * beta``, confirmed with a
+      fresh product of x;
+    - fallback: if that is not reached in ``maxiter`` steps, or the
+      Rayleigh quotient stops being positive (as on a disconnected graph),
+      the dense spectrum with a logged warning for n <= 4000, else
+      RuntimeError.
+    The result is a deterministic function of the graph.
     """
     n = g.n
     if n >= 2 and g.num_edges == n * (n - 1) // 2:
@@ -154,24 +213,15 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
         return 4.0 * math.sin(math.pi / (2 * max(shape))) ** 2
     if n <= 32:
         return float(laplacian_spectrum(g)[-2])
-    lap = _sparse_laplacian(g)
-    ones = np.ones((n, 1)) / np.sqrt(n)
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((n, 1))
-    x0 -= ones * (ones.T @ x0)
-    try:
-        vals, _ = lobpcg(lap, x0, Y=ones, largest=False, tol=tol,
-                         maxiter=maxiter)
-        beta = float(vals[0])
-        if beta > 0 and np.isfinite(beta):
-            return beta
-    except Exception:  # pragma: no cover - solver robustness fallback
-        pass
+    beta = _lobpcg_beta(g, tol, maxiter)
+    if beta is not None:
+        return beta
     if n <= 4000:
-        logger.warning("iterative eigenvalue solve failed, using dense "
-                       "fallback (n=%d)", n)
+        logger.warning("iterative eigenvalue solve did not converge, using "
+                       "dense fallback (n=%d)", n)
         return float(laplacian_spectrum(g)[-2])
-    raise RuntimeError(f"second eigenvalue iteration failed for n={n}")
+    raise RuntimeError(f"second eigenvalue iteration did not converge for "
+                       f"n={n}")
 
 
 def spectral_summary(g: Graph, dense_limit: int = DENSE_SPECTRUM_LIMIT) -> SpectralSummary:

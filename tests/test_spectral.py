@@ -1,8 +1,13 @@
+import logging
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 import gosta_sim as gs
-from gosta_sim.spectral import beta_second_smallest
+from gosta_sim.spectral import _lobpcg_beta, beta_second_smallest
 
 from _reference import brute_force_w_alpha
 
@@ -150,7 +155,7 @@ def test_beta_complete_closed_form_without_solver(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("LOBPCG called on a complete graph")
 
-    monkeypatch.setattr(spectral, "lobpcg", no_solver)
+    monkeypatch.setattr(spectral, "_lobpcg_beta", no_solver)
     for n in (2, 5, 33, 200):
         g = gs.make_complete(n)
         assert beta_second_smallest(g) == float(n)
@@ -177,7 +182,7 @@ def test_beta_grid_closed_form_without_solver(monkeypatch, rows, cols):
     def no_solver(*args, **kwargs):
         raise AssertionError("LOBPCG called on a grid")
 
-    monkeypatch.setattr(spectral, "lobpcg", no_solver)
+    monkeypatch.setattr(spectral, "_lobpcg_beta", no_solver)
     g = gs.make_grid2d(rows, cols)
     beta = beta_second_smallest(g)
     assert beta == pytest.approx(gs.laplacian_spectrum(g)[-2], rel=1e-10)
@@ -196,3 +201,102 @@ def test_beta_near_grid_graph_still_solved():
     dense = gs.laplacian_spectrum(g)[-2]
     assert dense != pytest.approx(beta_second_smallest(grid), rel=1e-3)
     assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
+
+
+def _shuffled_path(n):
+    # A path with shuffled labels: the 1 x n grid closed form does not apply.
+    order = np.random.default_rng(n).permutation(n)
+    return gs.make_graph(n, np.column_stack([order[:-1], order[1:]]))
+
+
+def _two_cliques(k):
+    # Two k-cliques joined by the single edge (0, k): a bottleneck of one edge.
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return gs.make_graph(2 * k, clique + [(i + k, j + k) for i, j in clique]
+                         + [(0, k)])
+
+
+SOLVER_GRAPHS = {
+    **{f"ws-n{n}-p{p}": (lambda n=n, p=p: gs.make_watts_strogatz(
+        n, 5, p, np.random.default_rng(n)))
+       for n in (100, 500, 1599) for p in (0.3, 0.05, 0.01)},
+    "path-300": lambda: _shuffled_path(300),
+    "star-200": lambda: gs.make_graph(200, [(0, i) for i in range(1, 200)]),
+    "two-cliques-30": lambda: _two_cliques(30),
+    "complete-40-minus-edge": lambda: gs.make_graph(
+        40, gs.make_complete(40).edges[1:]),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_GRAPHS)
+def test_lobpcg_beta_matches_dense(name):
+    # The iteration itself converges (no dense fallback) on small-gap and
+    # awkward graphs and agrees with the dense spectrum to 1e-9.
+    g = SOLVER_GRAPHS[name]()
+    beta = _lobpcg_beta(g, 1e-8, 20000)
+    assert beta is not None
+    dense = float(np.linalg.eigvalsh(gs.laplacian(g))[1])
+    assert beta == pytest.approx(dense, rel=1e-9)
+    assert beta_second_smallest(g) == beta
+
+
+def test_beta_second_smallest_bit_identical_across_calls():
+    # Benchmark replays compare digests bit for bit.
+    g = gs.make_watts_strogatz(500, 5, 0.05, np.random.default_rng(3))
+    first = beta_second_smallest(g)
+    assert np.array([first]).tobytes() == np.array(
+        [beta_second_smallest(g)]).tobytes()
+
+
+def test_beta_non_convergence_falls_back_to_dense(caplog):
+    g = gs.make_watts_strogatz(200, 5, 0.3, np.random.default_rng(5))
+    with caplog.at_level(logging.WARNING, logger="gosta_sim.spectral"):
+        beta = beta_second_smallest(g, maxiter=1)
+    assert beta == float(gs.laplacian_spectrum(g)[-2])
+    [record] = [r for r in caplog.records if r.name == "gosta_sim.spectral"]
+    assert record.levelno == logging.WARNING
+    assert "dense fallback" in record.getMessage()
+    assert "n=200" in record.getMessage()
+
+
+def test_beta_disconnected_graph_falls_back_to_zero(caplog):
+    # Two disjoint copies: the Rayleigh quotient heads to beta_{n-1} = 0,
+    # which the relative stopping rule cannot meet, so the dense spectrum
+    # answers.
+    half = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
+    g = gs.make_graph(120, np.vstack([half.edges, half.edges + 60]))
+    with caplog.at_level(logging.WARNING, logger="gosta_sim.spectral"):
+        assert beta_second_smallest(g) == pytest.approx(0.0, abs=1e-9)
+    assert "dense fallback" in caplog.text
+
+
+def test_beta_non_convergence_raises_above_dense_limit():
+    # No dense fallback above n = 4000: the error names the size.
+    with pytest.raises(RuntimeError, match="n=4500"):
+        beta_second_smallest(_shuffled_path(4500), maxiter=1)
+
+
+def test_package_imports_and_solves_without_scipy():
+    # Blocking scipy makes any eager or lazy scipy import fail loudly.
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import gosta_sim
+        import gosta_sim.cli
+        from gosta_sim import harness
+        g = gosta_sim.make_watts_strogatz(200, 5, 0.3,
+                                          np.random.default_rng(0))
+        assert gosta_sim.beta_second_smallest(g) > 0
+        rows = harness.table1([
+            {"family": "complete", "n": 40},
+            {"family": "watts_strogatz", "n": 60, "k": 4, "p": 0.3},
+            {"family": "grid2d", "rows": 6, "cols": 7},
+        ])
+        assert all(row["gap"] > 0 for row in rows)
+        assert sys.modules["scipy"] is None
+        assert not [m for m in sys.modules if m.startswith("scipy.")]
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
