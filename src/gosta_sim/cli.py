@@ -2,16 +2,13 @@
 
 Subcommands: spectrum, simulate, expect, bounds, experiment, table1,
 gen-graph, gen-data. Data outputs are CSV, summaries are JSON; exit code 0
-on success, nonzero with a message on stderr otherwise. ``--log-level``
-(default ``warning``) sets which of the package's log messages reach
-stderr.
+on success, nonzero with a message on stderr otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -183,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gosta-sim",
         description="Gossip-based decentralized estimation of pairwise "
                     "statistics: simulators, oracles and bounds.")
-    parser.add_argument("--log-level", default="warning",
-                        choices=("debug", "info", "warning", "error"),
-                        help="level of the gosta_sim log messages written "
-                             "to stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectral gap constants of a graph file")
@@ -266,23 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The package's log tree goes to stderr at the chosen level for this
-    # call only, so in-process callers keep their own logging set-up.
-    log = logging.getLogger("gosta_sim")
-    saved_level = log.level
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("gosta-sim: %(levelname)s: "
-                                           "%(message)s"))
-    log.addHandler(handler)
-    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"gosta-sim: error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(saved_level)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import json
-import logging
 
 import pytest
 
@@ -173,29 +172,3 @@ def test_cli_rejects_unusable_args(tmp_path, capsys):
                            "--out", str(out))
     assert code == 1
     assert "error" in err
-
-
-@pytest.mark.parametrize("level_args, shown", [
-    ((), True),
-    (("--log-level", "info"), True),
-    (("--log-level", "error"), False),
-])
-def test_log_level_controls_bipartite_warning(tmp_path, capsys, level_args,
-                                              shown):
-    # A grid is bipartite: the once-per-graph warning reaches stderr at the
-    # default level and is suppressed at --log-level error.
-    data = tmp_path / "d.csv"
-    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "12", "--d", "1",
-            "--out", str(data))
-    # Undo the suite's autouse quieting of this logger for this test.
-    logging.getLogger("gosta_sim.graph").setLevel(logging.NOTSET)
-    log = logging.getLogger("gosta_sim")
-    level_before, handlers_before = log.level, list(log.handlers)
-    code, _, err = run_cli(capsys, *level_args, "simulate",
-                           "--protocol", "boyd", "--graph",
-                           "grid2d:rows=3,cols=4", "--kernel", "variance",
-                           "--data", str(data), "--iters", "10",
-                           "--out", str(tmp_path / "sim.csv"))
-    assert code == 0
-    assert ("graph is bipartite" in err) == shown
-    assert (log.level, log.handlers) == (level_before, handlers_before)

@@ -240,6 +240,13 @@ def test_lobpcg_beta_matches_dense(name):
     assert beta_second_smallest(g) == beta
 
 
+def test_beta_small_gap_converges_above_dense_limit():
+    # Past n = 4000 there is no dense fallback: a small-gap graph (beta
+    # about 1e-4) meets the relative rule at the default tol and maxiter.
+    g = gs.make_watts_strogatz(4500, 5, 0.001, np.random.default_rng(4500))
+    assert 0 < beta_second_smallest(g) < 1e-3
+
+
 def test_beta_second_smallest_bit_identical_across_calls():
     # Benchmark replays compare digests bit for bit.
     g = gs.make_watts_strogatz(500, 5, 0.05, np.random.default_rng(3))
