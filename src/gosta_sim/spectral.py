@@ -190,14 +190,14 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
       L p follow from the same linear combinations, so a step costs one
       Laplacian product, L r;
     - stopping rule: ``||L x - beta x|| <= tol * beta``, with the carried
-      L x. ``tol`` bounds the residual relative to beta, not
-      in absolute terms as in scipy's ``lobpcg``; the smaller the gap, the
-      more steps this takes (about ``sqrt(max degree / beta)`` per factor
-      e), so path-like graphs need more than the default ``maxiter``
-      from about a thousand nodes on. The rounding error of the residual,
-      about 2e-16 times the largest degree, reaches ``tol * beta`` only
-      for beta below about 2e-8 times it, as on a path of some 16000
-      nodes, far past where ``maxiter`` runs out;
+      L x. ``tol`` bounds the residual relative to beta, not in absolute
+      terms; the smaller the gap, the more steps this takes (about
+      ``sqrt(max degree / beta)`` per factor e), so path-like graphs need
+      more than the default ``maxiter`` from about a thousand nodes on.
+      The rounding error of the residual, about 2e-16 times the largest
+      degree, reaches ``tol * beta`` only for beta below about 2e-8 times
+      it, as on a path of some 16000 nodes, far past where ``maxiter``
+      runs out;
     - fallback: if that is not reached in ``maxiter`` steps, or the
       Rayleigh quotient stops being positive (as on a disconnected graph),
       the dense spectrum with a logged warning for n <= 4000, else
