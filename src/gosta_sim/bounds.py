@@ -21,7 +21,7 @@ from .kernels import KernelMatrix
 from .spectral import SpectralSummary, spectral_summary
 
 __all__ = [
-    "BOUND_PROTOCOLS",
+    "BOUNDS",
     "BoundReport",
     "AsyncConstants",
     "FitResult",
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 FIT_MODELS = ("inv_t", "logt_over_t", "exp")
-BOUND_PROTOCOLS = ("gosta_sync", "u2", "gosta_async")
 
 
 @dataclass(frozen=True)
@@ -183,6 +182,12 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     return FitResult(constant=k, residual=resid, envelope=env)
 
 
+# The protocols with a bound, each mapped to its analytic bound; gosta_async
+# has none (None) and gets a fitted ``K * log t / t`` curve instead.
+BOUNDS: dict[str, Callable | None] = {"gosta_sync": sync_error_bound,
+                                      "u2": u2_error_bound, "gosta_async": None}
+
+
 def bound_report(g: Graph, km: KernelMatrix, protocol: str,
                  t_grid) -> BoundReport:
     """Exact oracle error together with the matching bound on a time grid.
@@ -195,7 +200,7 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
     t_grid = sorted({int(t) for t in t_grid})
     if not t_grid or t_grid[0] < 1:
         raise ValueError("t_grid must contain iterations >= 1")
-    if protocol not in BOUND_PROTOCOLS:
+    if protocol not in BOUNDS:
         raise ValueError(f"no bound available for protocol '{protocol}'")
     s = spectral_summary(g)
     oracle = ORACLES[protocol].curve(g, km, t_grid[-1], t_grid)
@@ -208,10 +213,9 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
         "frob_centered": km.frob_centered,
     }
     tarr = np.array(t_grid, dtype=np.float64)
-    if protocol == "gosta_sync":
-        bound = np.array([sync_error_bound(g, km, t, s) for t in t_grid])
-    elif protocol == "u2":
-        bound = np.array([u2_error_bound(g, km, t, s) for t in t_grid])
+    bound_fn = BOUNDS[protocol]
+    if bound_fn is not None:
+        bound = np.array([bound_fn(g, km, t, s) for t in t_grid])
     else:
         ac = async_constants(g, s)
         constants["p_bar"] = ac.p_bar

@@ -28,15 +28,12 @@ def _load_graph(spec_text: str, seed: int):
         harness.parse_graph_spec_string(spec_text), seed)
 
 
-def _load_kernel(kernel_name: str, data_path: str, cell_column: int):
-    if kernel_name == "scatter":
-        design, part = kernels.load_partitioned_csv(data_path, cell_column)
-        return kernels.build_kernel_matrix("scatter", design, part), design
-    if kernel_name == "auc":
-        ds = kernels.load_labeled_csv(data_path)
-        return kernels.build_kernel_matrix("auc", ds), ds.design
-    design = kernels.load_design_csv(data_path)
-    return kernels.build_kernel_matrix("variance", design), design
+def _load_kernel(args):
+    """The kernel matrix of ``--data`` and the node values read from it."""
+    data, part = harness.load_csv_data(args.data, args.kernel,
+                                       args.cell_column)
+    return (kernels.build_kernel_matrix(args.kernel, data, part),
+            harness.node_values(data))
 
 
 def _cmd_spectrum(args) -> int:
@@ -57,8 +54,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g = _load_graph(args.graph, args.seed)
-    km, design = _load_kernel(args.kernel, args.data, args.cell_column)
-    x = design.rows[:, 0].copy() if args.protocol == "boyd" else None
+    km, x = _load_kernel(args)
     lines = ["run,t,comm_units,err_mean,err_std"]
     per_node_lines = ["run,t,node,estimate,error"]
     for run in range(args.runs):
@@ -88,11 +84,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_expect(args) -> int:
     g = _load_graph(args.graph, args.seed)
-    km, design = _load_kernel(args.kernel, args.data, args.cell_column)
+    km, x = _load_kernel(args)
     if args.protocol not in expectation.ORACLES:
         raise ValueError(f"no expectation oracle for '{args.protocol}'")
-    curve, limit = expectation.ORACLES[args.protocol]
-    source = design.rows[:, 0].copy() if args.protocol == "boyd" else km
+    curve, limit, takes_values = expectation.ORACLES[args.protocol]
+    source = x if takes_values else km
     oracle = curve(g, source, args.t_max,
                    expectation.geometric_checkpoints(args.t_max))
     target = limit(source)
@@ -109,7 +105,7 @@ def _cmd_expect(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.graph, args.seed)
-    km, _ = _load_kernel(args.kernel, args.data, args.cell_column)
+    km, _ = _load_kernel(args)
     grid = expectation.geometric_checkpoints(args.t_max)
     report = bounds_mod.bound_report(g, km, args.protocol, grid)
     lines = ["t,actual_err,bound_val,ratio"]
@@ -186,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphfile")
     p.set_defaults(func=_cmd_spectrum)
 
-    def add_common(p, with_protocol=True, protocols=PROTOCOL_CHOICES):
-        if with_protocol:
-            p.add_argument("--protocol", required=True, choices=protocols)
+    def add_common(p, protocols=PROTOCOL_CHOICES):
+        p.add_argument("--protocol", required=True, choices=protocols)
         p.add_argument("--graph", required=True,
                        help="graph spec (complete:n=100, grid2d:rows=8,cols=8,"
                             " watts_strogatz:n=100,k=5,p=0.3) or a file path")
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound vs the expected error of the "
                        "eigenbasis oracles")
-    add_common(p, protocols=bounds_mod.BOUND_PROTOCOLS)
+    add_common(p, protocols=tuple(bounds_mod.BOUNDS))
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)

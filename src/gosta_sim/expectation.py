@@ -5,8 +5,8 @@
 ``mu = 1 - beta/(2m)``. With ``P = (H V) o V`` (so ``diag(H W1^s) =
 P lambda^s``), ``Q = V^T P`` and ``G = V^T H V``, every oracle but the
 asynchronous one is a geometric sum in that basis, evaluated directly at
-each checkpoint; after one O(n^3) eigendecomposition its cost does not
-depend on t:
+each checkpoint. Its cost does not depend on t after one O(n^3)
+eigendecomposition, which the graph caches (``spectral.laplacian_eigh``):
 
 - boyd: ``E[Z(t)] = V (mu^t o V^T x)``, O(n^2) per checkpoint;
 - u1: ``t E[Z(t)] = P sum_{s=1..t} lambda^s``, O(n^2);
@@ -37,9 +37,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, adjacency, laplacian, warn_if_unsuitable
+from .graph import Graph, adjacency, warn_if_unsuitable
 from .kernels import KernelMatrix
-from .spectral import w_alpha
+from .spectral import laplacian_eigh, w_alpha
 
 __all__ = ["ORACLES", "Oracle", "divided_difference", "geometric_checkpoints",
            "gosta_sync_expectation", "gosta_async_expectation",
@@ -107,7 +107,8 @@ def divided_difference(da, db, t: int) -> np.ndarray:
 
 def _setup(g: Graph, n: int, t_max: int, checkpoints, context: str):
     """Sorted checkpoints, V and the defects ``1 - lambda = beta/m`` and
-    ``1 - mu = beta/(2m)``; the one null mode gets beta = 0 exactly."""
+    ``1 - mu = beta/(2m)`` from the graph's cached eigenbasis; the one null
+    mode gets beta = 0 exactly."""
     if g.n != n:
         raise ValueError(f"graph size {g.n} does not match sample size {n}")
     if t_max < 1:
@@ -116,7 +117,8 @@ def _setup(g: Graph, n: int, t_max: int, checkpoints, context: str):
     if not cps or cps[0] < 1 or cps[-1] > t_max:
         raise ValueError("checkpoints must be nonempty and lie in [1, t_max]")
     warn_if_unsuitable(g, context)
-    beta, v = np.linalg.eigh(laplacian(g))
+    beta, v = laplacian_eigh(g)
+    beta = beta.copy()
     beta[0] = 0.0
     return cps, v, beta / g.num_edges, beta / (2.0 * g.num_edges)
 
@@ -206,10 +208,12 @@ def boyd_expectation(g: Graph, x: np.ndarray, t_max: int,
 
 class Oracle(NamedTuple):
     """``curve(g, source, t_max, checkpoints)`` and ``limit(source)``, its
-    limit; the source is the sample vector x for boyd, else the kernel."""
+    limit; the source is the node-value vector x when ``takes_values`` (boyd),
+    else the kernel."""
 
     curve: Callable[..., dict[int, np.ndarray]]
     limit: Callable[..., np.ndarray]
+    takes_values: bool = False
 
 
 def _pair_average(km: KernelMatrix) -> np.ndarray:
@@ -217,7 +221,8 @@ def _pair_average(km: KernelMatrix) -> np.ndarray:
 
 
 ORACLES: dict[str, Oracle] = {
-    "boyd": Oracle(boyd_expectation, lambda x: np.full(len(x), np.mean(x))),
+    "boyd": Oracle(boyd_expectation, lambda x: np.full(len(x), np.mean(x)),
+                   takes_values=True),
     "u1": Oracle(u1_expectation, lambda km: km.row_means),
     "u2": Oracle(u2_expectation, _pair_average),
     "gosta_sync": Oracle(gosta_sync_expectation, _pair_average),

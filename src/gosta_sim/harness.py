@@ -35,6 +35,8 @@ __all__ = [
     "table1",
     "build_graph_from_spec",
     "parse_graph_spec_string",
+    "load_csv_data",
+    "node_values",
 ]
 
 _GRAPH_KEYS = {
@@ -285,20 +287,31 @@ def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     raise ValueError(f"unknown graph family '{family}'")
 
 
+def load_csv_data(path, kernel_name: str, cell_column: int = -1):
+    """Return (data, partition) from a dataset CSV, read as the kernel
+    needs it: with a cell column for scatter, a label column for auc and
+    plain rows for variance."""
+    if kernel_name == "scatter":
+        return kernels.load_partitioned_csv(path, cell_column)
+    if kernel_name == "auc":
+        return kernels.load_labeled_csv(path), None
+    return kernels.load_design_csv(path), None
+
+
+def node_values(data) -> np.ndarray:
+    """The per-node values that plain averaging (boyd) starts from: the
+    first coordinate of each observation."""
+    design = data.design if isinstance(data, LabeledDataset) else data
+    return design.rows[:, 0].copy()
+
+
 def _materialize_data(spec: ExperimentSpec):
     """Return (data, partition) for kernel construction."""
     data = spec.data
     kind = data["kind"]
-    kname = spec.kernel["name"]
     if kind == "csv":
-        path = data["path"]
-        if kname == "scatter":
-            design, part = kernels.load_partitioned_csv(
-                path, int(data.get("cell_column", -1)))
-            return design, part
-        if kname == "auc":
-            return kernels.load_labeled_csv(path), None
-        return kernels.load_design_csv(path), None
+        return load_csv_data(data["path"], spec.kernel["name"],
+                             int(data.get("cell_column", -1)))
     rng = np.random.default_rng(derive_seed(spec.seed, 202))
     if kind == "gaussian_mixture":
         design, part = synth_gaussian_mixture(
@@ -336,10 +349,7 @@ def run_experiment(spec: ExperimentSpec,
         raise ValueError(f"graph has {graph.n} nodes but the dataset has "
                          f"{km.n} observations")
     cps = _experiment_checkpoints(spec)
-    x_boyd = None
-    if "boyd" in spec.protocols:
-        rows = data.design.rows if isinstance(data, LabeledDataset) else data.rows
-        x_boyd = rows[:, 0].copy()
+    x = node_values(data)
 
     aggregates: dict[str, ProtocolAggregate] = {}
     truth: float | np.ndarray = km.u_stat
@@ -352,7 +362,7 @@ def run_experiment(spec: ExperimentSpec,
             cfg = EngineConfig(protocol=proto, max_iters=spec.iters,
                                seed=derive_seed(spec.seed, pidx, run),
                                checkpoints=cps)
-            trace = engines.run_protocol(cfg, g=graph, km=km, x=x_boyd)
+            trace = engines.run_protocol(cfg, g=graph, km=km, x=x)
             err = relative_error(trace)
             per_run_mean[run] = err.mean
             per_run_std[run] = err.std

@@ -16,7 +16,9 @@ symmetrization, ``sqrt`` and the cell mask are then applied in place, one row
 block or one pair of tiles at a time. :meth:`KernelMatrix.from_dense` checks
 and centers the matrix block by block as well, so no step allocates a second
 n x n array. Per element the arithmetic is that of the whole-matrix
-expressions, and the results are bit-identical to them.
+expressions, and the results are bit-identical to them. Above
+``DENSE_KERNEL_LIMIT`` observations the build fails before it evaluates
+any pair, naming the 8n^2 bytes the matrix would need.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "write_design_csv",
 ]
 
+# Largest sample whose kernel matrix is built: 8 n^2 bytes, 128 MB at 4000.
 DENSE_KERNEL_LIMIT = 4000
 
 
@@ -125,13 +128,11 @@ class KernelSpec:
     """A named pairwise kernel.
 
     ``matrix_fn`` builds the dense n x n kernel matrix from the observation
-    array; ``pair_fn`` evaluates a single pair (used above the dense cap).
-    Both produce exactly symmetric values with a zero diagonal.
+    array, exactly symmetric with a zero diagonal.
     """
 
     name: str
     matrix_fn: Callable[[np.ndarray], np.ndarray]
-    pair_fn: Callable[[np.ndarray, int, int], float]
 
 
 # Row-block height and tile edge of the dense build and checks: temporaries
@@ -193,12 +194,7 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
             h[s] *= cells[s, None] == cells
         return h
 
-    def pair_fn(x: np.ndarray, i: int, j: int) -> float:
-        if i == j or cells[i] != cells[j]:
-            return 0.0
-        return float(np.linalg.norm(x[i] - x[j]))
-
-    return KernelSpec("scatter", matrix_fn, pair_fn)
+    return KernelSpec("scatter", matrix_fn)
 
 
 def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
@@ -223,13 +219,7 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
         np.fill_diagonal(h, 0.0)
         return h
 
-    def pair_fn(x: np.ndarray, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        si, sj = float(x[i] @ theta), float(x[j] @ theta)
-        return float((1 - lab[i] * lab[j]) * (lab[i] * si > -lab[j] * sj))
-
-    return KernelSpec("auc", matrix_fn, pair_fn)
+    return KernelSpec("auc", matrix_fn)
 
 
 def variance_kernel() -> KernelSpec:
@@ -241,22 +231,15 @@ def variance_kernel() -> KernelSpec:
         h /= 2.0
         return h
 
-    def pair_fn(x: np.ndarray, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        diff = x[i] - x[j]
-        return float(diff @ diff) / 2.0
-
-    return KernelSpec("variance", matrix_fn, pair_fn)
+    return KernelSpec("variance", matrix_fn)
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Kernel matrix with the exact targets and dispersion norms.
 
-    ``H`` is the dense matrix for n <= DENSE_KERNEL_LIMIT and None above;
-    statistics are computed either way. ``dim`` is the dimension of the
-    underlying observations, used for communication-cost accounting.
+    ``H`` is the dense, read-only n x n matrix. ``dim`` is the dimension of
+    the underlying observations, used for communication-cost accounting.
     """
 
     n: int
@@ -265,21 +248,9 @@ class KernelMatrix:
     row_means: np.ndarray
     frob_centered: float
     vec_centered: float
-    H: np.ndarray | None = None
-    _spec: KernelSpec | None = None
-    _x: np.ndarray | None = None
-
-    def value(self, i: int, j: int) -> float:
-        if self.H is not None:
-            return float(self.H[i, j])
-        return self._spec.pair_fn(self._x, i, j)
+    H: np.ndarray
 
     def dense(self) -> np.ndarray:
-        if self.H is None:
-            raise ValueError(
-                f"kernel matrix for n={self.n} exceeds the dense cap "
-                f"({DENSE_KERNEL_LIMIT}); only on-demand evaluation is available"
-            )
         return self.H
 
     @classmethod
@@ -307,13 +278,15 @@ class KernelMatrix:
                    frob_centered=frob, vec_centered=vec, H=h)
 
 
-def build_kernel_matrix(kernel, data, partition: Partition | None = None,
-                        dense_limit: int = DENSE_KERNEL_LIMIT) -> KernelMatrix:
+def build_kernel_matrix(kernel, data,
+                        partition: Partition | None = None) -> KernelMatrix:
     """Construct a :class:`KernelMatrix` for the given kernel and data.
 
     ``kernel`` may be a :class:`KernelSpec` or one of the names "variance",
     "scatter" (needs ``partition``) or "auc" (needs a :class:`LabeledDataset`;
     the scoring direction defaults to the difference of the class means).
+    Raises ValueError above ``DENSE_KERNEL_LIMIT`` observations, before any
+    pair is evaluated.
     """
     if isinstance(kernel, str):
         kernel = _resolve_named_kernel(kernel, data, partition)
@@ -326,31 +299,18 @@ def build_kernel_matrix(kernel, data, partition: Partition | None = None,
     if kernel.name == "scatter" and partition is not None \
             and partition.n != design.n:
         raise ValueError("partition size does not match the sample size")
-    x = design.rows
     n = design.n
-    if n <= dense_limit:
-        try:
-            return KernelMatrix.from_dense(kernel.matrix_fn(x), dim=design.d)
-        except _NonFiniteError:
-            raise ValueError(f"kernel '{kernel.name}' produced non-finite "
-                             "values") from None
-    # Streaming statistics above the dense cap; pairs stay evaluable on demand.
-    row_sums = np.zeros(n)
-    for i in range(n):
-        row = np.array([kernel.pair_fn(x, i, j) for j in range(n)])
-        if not np.isfinite(row).all():
-            raise ValueError(f"kernel '{kernel.name}' produced non-finite values")
-        row_sums[i] = row.sum()
-    u = float(row_sums.sum() / n**2)
-    row_means = row_sums / n
-    frob_sq = 0.0
-    for i in range(n):
-        row = np.array([kernel.pair_fn(x, i, j) for j in range(n)])
-        frob_sq += float(((row - row_means[i]) ** 2).sum())
-    vec = float(np.linalg.norm(row_means - u))
-    return KernelMatrix(n=n, dim=design.d, u_stat=u, row_means=row_means,
-                        frob_centered=float(np.sqrt(frob_sq)), vec_centered=vec,
-                        H=None, _spec=kernel, _x=x)
+    if n > DENSE_KERNEL_LIMIT:
+        raise ValueError(
+            f"kernel matrix for n={n} would need {8 * n * n:,} bytes "
+            f"(8 n^2) as a dense float64 array; the limit is "
+            f"n <= {DENSE_KERNEL_LIMIT}")
+    try:
+        return KernelMatrix.from_dense(kernel.matrix_fn(design.rows),
+                                       dim=design.d)
+    except _NonFiniteError:
+        raise ValueError(f"kernel '{kernel.name}' produced non-finite "
+                         "values") from None
 
 
 def _resolve_named_kernel(name: str, data, partition: Partition | None) -> KernelSpec:

@@ -38,6 +38,7 @@ __all__ = [
     "SpectralSummary",
     "w_alpha",
     "laplacian_spectrum",
+    "laplacian_eigh",
     "w_alpha_eigs_from_laplacian",
     "spectral_summary",
     "beta_second_smallest",
@@ -90,6 +91,23 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
     lap = (lap + lap.T) / 2.0
     eigs = np.linalg.eigvalsh(lap)
     return eigs[::-1].copy()
+
+
+def laplacian_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(beta, V)`` from ``np.linalg.eigh(laplacian(g))``: eigenvalues in
+    increasing order and orthonormal eigenvectors as columns.
+
+    The result is cached on the graph, which is immutable, so the summary,
+    the bounds and every oracle share one O(n^3) solve per graph. Both
+    arrays are read-only.
+    """
+    basis = g.__dict__.get("_laplacian_eigh")
+    if basis is None:
+        beta, v = np.linalg.eigh(laplacian(g))
+        beta.flags.writeable = v.flags.writeable = False
+        basis = (beta, v)
+        object.__setattr__(g, "_laplacian_eigh", basis)
+    return basis
 
 
 def w_alpha_eigs_from_laplacian(g: Graph, alpha: float) -> np.ndarray:
@@ -224,9 +242,11 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
                        f"n={n}")
 
 
-def spectral_summary(g: Graph, dense_limit: int = DENSE_SPECTRUM_LIMIT) -> SpectralSummary:
+def spectral_summary(g: Graph) -> SpectralSummary:
     """Spectral constants controlling the convergence bounds.
 
+    Up to ``DENSE_SPECTRUM_LIMIT`` nodes they come from the cached
+    :func:`laplacian_eigh`; above it from :func:`beta_second_smallest`.
     Raises on disconnected graphs, where the gap is zero and every bound
     is vacuous.
     """
@@ -234,8 +254,8 @@ def spectral_summary(g: Graph, dense_limit: int = DENSE_SPECTRUM_LIMIT) -> Spect
         raise ValueError("spectral summary requires a connected graph "
                          "(the averaging gap of a disconnected graph is zero)")
     m = g.num_edges
-    if g.n <= dense_limit:
-        eigs = laplacian_spectrum(g)
+    if g.n <= DENSE_SPECTRUM_LIMIT:
+        eigs = laplacian_eigh(g)[0][::-1].copy()
         beta = float(eigs[-2])
     else:
         eigs = None

@@ -15,9 +15,9 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def _quiet_bipartite_warnings(caplog):
-    # Bipartite-topology warnings are expected on path/grid test graphs.
-    logging.getLogger("gosta_sim.graph").setLevel(logging.ERROR)
-    yield
+    # Bipartite-topology warnings are expected on path/grid test graphs;
+    # caplog restores the logger's level when the test ends.
+    caplog.set_level(logging.ERROR, logger="gosta_sim.graph")
 
 
 @pytest.fixture

@@ -167,7 +167,7 @@ def test_build_names_the_kernel_of_non_finite_output(monkeypatch, rng):
         h[0, 1] = h[1, 0] = np.nan
         return h
 
-    spec = gs.KernelSpec("broken", nan_matrix, lambda x, i, j: 0.0)
+    spec = gs.KernelSpec("broken", nan_matrix)
     with pytest.raises(ValueError,
                        match="kernel 'broken' produced non-finite values"):
         build_kernel_matrix(spec, DesignMatrix(rng.normal(size=(4, 2))))
@@ -192,18 +192,16 @@ def test_build_rejects_missing_requirements(rng):
         build_kernel_matrix("nope", x)
 
 
-def test_streaming_stats_match_dense(rng):
-    x = DesignMatrix(rng.normal(size=(12, 2)))
-    dense = build_kernel_matrix("variance", x)
-    lazy = build_kernel_matrix("variance", x, dense_limit=5)
-    assert lazy.H is None
-    assert lazy.u_stat == pytest.approx(dense.u_stat, abs=1e-12)
-    assert np.allclose(lazy.row_means, dense.row_means, atol=1e-12)
-    assert lazy.frob_centered == pytest.approx(dense.frob_centered, rel=1e-12)
-    assert lazy.vec_centered == pytest.approx(dense.vec_centered, rel=1e-10)
-    assert lazy.value(3, 7) == pytest.approx(dense.dense()[3, 7], abs=1e-15)
-    with pytest.raises(ValueError):
-        lazy.dense()
+def test_build_above_dense_limit_fails_before_any_pair(monkeypatch):
+    n = gs.kernels.DENSE_KERNEL_LIMIT + 1
+
+    def no_matrix(x):
+        raise AssertionError("kernel evaluated above the dense limit")
+
+    monkeypatch.setattr(gs.kernels, "_pairwise_sq_dists", no_matrix)
+    x = DesignMatrix(np.arange(n, dtype=np.float64)[:, None])
+    with pytest.raises(ValueError, match=f"n={n} would need {8 * n * n:,} bytes"):
+        build_kernel_matrix("variance", x)
 
 
 def test_csv_round_trip(tmp_path, rng):

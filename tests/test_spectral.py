@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import gosta_sim as gs
+from gosta_sim.expectation import ORACLES
 from gosta_sim.spectral import _lobpcg_beta, beta_second_smallest
 
 from _reference import brute_force_w_alpha
@@ -140,11 +142,66 @@ def test_iterative_beta_matches_dense(rng):
         assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
 
 
-def test_summary_large_graph_skips_dense_spectrum():
+def test_summary_large_graph_skips_dense_spectrum(monkeypatch):
+    import gosta_sim.spectral as spectral
+    monkeypatch.setattr(spectral, "DENSE_SPECTRUM_LIMIT", 100)
     g = gs.make_complete(150)
-    s = gs.spectral_summary(g, dense_limit=100)
+    s = gs.spectral_summary(g)
     assert s.laplacian_eigs is None
     assert s.gap_c == pytest.approx(1.0 / 149, rel=1e-6)
+    assert "_laplacian_eigh" not in g.__dict__  # no n x n basis kept
+
+
+def test_one_eigendecomposition_per_graph(monkeypatch, kernel_factory):
+    # The summary, the three bound reports and two oracles on one graph
+    # share one cached eigh and run no eigvalsh.
+    rng = np.random.default_rng(60)
+    g = gs.make_watts_strogatz(60, 5, 0.3, rng)
+    km, x = kernel_factory(60, rng), rng.normal(size=60)
+    grid = gs.geometric_checkpoints(200)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    gs.spectral_summary(g)
+    for protocol in gs.bounds.BOUNDS:
+        gs.bound_report(g, km, protocol, grid)
+    gs.u1_expectation(g, km, 200, grid)
+    gs.boyd_expectation(g, x, 200, grid)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_cached_eigenbasis_read_only_and_oracles_repeat(kernel_factory):
+    rng = np.random.default_rng(30)
+    g = gs.make_watts_strogatz(30, 4, 0.3, rng)
+    km, x = kernel_factory(30, rng), rng.normal(size=30)
+    before = gs.spectral_summary(g)
+    beta, v = gs.laplacian_eigh(g)
+    assert not beta.flags.writeable and not v.flags.writeable
+    with pytest.raises(ValueError):
+        beta[0] = 0.0
+    raw = beta.copy()
+    cps = [1, 2, 10, 100]
+    for protocol, oracle in ORACLES.items():
+        source = x if oracle.takes_values else km
+        first = oracle.curve(g, source, 100, cps)
+        second = oracle.curve(g, source, 100, cps)
+        for t in cps:
+            assert np.array_equal(first[t], second[t]), (protocol, t)
+    assert gs.laplacian_eigh(g)[1] is v
+    assert np.array_equal(gs.laplacian_eigh(g)[0], raw)
+    after = gs.spectral_summary(g)
+    for f in dataclasses.fields(after):
+        np.testing.assert_array_equal(getattr(after, f.name),
+                                      getattr(before, f.name))
 
 
 def test_beta_complete_closed_form_without_solver(monkeypatch):
