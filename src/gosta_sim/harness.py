@@ -5,13 +5,25 @@ triple for R independent runs each, aggregates relative errors across nodes
 and runs, and writes one CSV per protocol plus a combined comparison CSV.
 Per-run seeds derive from (base seed, protocol index, run index) through a
 fixed splitting function, so outputs are byte-identical on replay.
+
+The (protocol, run) jobs run on one forked worker process per available
+CPU; there is no option for it. The parent builds the graph, data and
+kernel once and checks the graph once, before forking, so the workers
+share the kernel's pages copy-on-write and receive nothing pickled. Each
+job sends back only its error curves and communication counts, which the
+parent places by job key, so every output is byte-identical to a serial
+run. With one CPU or one job, inside a daemonic process, in a process that
+already runs other threads, or where ``fork`` is unavailable, the same job
+function runs in-process instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +31,7 @@ import numpy as np
 from . import engines, kernels
 from .engines import EngineConfig, derive_seed, relative_error
 from .graph import (Graph, make_complete, make_grid2d, make_watts_strogatz,
-                    read_graph_file)
+                    read_graph_file, warn_if_unsuitable)
 from .kernels import DesignMatrix, LabeledDataset, Partition
 from .spectral import beta_second_smallest
 
@@ -335,12 +347,69 @@ def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
     return tuple(ts)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
+    """One run of the experiment: ``key`` is (protocol index, run index).
+    Returns (per-checkpoint node-mean error, node std, absolute flag,
+    communication units)."""
+    spec, graph, km, x, cps = inputs
+    pidx, run = key
+    cfg = EngineConfig(protocol=spec.protocols[pidx], max_iters=spec.iters,
+                       seed=derive_seed(spec.seed, pidx, run),
+                       checkpoints=cps)
+    trace = engines.run_protocol(cfg, g=graph, km=km, x=x)
+    err = relative_error(trace)
+    return err.mean, err.std, err.absolute, trace.comm_units
+
+
+# The inputs of the experiment a pool worker serves. Set once in each
+# worker, from the parent's objects inherited through fork.
+_worker_inputs: tuple | None = None
+
+
+def _adopt_inputs(inputs: tuple) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_job(key: tuple[int, int]) -> tuple:
+    return _run_job(_worker_inputs, key)
+
+
+def _run_jobs(inputs: tuple, keys: list[tuple[int, int]]) -> list[tuple]:
+    """Results of ``_run_job`` for every key, in key order, from one forked
+    worker per available CPU. The jobs run in this process instead where a
+    pool cannot help or cannot be forked safely: a daemonic process may not
+    have children, and a fork taken while another thread holds a lock can
+    deadlock the child."""
+    import multiprocessing
+    import threading
+    workers = min(_available_cpus(), len(keys))
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return list(map(partial(_run_job, inputs), keys))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_adopt_inputs,
+                             initargs=(inputs,)) as pool:
+        return list(pool.map(_worker_job, keys))
+
+
 def run_experiment(spec: ExperimentSpec,
                    write_csvs: bool = True) -> AggregateResult:
     """Run all protocols of the experiment and aggregate error statistics.
 
     Relative errors are first averaged across nodes within a run, then
-    across runs. Deterministic given the spec seed.
+    across runs. Deterministic given the spec seed, and the same whether
+    the runs share one process or spread over several.
     """
     graph = build_graph_from_spec(spec.graph, spec.seed)
     data, partition = _materialize_data(spec)
@@ -348,26 +417,23 @@ def run_experiment(spec: ExperimentSpec,
     if graph.n != km.n:
         raise ValueError(f"graph has {graph.n} nodes but the dataset has "
                          f"{km.n} observations")
+    # master_node is the one protocol that runs without the graph; the
+    # first protocol that uses it names the check, as its run would.
+    on_graph = [p for p in spec.protocols if p != "master_node"]
+    if on_graph:
+        warn_if_unsuitable(graph, on_graph[0])
     cps = _experiment_checkpoints(spec)
-    x = node_values(data)
+    inputs = (spec, graph, km, node_values(data), cps)
+    keys = [(pidx, run) for pidx in range(len(spec.protocols))
+            for run in range(spec.runs)]
+    results = dict(zip(keys, _run_jobs(inputs, keys)))
 
     aggregates: dict[str, ProtocolAggregate] = {}
-    truth: float | np.ndarray = km.u_stat
     for pidx, proto in enumerate(spec.protocols):
-        per_run_mean = np.empty((spec.runs, len(cps)))
-        per_run_std = np.empty((spec.runs, len(cps)))
-        comm = None
-        absolute = False
-        for run in range(spec.runs):
-            cfg = EngineConfig(protocol=proto, max_iters=spec.iters,
-                               seed=derive_seed(spec.seed, pidx, run),
-                               checkpoints=cps)
-            trace = engines.run_protocol(cfg, g=graph, km=km, x=x)
-            err = relative_error(trace)
-            per_run_mean[run] = err.mean
-            per_run_std[run] = err.std
-            absolute = err.absolute
-            comm = trace.comm_units
+        runs = [results[pidx, run] for run in range(spec.runs)]
+        per_run_mean = np.array([r[0] for r in runs])
+        per_run_std = np.array([r[1] for r in runs])
+        _, _, absolute, comm = runs[-1]
         aggregates[proto] = ProtocolAggregate(
             protocol=proto,
             ts=np.array(cps, dtype=np.int64),
@@ -379,15 +445,15 @@ def run_experiment(spec: ExperimentSpec,
             per_run_stds=per_run_std,
             absolute=absolute,
         )
-    result = AggregateResult(protocols=aggregates, truth=truth,
+    result = AggregateResult(protocols=aggregates, truth=km.u_stat,
                              runs=spec.runs)
     if write_csvs:
         write_experiment_csvs(result, spec.output_dir)
     return result
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
+def _ints(a: np.ndarray) -> list[int]:
+    return np.asarray(a, dtype=np.int64).tolist()
 
 
 def write_experiment_csvs(result: AggregateResult,
@@ -397,29 +463,31 @@ def write_experiment_csvs(result: AggregateResult,
     Schemas (fixed column order):
       <protocol>.csv: protocol,run,t,comm_units,err_mean,err_std
       comparison.csv: protocol,t,comm_units,err_mean,err_std_nodes,err_std_runs
+
+    Floats are written with 17 significant digits, so they parse back to
+    the exact values.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    comparison = ["protocol,t,comm_units,err_mean,err_std_nodes,err_std_runs"]
     for proto, agg in result.protocols.items():
-        path = out / f"{proto}.csv"
+        ts, comm = _ints(agg.ts), _ints(agg.comm_units)
         lines = ["protocol,run,t,comm_units,err_mean,err_std"]
-        for run in range(agg.per_run_means.shape[0]):
-            for k, t in enumerate(agg.ts):
-                lines.append(f"{proto},{run},{int(t)},{int(agg.comm_units[k])},"
-                             f"{_fmt(agg.per_run_means[run, k])},"
-                             f"{_fmt(agg.per_run_stds[run, k])}")
+        for run, (means, stds) in enumerate(zip(agg.per_run_means.tolist(),
+                                                agg.per_run_stds.tolist())):
+            lines += [f"{proto},{run},{t},{c},{m:.17g},{s:.17g}"
+                      for t, c, m, s in zip(ts, comm, means, stds)]
+        path = out / f"{proto}.csv"
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
+        comparison += [f"{proto},{t},{c},{m:.17g},{sn:.17g},{sr:.17g}"
+                       for t, c, m, sn, sr in zip(
+                           ts, comm, agg.err_mean.tolist(),
+                           agg.err_std_nodes.tolist(),
+                           agg.err_std_runs.tolist())]
     path = out / "comparison.csv"
-    lines = ["protocol,t,comm_units,err_mean,err_std_nodes,err_std_runs"]
-    for proto, agg in result.protocols.items():
-        for k, t in enumerate(agg.ts):
-            lines.append(f"{proto},{int(t)},{int(agg.comm_units[k])},"
-                         f"{_fmt(agg.err_mean[k])},"
-                         f"{_fmt(agg.err_std_nodes[k])},"
-                         f"{_fmt(agg.err_std_runs[k])}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(comparison) + "\n")
     written.append(path)
     return written
 

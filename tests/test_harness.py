@@ -1,9 +1,16 @@
 import json
+import logging
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
 import gosta_sim as gs
+from gosta_sim import harness
+from gosta_sim.cli import main
+from gosta_sim.engines import InvariantError
 from gosta_sim.harness import (build_graph_from_spec, load_experiment,
                                parse_graph_spec_string, reaching_time,
                                run_experiment, synth_gaussian_mixture,
@@ -255,3 +262,159 @@ def test_boyd_in_experiment(tmp_path):
                              output_dir=str(tmp_path / "b"))
     result = run_experiment(load_experiment(cfgpath))
     assert "boyd" in result.protocols
+
+
+# ------------------------------------------------------------- worker pool
+
+
+def _record_run_pids(monkeypatch, path):
+    """Make every engine run append the id of the process it ran in to
+    ``path``; forked workers inherit the wrapper and the open-append."""
+    run = gs.engines.run_protocol
+
+    def recording(*args, **kwargs):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(gs.engines, "run_protocol", recording)
+
+
+def _run_pids(path):
+    return set(path.read_text().split())
+
+
+def _pool_config(tmp_path, out, **overrides):
+    cfg = dict(
+        graph={"family": "watts_strogatz", "n": 30, "k": 4, "p": 0.3},
+        data={"kind": "gaussian_mixture", "n": 30, "d": 2,
+              "clusters": 3, "separation": 6.0},
+        kernel={"name": "scatter"},
+        protocols=list(gs.engines.PROTOCOLS),
+        iters=300, runs=3, seed=4,
+        checkpoints={"policy": "every", "step": 10},
+        output_dir=str(out))
+    cfg.update(overrides)
+    return load_experiment(minimal_config(tmp_path, **cfg))
+
+
+def _assert_same_aggregates(a, b):
+    assert list(a.protocols) == list(b.protocols)
+    for proto, agg in a.protocols.items():
+        other = b.protocols[proto]
+        assert agg.absolute == other.absolute
+        for field in ("ts", "comm_units", "err_mean", "err_std_nodes",
+                      "err_std_runs", "per_run_means", "per_run_stds"):
+            assert np.array_equal(getattr(agg, field),
+                                  getattr(other, field)), (proto, field)
+
+
+def test_pool_matches_serial_bit_for_bit(tmp_path, monkeypatch):
+    # two workers even on a one-CPU host, so the pool path always runs
+    results, pids = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        pid_file = tmp_path / f"pids{cpus}"
+        with monkeypatch.context() as m:
+            _record_run_pids(m, pid_file)
+            results[cpus] = run_experiment(
+                _pool_config(tmp_path, tmp_path / f"out{cpus}"))
+        pids[cpus] = _run_pids(pid_file)
+    assert pids[1] == {str(os.getpid())}
+    assert str(os.getpid()) not in pids[2]
+    _assert_same_aggregates(results[1], results[2])
+    names = sorted(p.name for p in (tmp_path / "out1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "out2").iterdir())
+    for name in names:
+        assert ((tmp_path / "out1" / name).read_bytes()
+                == (tmp_path / "out2" / name).read_bytes())
+
+
+def test_worker_error_reaches_parent_and_cli(tmp_path, monkeypatch, capsys):
+    message = "activation counts no longer sum to 2t"
+
+    def broken(g, km, cfg):
+        raise InvariantError(message)
+
+    monkeypatch.setattr(gs.engines, "run_gosta_sync", broken)
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        spec = _pool_config(tmp_path, tmp_path / "out")
+        with pytest.raises(InvariantError) as exc:
+            run_experiment(spec)
+        assert str(exc.value) == message
+    code = main(["experiment", str(tmp_path / "exp.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"gosta-sim: error: {message}\n"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_daemonic_process_runs_serially(tmp_path, monkeypatch):
+    # a pool worker is daemonic and may not fork workers of its own
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    spec = _pool_config(tmp_path, tmp_path / "out")
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inner = pool.apply_async(run_experiment, (spec, False)).get(
+            timeout=120)
+    _assert_same_aggregates(run_experiment(spec, write_csvs=False), inner)
+
+
+def test_threaded_process_runs_serially(tmp_path, monkeypatch):
+    # a fork taken while another thread runs could inherit a held lock
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    pid_file = tmp_path / "pids"
+    _record_run_pids(monkeypatch, pid_file)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        run_experiment(_pool_config(tmp_path, tmp_path / "out"))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert _run_pids(pid_file) == {str(os.getpid())}
+
+
+def test_graph_checked_once_in_parent(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="gosta_sim.graph")
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    # forked workers inherit the handler and would append to the same file
+    log_file = tmp_path / "warnings.log"
+    handler = logging.FileHandler(log_file)
+    logger = logging.getLogger("gosta_sim.graph")
+    logger.addHandler(handler)
+    try:
+        run_experiment(_pool_config(
+            tmp_path, tmp_path / "out",
+            graph={"family": "grid2d", "rows": 5, "cols": 6},
+            protocols=["master_node", "u2", "gosta_sync"]))
+    finally:
+        logger.removeHandler(handler)
+        handler.close()
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "gosta_sim.graph"]
+    assert warnings == ["u2: graph is bipartite; convergence guarantees "
+                        "are weaker on bipartite topologies"]
+    assert log_file.read_text().splitlines() == warnings
+
+
+def test_disconnected_graph_fails_in_parent(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    pid_file = tmp_path / "pids"
+    _record_run_pids(monkeypatch, pid_file)
+    gpath = tmp_path / "split.txt"
+    gs.write_graph_file(gs.make_graph(30, [(i, i + 1) for i in range(29)
+                                           if i != 14]), gpath)
+    graph = {"family": "file", "path": str(gpath)}
+    with pytest.raises(ValueError,
+                       match="^boyd: graph is disconnected"):
+        run_experiment(_pool_config(
+            tmp_path, tmp_path / "out", graph=graph,
+            protocols=["master_node", "boyd"]))
+    assert not pid_file.exists()
+    # master_node alone never looks at the graph
+    result = run_experiment(_pool_config(
+        tmp_path, tmp_path / "out", graph=graph, protocols=["master_node"]))
+    assert list(result.protocols) == ["master_node"]
