@@ -535,9 +535,11 @@ def run_master_node(km: KernelMatrix, n: int, d: int,
 
     ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
     received = np.minimum(ts, n)
-    est = np.array([estimate(int(b)) for b in received])
-    state = ProtocolState(t=cfg.max_iters,
-                          estimates=estimate(min(cfg.max_iters, n)))
+    final = min(cfg.max_iters, n)
+    # every checkpoint from t = n on, and the final state, share b = n
+    by_count = {b: estimate(b) for b in {*received.tolist(), final}}
+    est = np.array([by_count[b] for b in received.tolist()])
+    state = ProtocolState(t=cfg.max_iters, estimates=by_count[final])
     return Trace("master_node", ts, est, n * d * (1 + received),
                  truth=km.u_stat, final_state=state)
 

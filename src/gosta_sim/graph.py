@@ -201,9 +201,9 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
 
 def _adjacency_lists(g: Graph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[int(a)].append(int(b))
-        adj[int(b)].append(int(a))
+    for a, b in zip(*g.edges.T.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
     return adj
 
 
@@ -223,9 +223,10 @@ def diagnose(g: Graph) -> GraphDiagnostics:
 
 
 def _sweep(g: Graph) -> tuple[bool, bool]:
-    """(connected, bipartite)."""
+    """(connected, bipartite). Plain Python lists throughout: indexing a
+    numpy array element by element costs several times more."""
     adj = _adjacency_lists(g)
-    color = np.full(g.n, -1, dtype=np.int8)
+    color = [-1] * g.n
     bipartite = True
     components = 0
     for start in range(g.n):

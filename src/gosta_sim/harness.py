@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import engines, kernels
+from . import engines, kernels, parallel
 from .engines import EngineConfig, derive_seed, relative_error
 from .graph import (Graph, make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
@@ -347,14 +346,6 @@ def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
     return tuple(ts)
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
     """One run of the experiment: ``key`` is (protocol index, run index).
     Returns (per-checkpoint node-mean error, node std, absolute flag,
@@ -391,7 +382,7 @@ def _run_jobs(inputs: tuple, keys: list[tuple[int, int]]) -> list[tuple]:
     deadlock the child."""
     import multiprocessing
     import threading
-    workers = min(_available_cpus(), len(keys))
+    workers = min(parallel.available_cpus(), len(keys))
     if (workers < 2 or multiprocessing.current_process().daemon
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):

@@ -10,15 +10,28 @@ The two dispersion norms carried on :class:`KernelMatrix` (Frobenius norm of
 the row-centered matrix, Euclidean norm of the centered row means) are the
 data-dependent constants of the convergence bounds.
 
-The dense build holds one n x n float64 buffer. The Gram matrix is written
-into it by one ``matmul``; squared distances, clipping, the ``(a + b.T) / 2``
-symmetrization, ``sqrt`` and the cell mask are then applied in place, one row
-block or one pair of tiles at a time. :meth:`KernelMatrix.from_dense` checks
-and centers the matrix block by block as well, so no step allocates a second
-n x n array. Per element the arithmetic is that of the whole-matrix
-expressions, and the results are bit-identical to them. Above
-``DENSE_KERNEL_LIMIT`` observations the build fails before it evaluates
-any pair, naming the 8n^2 bytes the matrix would need.
+Every built-in kernel is built by one tile driver into one n x n float64
+buffer. For the squared-distance kernels the buffer first takes the Gram
+matrix from a single ``x @ x.T``: numpy runs it through syrk, and products of
+row blocks differ from it in the last bits, so it is not split. The driver
+then visits each pair of 256 x 256 tiles on and above the diagonal once and
+does the kernel's elementwise arithmetic there, in the order of the
+whole-matrix expressions (for ``scatter``: ``2G``, ``sq_i + sq_j - 2G``,
+clip at 0, ``(T_ab + T_ba.T) / 2``, zero diagonal, ``sqrt``, cell mask), in
+preallocated tile buffers. It checks the finished tile for non-finite values
+(and a diagonal tile for exact symmetry and a zero diagonal) while it is in
+cache, then writes it and its transpose. ``H``, the row sums and
+``u_stat`` (one flat sum) are bit-identical to the whole-matrix
+expressions. The tiles' row blocks, and then the row sums, are split
+round-robin over one thread per available CPU (numpy releases the GIL
+inside its loops); the threads are started and joined within the call,
+also when it raises. The centered Frobenius norm takes one ``vdot`` per
+row block, in one reused block buffer in the calling thread: a second
+thread would need a second n x 256 buffer. :meth:`KernelMatrix.from_dense`
+is the checked entry for any other matrix, such as a custom
+:class:`KernelSpec`'s. Above ``DENSE_KERNEL_LIMIT`` observations the build
+fails before it evaluates any pair, naming the 8n^2 bytes the matrix would
+need.
 """
 
 from __future__ import annotations
@@ -29,6 +42,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from . import parallel
 
 __all__ = [
     "DesignMatrix",
@@ -135,8 +150,13 @@ class KernelSpec:
     matrix_fn: Callable[[np.ndarray], np.ndarray]
 
 
+class _TiledKernel(KernelSpec):
+    """A built-in kernel: ``matrix_fn`` is the tile driver, which checks its
+    output tile by tile, so the build skips the checks of ``from_dense``."""
+
+
 # Row-block height and tile edge of the dense build and checks: temporaries
-# are one block (at most _BLOCK x n) or one tile at a time.
+# are one tile, or one block (at most _BLOCK x n) of the row statistics.
 _BLOCK = 256
 
 
@@ -152,15 +172,6 @@ def _tile_pairs(n: int):
             yield a, b
 
 
-def _symmetrize(h: np.ndarray) -> None:
-    """``h <- (h + h.T) / 2`` in place, one pair of tiles at a time."""
-    for a, b in _tile_pairs(h.shape[0]):
-        t = h[a, b] + h[b, a].T
-        t /= 2.0
-        h[a, b] = t
-        h[b, a] = t.T
-
-
 class _NonFiniteError(ValueError):
     """A dense kernel matrix holds a NaN or an infinity."""
 
@@ -169,17 +180,87 @@ def _all_finite(h: np.ndarray) -> bool:
     return all(np.isfinite(h[s]).all() for s in _spans(h.shape[0]))
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _tiled_matrix(h: np.ndarray, tile) -> np.ndarray:
+    """Fill ``h`` with a kernel matrix, one pair of tiles at a time.
+
+    ``tile(a, b, t, u, v, m)`` writes tile ``(a, b)`` of the matrix into
+    ``t``; ``u`` (the shape of tile ``(b, a)``), ``v`` and the boolean ``m``
+    are scratch. It may read ``h[a, b]`` and ``h[b, a]``, which no other
+    pair touches, so ``h`` may hold the tile's input (the Gram matrix).
+    Each finished tile is checked while in cache, then written to
+    ``h[a, b]`` and its transpose to ``h[b, a]``. Row blocks go round-robin
+    to the threads of :func:`parallel.on_threads`, each with its own
+    buffers.
+    """
+    spans = _spans(h.shape[0])
+
+    def fill(blocks: range) -> None:
+        # Flat buffers, so that every tile view is contiguous; ufuncs with a
+        # strided boolean ``out`` are slower, and numpy 2.4's ``isfinite``
+        # writes wrong values into an (r, 1) strided one.
+        buf = np.empty((3, _BLOCK * _BLOCK))
+        mask = np.empty(_BLOCK * _BLOCK, dtype=bool)
+        for i in blocks:
+            a = spans[i]
+            for b in spans[i:]:
+                ra, rb = a.stop - a.start, b.stop - b.start
+                t = buf[0, :ra * rb].reshape(ra, rb)
+                u = buf[1, :ra * rb].reshape(rb, ra)
+                v = buf[2, :ra * rb].reshape(ra, rb)
+                m = mask[:ra * rb].reshape(ra, rb)
+                tile(a, b, t, u, v, m)
+                if not np.isfinite(t, out=m).all():
+                    raise _NonFiniteError(
+                        "kernel matrix contains non-finite values")
+                if a is b and (np.not_equal(t, t.T, out=m).any()
+                               or np.diagonal(t).any()):
+                    raise ValueError("kernel tile is not symmetric with a "
+                                     "zero diagonal")
+                h[a, b] = t
+                if a is not b:
+                    h[b, a] = t.T
+
+    parallel.on_threads(fill, len(spans))
+    return h
+
+
+def _symmetrize_tile(a: slice, b: slice, t: np.ndarray,
+                     u: np.ndarray) -> None:
+    """``t <- (t + u.T) / 2`` for tiles ``t = T[a, b]`` and ``u = T[b, a]``,
+    then a zero diagonal on the diagonal tiles."""
+    np.add(t, u.T, out=t)
+    np.divide(t, 2.0, out=t)
+    if a is b:
+        np.fill_diagonal(t, 0.0)
+
+
+def _sq_dist_tile(g: np.ndarray, sq: np.ndarray, a: slice, b: slice,
+                  t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Tile ``(a, b)`` of the squared distances ``(sq_i + sq_j) - 2 G_ij``,
+    clipped at 0, symmetrized and with a zero diagonal, into ``t``."""
+    np.add(sq[a, None], sq[b], out=v)
+    np.multiply(g[a, b], 2.0, out=t)
+    np.subtract(v, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.multiply(g[b, a], 2.0, out=u)
+    np.subtract(v.T, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    _symmetrize_tile(a, b, t, u)
+
+
+def _sq_dist_matrix(x: np.ndarray, finish) -> np.ndarray:
+    """Squared-distance kernel matrix, ``finish(a, b, t, m)`` applied to
+    each tile (``m`` is boolean scratch). The Gram matrix is one ``x @ x.T``
+    (numpy's syrk) written into the result buffer: products of row blocks
+    differ from it in the last bits."""
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = np.matmul(x, x.T, out=np.empty((x.shape[0], x.shape[0])))
-    for s in _spans(x.shape[0]):
-        blk = d2[s]
-        blk *= 2.0
-        np.subtract(sq[s, None] + sq, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-    _symmetrize(d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    g = np.matmul(x, x.T, out=np.empty((x.shape[0], x.shape[0])))
+
+    def tile(a, b, t, u, v, m):
+        _sq_dist_tile(g, sq, a, b, t, u, v)
+        finish(a, b, t, m)
+
+    return _tiled_matrix(g, tile)
 
 
 def scatter_kernel(partition: Partition) -> KernelSpec:
@@ -187,14 +268,11 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
     zero across cells."""
     cells = partition.assignment
 
-    def matrix_fn(x: np.ndarray) -> np.ndarray:
-        h = _pairwise_sq_dists(x)
-        np.sqrt(h, out=h)
-        for s in _spans(h.shape[0]):
-            h[s] *= cells[s, None] == cells
-        return h
+    def finish(a, b, t, m):
+        np.sqrt(t, out=t)
+        np.multiply(t, np.equal(cells[a, None], cells[b], out=m), out=t)
 
-    return KernelSpec("scatter", matrix_fn)
+    return _TiledKernel("scatter", lambda x: _sq_dist_matrix(x, finish))
 
 
 def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
@@ -211,27 +289,56 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
 
     def matrix_fn(x: np.ndarray) -> np.ndarray:
         ls = lab * (x @ theta)
-        h = np.empty((ls.shape[0], ls.shape[0]))
-        for s in _spans(ls.shape[0]):
-            np.multiply(1.0 - np.outer(lab[s], lab), ls[s, None] > -ls,
-                        out=h[s])
-        _symmetrize(h)  # already symmetric; enforce exact bit equality
-        np.fill_diagonal(h, 0.0)
-        return h
+        neg = -ls
 
-    return KernelSpec("auc", matrix_fn)
+        def tile(a, b, t, u, v, m):
+            # t = H[a, b] and v = H[b, a].T; every value is 0, 1 or 2, so
+            # the order of the exact products and sums does not matter
+            np.multiply.outer(lab[a], lab[b], out=t, casting="unsafe")
+            np.subtract(1.0, t, out=t)
+            np.copyto(v, t)
+            np.multiply(t, np.greater(ls[a, None], neg[b], out=m), out=t)
+            np.multiply(v, np.less(neg[a, None], ls[b], out=m), out=v)
+            # already symmetric; enforce exact bit equality
+            _symmetrize_tile(a, b, t, v.T)
+
+        n = ls.shape[0]
+        return _tiled_matrix(np.empty((n, n)), tile)
+
+    return _TiledKernel("auc", matrix_fn)
 
 
 def variance_kernel() -> KernelSpec:
     """H(x, y) = ||x - y||^2 / 2, whose pair average is the biased sample
     variance (1/n) * sum_i ||X_i - mean||^2."""
 
-    def matrix_fn(x: np.ndarray) -> np.ndarray:
-        h = _pairwise_sq_dists(x)
-        h /= 2.0
-        return h
+    def finish(a, b, t, m):
+        np.divide(t, 2.0, out=t)
 
-    return KernelSpec("variance", matrix_fn)
+    return _TiledKernel("variance", lambda x: _sq_dist_matrix(x, finish))
+
+
+def _row_statistics(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row means and the Frobenius norm of the row-centered matrix, one row
+    block at a time. The row sums are split over threads as in the build;
+    the norm takes one ``vdot`` per centered block, whose bits depend on the
+    block, in one reused block buffer, so it runs in this thread alone."""
+    n = h.shape[0]
+    spans = _spans(n)
+    row_means = np.empty(n)
+
+    def sums(blocks: range) -> None:
+        for i in blocks:
+            np.divide(h[spans[i]].sum(axis=1), n, out=row_means[spans[i]])
+
+    parallel.on_threads(sums, len(spans))
+    c = np.empty((min(_BLOCK, n), n))
+    frob_sq = 0.0
+    for s in spans:
+        cs = c[:s.stop - s.start]
+        np.subtract(h[s], row_means[s, None], out=cs)
+        frob_sq += float(np.vdot(cs, cs))
+    return row_means, float(np.sqrt(frob_sq))
 
 
 @dataclass(frozen=True)
@@ -265,13 +372,13 @@ class KernelMatrix:
             raise ValueError("kernel matrix must be exactly symmetric")
         if np.diagonal(h).any():
             raise ValueError("kernel diagonal must be exactly zero")
+        return cls._from_checked(h, dim)
+
+    @classmethod
+    def _from_checked(cls, h: np.ndarray, dim: int) -> "KernelMatrix":
+        n = h.shape[0]
         u = float(h.sum() / n**2)
-        row_means = h.sum(axis=1) / n
-        frob_sq = 0.0
-        for s in _spans(n):
-            c = h[s] - row_means[s, None]
-            frob_sq += float(np.vdot(c, c))
-        frob = float(np.sqrt(frob_sq))
+        row_means, frob = _row_statistics(h)
         vec = float(np.linalg.norm(row_means - u))
         h.flags.writeable = False
         return cls(n=n, dim=dim, u_stat=u, row_means=row_means,
@@ -306,8 +413,10 @@ def build_kernel_matrix(kernel, data,
             f"(8 n^2) as a dense float64 array; the limit is "
             f"n <= {DENSE_KERNEL_LIMIT}")
     try:
-        return KernelMatrix.from_dense(kernel.matrix_fn(design.rows),
-                                       dim=design.d)
+        h = kernel.matrix_fn(design.rows)
+        if isinstance(kernel, _TiledKernel):
+            return KernelMatrix._from_checked(h, design.d)
+        return KernelMatrix.from_dense(h, dim=design.d)
     except _NonFiniteError:
         raise ValueError(f"kernel '{kernel.name}' produced non-finite "
                          "values") from None

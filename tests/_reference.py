@@ -26,6 +26,34 @@ def bfs_connected(n, edges):
     return len(seen) == n
 
 
+def ref_sweep(g):
+    """(connected, bipartite) by a 2-colouring sweep over numpy rows and an
+    int8 colour array, as ``graph._sweep`` was written before it moved to
+    plain lists."""
+    adj = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[int(a)].append(int(b))
+        adj[int(b)].append(int(a))
+    color = np.full(g.n, -1, dtype=np.int8)
+    bipartite = True
+    components = 0
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in adj[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    bipartite = False
+    return components == 1, bipartite
+
+
 def brute_force_w_alpha(g, alpha):
     """Edge-average of the per-edge pairwise averaging matrices."""
     n = g.n

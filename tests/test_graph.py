@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import gosta_sim as gs
 from gosta_sim.graph import adjacency, warn_if_unsuitable
 
-from _reference import bfs_connected, ref_make_watts_strogatz
+from _reference import bfs_connected, ref_make_watts_strogatz, ref_sweep
 
 
 def test_complete_small():
@@ -162,6 +162,27 @@ def test_diagnose_disjoint_edges():
     g = gs.make_graph(4, [(0, 1), (2, 3)])
     d = gs.diagnose(g)
     assert not d.connected and d.bipartite
+
+
+def _sweep_graphs():
+    path = [(i, i + 1) for i in range(9)]
+    yield "path", gs.make_graph(10, path)
+    yield "odd cycle", gs.make_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    yield "even cycle", gs.make_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    yield "grid", gs.make_grid2d(4, 5)
+    yield "star", gs.make_graph(7, [(0, i) for i in range(1, 7)])
+    yield "complete", gs.make_complete(12)
+    yield "watts-strogatz", gs.make_watts_strogatz(
+        300, 4, 0.3, np.random.default_rng(7))
+    yield "disjoint edges", gs.make_graph(6, [(0, 1), (2, 3), (4, 5)])
+    yield "triangle plus isolated vertex", gs.make_graph(
+        4, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("name, g", list(_sweep_graphs()))
+def test_sweep_matches_reference(name, g):
+    from gosta_sim.graph import _sweep
+    assert _sweep(g) == ref_sweep(g)
 
 
 def test_laplacian_single_edge():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gosta_sim as gs
-from gosta_sim import harness
+from gosta_sim import harness, parallel
 from gosta_sim.cli import main
 from gosta_sim.engines import InvariantError
 from gosta_sim.harness import (build_graph_from_spec, load_experiment,
@@ -313,7 +313,7 @@ def test_pool_matches_serial_bit_for_bit(tmp_path, monkeypatch):
     # two workers even on a one-CPU host, so the pool path always runs
     results, pids = {}, {}
     for cpus in (1, 2):
-        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         pid_file = tmp_path / f"pids{cpus}"
         with monkeypatch.context() as m:
             _record_run_pids(m, pid_file)
@@ -338,7 +338,7 @@ def test_worker_error_reaches_parent_and_cli(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(gs.engines, "run_gosta_sync", broken)
     for cpus in (1, 2):
-        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         spec = _pool_config(tmp_path, tmp_path / "out")
         with pytest.raises(InvariantError) as exc:
             run_experiment(spec)
@@ -352,7 +352,7 @@ def test_worker_error_reaches_parent_and_cli(tmp_path, monkeypatch, capsys):
                     reason="needs the fork start method")
 def test_daemonic_process_runs_serially(tmp_path, monkeypatch):
     # a pool worker is daemonic and may not fork workers of its own
-    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     spec = _pool_config(tmp_path, tmp_path / "out")
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inner = pool.apply_async(run_experiment, (spec, False)).get(
@@ -362,7 +362,7 @@ def test_daemonic_process_runs_serially(tmp_path, monkeypatch):
 
 def test_threaded_process_runs_serially(tmp_path, monkeypatch):
     # a fork taken while another thread runs could inherit a held lock
-    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     pid_file = tmp_path / "pids"
     _record_run_pids(monkeypatch, pid_file)
     stop = threading.Event()
@@ -379,7 +379,7 @@ def test_threaded_process_runs_serially(tmp_path, monkeypatch):
 
 def test_graph_checked_once_in_parent(tmp_path, monkeypatch, caplog):
     caplog.set_level(logging.WARNING, logger="gosta_sim.graph")
-    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     # forked workers inherit the handler and would append to the same file
     log_file = tmp_path / "warnings.log"
     handler = logging.FileHandler(log_file)
@@ -401,7 +401,7 @@ def test_graph_checked_once_in_parent(tmp_path, monkeypatch, caplog):
 
 
 def test_disconnected_graph_fails_in_parent(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     pid_file = tmp_path / "pids"
     _record_run_pids(monkeypatch, pid_file)
     gpath = tmp_path / "split.txt"

@@ -1,9 +1,16 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import gosta_sim as gs
+from gosta_sim import harness, kernels, parallel
 from gosta_sim.kernels import (DesignMatrix, KernelMatrix, LabeledDataset,
                                Partition, build_kernel_matrix,
                                load_design_csv, load_labeled_csv,
@@ -198,7 +205,7 @@ def test_build_above_dense_limit_fails_before_any_pair(monkeypatch):
     def no_matrix(x):
         raise AssertionError("kernel evaluated above the dense limit")
 
-    monkeypatch.setattr(gs.kernels, "_pairwise_sq_dists", no_matrix)
+    monkeypatch.setattr(gs.kernels, "_sq_dist_tile", no_matrix)
     x = DesignMatrix(np.arange(n, dtype=np.float64)[:, None])
     with pytest.raises(ValueError, match=f"n={n} would need {8 * n * n:,} bytes"):
         build_kernel_matrix("variance", x)
@@ -266,15 +273,18 @@ def _kernel_case(name, n, seed=0):
 
 @pytest.mark.parametrize("n", [2, 7, 100, 257, 2 * _BLOCK + 91])
 @pytest.mark.parametrize("name", ["scatter", "variance", "auc"])
-def test_blocked_build_matches_whole_matrix_reference(name, n):
+def test_blocked_build_matches_whole_matrix_reference(name, n, monkeypatch):
     spec, data, h_ref = _kernel_case(name, n)
-    km = build_kernel_matrix(spec, data)
     u, row_means, frob, vec = ref_kernel_statistics(h_ref)
-    assert np.array_equal(km.dense(), h_ref)
-    assert km.u_stat == u
-    assert np.array_equal(km.row_means, row_means)
-    assert km.frob_centered == pytest.approx(frob, rel=1e-12)
-    assert km.vec_centered == pytest.approx(vec, rel=1e-12)
+    # two threads even on a one-CPU host, so the threaded path always runs
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        km = build_kernel_matrix(spec, data)
+        assert np.array_equal(km.dense(), h_ref), cpus
+        assert km.u_stat == u
+        assert np.array_equal(km.row_means, row_means)
+        assert km.frob_centered == pytest.approx(frob, rel=1e-12)
+        assert km.vec_centered == pytest.approx(vec, rel=1e-12)
 
 
 _TILED_N = 2 * _BLOCK + 5  # three row blocks, the last one 5 rows high
@@ -318,3 +328,79 @@ def test_dense_build_holds_one_n2_buffer(name):
         tracemalloc.stop()
     assert km.H.nbytes == 8 * n * n
     assert peak <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf"])
+def test_fault_in_second_thread_names_the_kernel(fault, monkeypatch):
+    # tile (1, 2) belongs to row block 1, which the second of two threads
+    # owns; the fault is placed there after the tile's arithmetic
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    placed = []
+    sq_dist_tile = kernels._sq_dist_tile
+
+    def faulty(g, sq, a, b, t, u, v):
+        sq_dist_tile(g, sq, a, b, t, u, v)
+        if (a.start, b.start) == (_BLOCK, 2 * _BLOCK):
+            t[2, 3] = float(fault)
+            placed.append(threading.current_thread()
+                          is threading.main_thread())
+
+    monkeypatch.setattr(kernels, "_sq_dist_tile", faulty)
+    spec, data = _kernel_case("variance", _TILED_N)[:2]
+    threads = threading.active_count()
+    with pytest.raises(ValueError,
+                       match="kernel 'variance' produced non-finite values"):
+        build_kernel_matrix(spec, data)
+    assert placed == [False]
+    assert threading.active_count() == threads
+
+
+def test_build_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    spec, data = _kernel_case("scatter", _TILED_N)[:2]
+    threads = threading.active_count()
+    build_kernel_matrix(spec, data)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_experiment_still_forks_after_threaded_build(tmp_path, monkeypatch):
+    # n = 300 is two row blocks, so the build runs on two threads; they are
+    # joined before the pool forks, so the jobs still run in workers.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    pid_file = tmp_path / "pids"
+    run = gs.engines.run_protocol
+
+    def recording(*args, **kwargs):
+        with open(pid_file, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(gs.engines, "run_protocol", recording)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "graph": {"family": "watts_strogatz", "n": 300, "k": 4, "p": 0.3},
+        "data": {"kind": "gaussian_mixture", "n": 300, "d": 2,
+                 "clusters": 3, "separation": 6.0},
+        "kernel": {"name": "scatter"},
+        "protocols": ["u1", "gosta_sync"], "iters": 50, "runs": 2,
+        "seed": 3, "output_dir": str(tmp_path / "out")}))
+    harness.run_experiment(harness.load_experiment(config), write_csvs=False)
+    pids = set(pid_file.read_text().split())
+    assert pids and str(os.getpid()) not in pids
+
+
+def test_import_loads_no_process_pool():
+    # the fork pool's modules load only when an experiment runs its jobs;
+    # importing them would add to every command's start-up time
+    code = ("import sys, gosta_sim; "
+            "print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
