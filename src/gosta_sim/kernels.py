@@ -10,10 +10,10 @@ The two dispersion norms carried on :class:`KernelMatrix` (Frobenius norm of
 the row-centered matrix, Euclidean norm of the centered row means) are the
 data-dependent constants of the convergence bounds.
 
-Every built-in kernel is built by one tile driver into one n x n float64
+Every built-in kernel is built by one tiled loop into one n x n float64
 buffer. For the squared-distance kernels the buffer first takes the Gram
 matrix from a single ``x @ x.T``: numpy runs it through syrk, and products of
-row blocks differ from it in the last bits, so it is not split. The driver
+row blocks differ from it in the last bits, so it is not split. The loop
 then visits each pair of 256 x 256 tiles on and above the diagonal once and
 does the kernel's elementwise arithmetic there, in the order of the
 whole-matrix expressions (for ``scatter``: ``2G``, ``sq_i + sq_j - 2G``,
@@ -151,7 +151,7 @@ class KernelSpec:
 
 
 class _TiledKernel(KernelSpec):
-    """A built-in kernel: ``matrix_fn`` is the tile driver, which checks its
+    """A built-in kernel: ``matrix_fn`` is the tiled build, which checks its
     output tile by tile, so the build skips the checks of ``from_dense``."""
 
 
