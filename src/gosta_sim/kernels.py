@@ -6,38 +6,40 @@ target statistic is the n^2-normalized pair average
     u_stat = (1/n^2) * sum_ij H(X_i, X_j),
 
 and the per-node partial means are ``row_means[i] = (1/n) * sum_j H_ij``.
-The two dispersion norms carried on :class:`KernelMatrix` (Frobenius norm of
-the row-centered matrix, Euclidean norm of the centered row means) are the
+The two dispersion norms of :class:`KernelMatrix` (Frobenius norm of the
+row-centered matrix, Euclidean norm of the centered row means) are the
 data-dependent constants of the convergence bounds.
 
 Every built-in kernel is built by one tiled loop into one n x n float64
-buffer. For the squared-distance kernels the buffer first takes the Gram
-matrix from a single ``x @ x.T``: numpy runs it through syrk, and products of
-row blocks differ from it in the last bits, so it is not split. The loop
-then visits each pair of 256 x 256 tiles on and above the diagonal once and
-does the kernel's elementwise arithmetic there, in the order of the
-whole-matrix expressions (for ``scatter``: ``2G``, ``sq_i + sq_j - 2G``,
-clip at 0, ``(T_ab + T_ba.T) / 2``, zero diagonal, ``sqrt``, cell mask), in
-preallocated tile buffers. It checks the finished tile for non-finite values
-(and a diagonal tile for exact symmetry and a zero diagonal) while it is in
-cache, then writes it and its transpose. ``H``, the row sums and
-``u_stat`` (one flat sum) are bit-identical to the whole-matrix
-expressions. The tiles' row blocks, and then the row sums, are split
-round-robin over one thread per available CPU (numpy releases the GIL
-inside its loops); the threads are started and joined within the call,
-also when it raises. The centered Frobenius norm takes one ``vdot`` per
-row block, in one reused block buffer in the calling thread: a second
-thread would need a second n x 256 buffer. :meth:`KernelMatrix.from_dense`
-is the checked entry for any other matrix, such as a custom
-:class:`KernelSpec`'s. Above ``DENSE_KERNEL_LIMIT`` observations the build
-fails before it evaluates any pair, naming the 8n^2 bytes the matrix would
-need.
+buffer, with no BLAS call. The loop visits each pair of 256 x 256 tiles on
+and above the diagonal once and fills the tile in two preallocated tile
+buffers: the squared distances ``sum_k (x_ik - x_jk)^2`` by direct
+differences in coordinate order (exactly symmetric with a zero diagonal,
+and free of the cancellation in ``|x|^2 + |y|^2 - 2 x.y``), then ``sqrt``
+and the cell mask (``scatter``) or ``/ 2`` (``variance``); ``auc`` scores
+are ``sum_k x[:, k] theta_k`` in coordinate order. Each finished tile is
+checked for non-finite values (a diagonal tile also for exact symmetry and
+a zero diagonal) while in cache, written with its transpose, and summed
+into the row-sum slots, each written by exactly one tile. The row blocks
+are split over one thread per available CPU (numpy releases the GIL in its
+loops), started and joined within the call, also when it raises. Every sum
+has a fixed order, so H and its statistics have the same bits for any
+thread count, BLAS setting and host. The two dispersion norms are computed
+on first access, since only the bounds read them.
+:meth:`KernelMatrix.from_dense` is the checked entry for any other matrix,
+such as a custom :class:`KernelSpec`'s; it fills the same slots, so it
+reproduces a built matrix's statistics bit for bit. Above
+``DENSE_KERNEL_LIMIT`` observations the build fails before it evaluates
+any pair, naming the 8n^2 bytes the matrix would need.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Callable
 
@@ -151,12 +153,20 @@ class KernelSpec:
 
 
 class _TiledKernel(KernelSpec):
-    """A built-in kernel: ``matrix_fn`` is the tiled build, which checks its
-    output tile by tile, so the build skips the checks of ``from_dense``."""
+    """A built-in kernel, given by the ``tile`` of :func:`_tiled_build`.
+    ``build(x)`` checks every tile and also returns the row-sum slots, so
+    ``from_dense`` is skipped; ``matrix_fn`` returns H alone."""
+
+    def __init__(self, name: str, tile) -> None:
+        super().__init__(name, lambda x: self.build(x)[0])
+        object.__setattr__(self, "tile", tile)
+
+    def build(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _tiled_build(x, self.tile)
 
 
-# Row-block height and tile edge of the dense build and checks: temporaries
-# are one tile, or one block (at most _BLOCK x n) of the row statistics.
+# Row-block height and tile edge of the dense build, checks and statistics:
+# every temporary is at most one tile.
 _BLOCK = 256
 
 
@@ -164,12 +174,21 @@ def _spans(n: int) -> list[slice]:
     return [slice(r, min(r + _BLOCK, n)) for r in range(0, n, _BLOCK)]
 
 
-def _tile_pairs(n: int):
-    """Slice pairs ``(a, b)`` of the tiles on and above the diagonal."""
-    spans = _spans(n)
-    for i, a in enumerate(spans):
-        for b in spans[i:]:
-            yield a, b
+def _tile(buf: np.ndarray, a: slice, b: slice) -> np.ndarray:
+    """The head of the flat ``buf`` as tile ``(a, b)``, contiguous."""
+    shape = (a.stop - a.start, b.stop - b.start)
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _fill_slots(slots: np.ndarray, spans: list[slice], i: int, j: int,
+                t: np.ndarray) -> None:
+    """Sums of tile ``t = H[spans[i], spans[j]]``, i <= j, into the slots:
+    ``slots[k, r]`` is the sum of row r over column block k. The row sums
+    fill ``slots[j, spans[i]]``; off the diagonal the column sums (the row
+    sums of tile (j, i)) fill ``slots[i, spans[j]]``."""
+    t.sum(axis=1, out=slots[j, spans[i]])
+    if i != j:
+        t.sum(axis=0, out=slots[i, spans[j]])
 
 
 class _NonFiniteError(ValueError):
@@ -180,87 +199,59 @@ def _all_finite(h: np.ndarray) -> bool:
     return all(np.isfinite(h[s]).all() for s in _spans(h.shape[0]))
 
 
-def _tiled_matrix(h: np.ndarray, tile) -> np.ndarray:
-    """Fill ``h`` with a kernel matrix, one pair of tiles at a time.
+def _tiled_build(x: np.ndarray, tile) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel matrix of the n observations ``x`` and its row-sum slots,
+    a pair of tiles at a time: ``tile(xt, a, b, t, v, m)`` writes tile
+    ``(a, b)`` into ``t`` from ``xt = x.T`` (a contiguous row per
+    coordinate), with ``v`` and the boolean ``m`` as scratch. Each tile is
+    checked in cache, written to ``h[a, b]`` and transposed to ``h[b, a]``,
+    and summed into the slots. Row blocks go to the threads of
+    :func:`parallel.on_threads`, each with its own buffers."""
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    spans = _spans(n)
+    h = np.empty((n, n))
+    slots = np.empty((len(spans), n))
 
-    ``tile(a, b, t, u, v, m)`` writes tile ``(a, b)`` of the matrix into
-    ``t``; ``u`` (the shape of tile ``(b, a)``), ``v`` and the boolean ``m``
-    are scratch. It may read ``h[a, b]`` and ``h[b, a]``, which no other
-    pair touches, so ``h`` may hold the tile's input (the Gram matrix).
-    Each finished tile is checked while in cache, then written to
-    ``h[a, b]`` and its transpose to ``h[b, a]``. Row blocks go round-robin
-    to the threads of :func:`parallel.on_threads`, each with its own
-    buffers.
-    """
-    spans = _spans(h.shape[0])
-
-    def fill(blocks: range) -> None:
+    def fill(blocks) -> None:
         # Flat buffers, so that every tile view is contiguous; ufuncs with a
         # strided boolean ``out`` are slower, and numpy 2.4's ``isfinite``
         # writes wrong values into an (r, 1) strided one.
-        buf = np.empty((3, _BLOCK * _BLOCK))
-        mask = np.empty(_BLOCK * _BLOCK, dtype=bool)
+        buf = np.empty((2, min(_BLOCK, n) ** 2))
+        mask = np.empty(buf.shape[1], dtype=bool)
         for i in blocks:
             a = spans[i]
-            for b in spans[i:]:
-                ra, rb = a.stop - a.start, b.stop - b.start
-                t = buf[0, :ra * rb].reshape(ra, rb)
-                u = buf[1, :ra * rb].reshape(rb, ra)
-                v = buf[2, :ra * rb].reshape(ra, rb)
-                m = mask[:ra * rb].reshape(ra, rb)
-                tile(a, b, t, u, v, m)
+            for j in range(i, len(spans)):
+                b = spans[j]
+                t, v, m = (_tile(z, a, b) for z in (*buf, mask))
+                tile(xt, a, b, t, v, m)
                 if not np.isfinite(t, out=m).all():
                     raise _NonFiniteError(
                         "kernel matrix contains non-finite values")
-                if a is b and (np.not_equal(t, t.T, out=m).any()
+                if i == j and (np.not_equal(t, t.T, out=m).any()
                                or np.diagonal(t).any()):
                     raise ValueError("kernel tile is not symmetric with a "
                                      "zero diagonal")
                 h[a, b] = t
-                if a is not b:
+                if i != j:
                     h[b, a] = t.T
+                _fill_slots(slots, spans, i, j, t)
 
     parallel.on_threads(fill, len(spans))
-    return h
+    return h, slots
 
 
-def _symmetrize_tile(a: slice, b: slice, t: np.ndarray,
-                     u: np.ndarray) -> None:
-    """``t <- (t + u.T) / 2`` for tiles ``t = T[a, b]`` and ``u = T[b, a]``,
-    then a zero diagonal on the diagonal tiles."""
-    np.add(t, u.T, out=t)
-    np.divide(t, 2.0, out=t)
-    if a is b:
-        np.fill_diagonal(t, 0.0)
-
-
-def _sq_dist_tile(g: np.ndarray, sq: np.ndarray, a: slice, b: slice,
-                  t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Tile ``(a, b)`` of the squared distances ``(sq_i + sq_j) - 2 G_ij``,
-    clipped at 0, symmetrized and with a zero diagonal, into ``t``."""
-    np.add(sq[a, None], sq[b], out=v)
-    np.multiply(g[a, b], 2.0, out=t)
-    np.subtract(v, t, out=t)
-    np.maximum(t, 0.0, out=t)
-    np.multiply(g[b, a], 2.0, out=u)
-    np.subtract(v.T, u, out=u)
-    np.maximum(u, 0.0, out=u)
-    _symmetrize_tile(a, b, t, u)
-
-
-def _sq_dist_matrix(x: np.ndarray, finish) -> np.ndarray:
-    """Squared-distance kernel matrix, ``finish(a, b, t, m)`` applied to
-    each tile (``m`` is boolean scratch). The Gram matrix is one ``x @ x.T``
-    (numpy's syrk) written into the result buffer: products of row blocks
-    differ from it in the last bits."""
-    sq = np.einsum("ij,ij->i", x, x)
-    g = np.matmul(x, x.T, out=np.empty((x.shape[0], x.shape[0])))
-
-    def tile(a, b, t, u, v, m):
-        _sq_dist_tile(g, sq, a, b, t, u, v)
-        finish(a, b, t, m)
-
-    return _tiled_matrix(g, tile)
+def _sq_dist_tile(xt: np.ndarray, a: slice, b: slice, t: np.ndarray,
+                  v: np.ndarray) -> None:
+    """Tile ``(a, b)`` of ``sum_k (x_ik - x_jk)^2`` in coordinate order into
+    ``t``. ``(x - y)^2`` equals ``(y - x)^2``, so the squared distances are
+    exactly symmetric with a zero diagonal."""
+    np.subtract(xt[0, a, None], xt[0, b], out=t)
+    np.multiply(t, t, out=t)
+    for row in xt[1:]:
+        np.subtract(row[a, None], row[b], out=v)
+        np.multiply(v, v, out=v)
+        np.add(t, v, out=t)
 
 
 def scatter_kernel(partition: Partition) -> KernelSpec:
@@ -268,11 +259,23 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
     zero across cells."""
     cells = partition.assignment
 
-    def finish(a, b, t, m):
+    def tile(xt, a, b, t, v, m):
+        _sq_dist_tile(xt, a, b, t, v)
         np.sqrt(t, out=t)
         np.multiply(t, np.equal(cells[a, None], cells[b], out=m), out=t)
 
-    return _TiledKernel("scatter", lambda x: _sq_dist_matrix(x, finish))
+    return _TiledKernel("scatter", tile)
+
+
+def _scores(xt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Scores ``x @ theta`` from ``xt = x.T`` as ``sum_k xt[k] * theta[k]``
+    in coordinate order: no BLAS call, so no dependence on its threads."""
+    if theta.shape != (xt.shape[0],):
+        raise ValueError("theta must hold one weight per coordinate")
+    s = xt[0] * theta[0]
+    for k in range(1, xt.shape[0]):
+        s += xt[k] * theta[k]
+    return s
 
 
 def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
@@ -287,58 +290,26 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
     theta = np.asarray(theta, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
 
-    def matrix_fn(x: np.ndarray) -> np.ndarray:
-        ls = lab * (x @ theta)
-        neg = -ls
+    def tile(xt, a, b, t, v, m):
+        # every value is 0, 1 or 2, and l_i s_i > -l_j s_j exactly when
+        # l_j s_j > -l_i s_i, so the matrix is exactly symmetric
+        ls_a, ls_b = (lab[s] * _scores(xt[:, s], theta) for s in (a, b))
+        np.multiply.outer(lab[a], lab[b], out=t, casting="unsafe")
+        np.subtract(1.0, t, out=t)
+        np.multiply(t, np.greater(ls_a[:, None], -ls_b, out=m), out=t)
 
-        def tile(a, b, t, u, v, m):
-            # t = H[a, b] and v = H[b, a].T; every value is 0, 1 or 2, so
-            # the order of the exact products and sums does not matter
-            np.multiply.outer(lab[a], lab[b], out=t, casting="unsafe")
-            np.subtract(1.0, t, out=t)
-            np.copyto(v, t)
-            np.multiply(t, np.greater(ls[a, None], neg[b], out=m), out=t)
-            np.multiply(v, np.less(neg[a, None], ls[b], out=m), out=v)
-            # already symmetric; enforce exact bit equality
-            _symmetrize_tile(a, b, t, v.T)
-
-        n = ls.shape[0]
-        return _tiled_matrix(np.empty((n, n)), tile)
-
-    return _TiledKernel("auc", matrix_fn)
+    return _TiledKernel("auc", tile)
 
 
 def variance_kernel() -> KernelSpec:
     """H(x, y) = ||x - y||^2 / 2, whose pair average is the biased sample
     variance (1/n) * sum_i ||X_i - mean||^2."""
 
-    def finish(a, b, t, m):
+    def tile(xt, a, b, t, v, m):
+        _sq_dist_tile(xt, a, b, t, v)
         np.divide(t, 2.0, out=t)
 
-    return _TiledKernel("variance", lambda x: _sq_dist_matrix(x, finish))
-
-
-def _row_statistics(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row means and the Frobenius norm of the row-centered matrix, one row
-    block at a time. The row sums are split over threads as in the build;
-    the norm takes one ``vdot`` per centered block, whose bits depend on the
-    block, in one reused block buffer, so it runs in this thread alone."""
-    n = h.shape[0]
-    spans = _spans(n)
-    row_means = np.empty(n)
-
-    def sums(blocks: range) -> None:
-        for i in blocks:
-            np.divide(h[spans[i]].sum(axis=1), n, out=row_means[spans[i]])
-
-    parallel.on_threads(sums, len(spans))
-    c = np.empty((min(_BLOCK, n), n))
-    frob_sq = 0.0
-    for s in spans:
-        cs = c[:s.stop - s.start]
-        np.subtract(h[s], row_means[s, None], out=cs)
-        frob_sq += float(np.vdot(cs, cs))
-    return row_means, float(np.sqrt(frob_sq))
+    return _TiledKernel("variance", tile)
 
 
 @dataclass(frozen=True)
@@ -347,18 +318,38 @@ class KernelMatrix:
 
     ``H`` is the dense, read-only n x n matrix. ``dim`` is the dimension of
     the underlying observations, used for communication-cost accounting.
+    The row sums are the slots (:func:`_fill_slots`) added over the column
+    blocks. The dispersion norms, which only the bounds read, are computed
+    on first access and cached.
     """
 
     n: int
     dim: int
     u_stat: float
     row_means: np.ndarray
-    frob_centered: float
-    vec_centered: float
     H: np.ndarray
 
     def dense(self) -> np.ndarray:
         return self.H
+
+    @cached_property
+    def frob_centered(self) -> float:
+        """Frobenius norm of the row-centered matrix: ``math.fsum`` of the
+        squares of each tile, reduced by ``np.add.reduce`` in one buffer."""
+        spans = _spans(self.n)
+        buf = np.empty(min(_BLOCK, self.n) ** 2)
+        sums = []
+        for a, b in product(spans, repeat=2):
+            c = _tile(buf, a, b)
+            np.subtract(self.H[a, b], self.row_means[a, None], out=c)
+            np.multiply(c, c, out=c)
+            sums.append(np.add.reduce(c, axis=None))
+        return math.sqrt(math.fsum(sums))
+
+    @cached_property
+    def vec_centered(self) -> float:
+        """Euclidean norm of the centered row means, by ``math.fsum``."""
+        return math.sqrt(math.fsum(np.square(self.row_means - self.u_stat)))
 
     @classmethod
     def from_dense(cls, h: np.ndarray, dim: int = 1) -> "KernelMatrix":
@@ -368,21 +359,25 @@ class KernelMatrix:
         n = h.shape[0]
         if not _all_finite(h):
             raise _NonFiniteError("kernel matrix contains non-finite values")
-        if any((h[a, b] != h[b, a].T).any() for a, b in _tile_pairs(n)):
-            raise ValueError("kernel matrix must be exactly symmetric")
+        spans = _spans(n)
+        slots = np.empty((len(spans), n))
+        for i, j in combinations_with_replacement(range(len(spans)), 2):
+            t = h[spans[i], spans[j]]
+            if (t != h[spans[j], spans[i]].T).any():
+                raise ValueError("kernel matrix must be exactly symmetric")
+            _fill_slots(slots, spans, i, j, t)
         if np.diagonal(h).any():
             raise ValueError("kernel diagonal must be exactly zero")
-        return cls._from_checked(h, dim)
+        return cls._from_checked(h, slots, dim)
 
     @classmethod
-    def _from_checked(cls, h: np.ndarray, dim: int) -> "KernelMatrix":
+    def _from_checked(cls, h: np.ndarray, slots: np.ndarray,
+                      dim: int) -> "KernelMatrix":
         n = h.shape[0]
-        u = float(h.sum() / n**2)
-        row_means, frob = _row_statistics(h)
-        vec = float(np.linalg.norm(row_means - u))
+        row_sums = slots.sum(axis=0)
         h.flags.writeable = False
-        return cls(n=n, dim=dim, u_stat=u, row_means=row_means,
-                   frob_centered=frob, vec_centered=vec, H=h)
+        return cls(n=n, dim=dim, u_stat=float(row_sums.sum() / n**2),
+                   row_means=row_sums / n, H=h)
 
 
 def build_kernel_matrix(kernel, data,
@@ -413,10 +408,11 @@ def build_kernel_matrix(kernel, data,
             f"(8 n^2) as a dense float64 array; the limit is "
             f"n <= {DENSE_KERNEL_LIMIT}")
     try:
-        h = kernel.matrix_fn(design.rows)
         if isinstance(kernel, _TiledKernel):
-            return KernelMatrix._from_checked(h, design.d)
-        return KernelMatrix.from_dense(h, dim=design.d)
+            h, slots = kernel.build(design.rows)
+            return KernelMatrix._from_checked(h, slots, design.d)
+        return KernelMatrix.from_dense(kernel.matrix_fn(design.rows),
+                                       dim=design.d)
     except _NonFiniteError:
         raise ValueError(f"kernel '{kernel.name}' produced non-finite "
                          "values") from None
@@ -456,7 +452,7 @@ def auc_value(theta: np.ndarray, ds: LabeledDataset) -> float:
         raise ValueError("AUC requires at least one observation of each class")
     theta = np.asarray(theta, dtype=np.float64)
     lab = ds.labels
-    ls = lab * (ds.design.rows @ theta)
+    ls = lab * _scores(ds.design.rows.T, theta)
     numer = ((1.0 - np.outer(lab, lab)) * (ls[:, None] > -ls[None, :])).sum()
     return float(numer / (4.0 * ds.n_pos * ds.n_neg))
 

@@ -1,4 +1,4 @@
-"""The CPUs this process may use, and a round-robin split over threads.
+"""The CPUs this process may use, and a snake-order split over threads.
 
 ``harness`` sizes its fork pool with :func:`available_cpus`. ``kernels``
 splits the row blocks of the kernel-matrix build with :func:`on_threads`,
@@ -21,18 +21,26 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def on_threads(work: Callable[[range], None], count: int) -> None:
-    """Call ``work`` once per part of ``range(count)`` split round-robin
-    over ``min(available_cpus(), count)`` threads: part k holds k, k + p,
-    k + 2p, ... for p parts. The calling thread runs part 0, so one part
-    starts no thread. Every thread is joined before this returns, also when
-    a part raises; then the error of the lowest failing part is raised."""
+def on_threads(work: Callable[[list[int]], None], count: int) -> None:
+    """Call ``work`` once per part of ``range(count)`` split over
+    ``min(available_cpus(), count)`` threads in snake order: the indices go
+    out in rounds of p, one per part, to parts 0, 1, ..., p - 1 and in the
+    next round from p - 1 back to 0. Where the cost falls along the range,
+    as row block i of the kernel build owns ``count - i`` tile pairs, the
+    parts get near-equal shares. The calling thread runs part 0, so one
+    part starts no thread. Every thread is joined before this returns, also
+    when a part raises; then the error of the lowest failing part is
+    raised."""
     parts = max(1, min(available_cpus(), count))
+    shares: list[list[int]] = [[] for _ in range(parts)]
+    for index in range(count):
+        turn, k = divmod(index, parts)
+        shares[parts - 1 - k if turn % 2 else k].append(index)
     errors: list[BaseException | None] = [None] * parts
 
     def run(k: int) -> None:
         try:
-            work(range(k, count, parts))
+            work(shares[k])
         except BaseException as exc:  # raised again once all are joined
             errors[k] = exc
 

@@ -388,23 +388,64 @@ def ref_pairwise_sq_dists(x):
     return d2
 
 
-def ref_scatter_matrix(x, cells):
-    h = np.sqrt(ref_pairwise_sq_dists(x))
+def ref_pairwise_sq_dists_direct(x):
+    """Whole-matrix squared distances by direct differences: the squares of
+    ``x_ik - x_jk`` added over the coordinates k in order."""
+    n, d = x.shape
+    d2 = np.zeros((n, n))
+    for k in range(d):
+        diff = x[:, k, None] - x[None, :, k]
+        d2 += diff * diff
+    return d2
+
+
+def ref_scores_direct(x, theta):
+    """``x @ theta`` as the products ``x_ik theta_k`` added over k in
+    order."""
+    s = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        s += x[:, k] * theta[k]
+    return s
+
+
+def ref_scatter_matrix(x, cells, sq_dists=ref_pairwise_sq_dists):
+    h = np.sqrt(sq_dists(x))
     h *= (cells[:, None] == cells[None, :])
     return h
 
 
-def ref_variance_matrix(x):
-    return ref_pairwise_sq_dists(x) / 2.0
+def ref_variance_matrix(x, sq_dists=ref_pairwise_sq_dists):
+    return sq_dists(x) / 2.0
 
 
-def ref_auc_matrix(x, theta, labels):
-    s = x @ theta
+def ref_auc_matrix(x, theta, labels, scores=lambda x, theta: x @ theta):
+    s = scores(x, theta)
     ls = labels * s
     h = (1.0 - np.outer(labels, labels)) * (ls[:, None] > -ls[None, :])
     h = (h + h.T) / 2.0
     np.fill_diagonal(h, 0.0)
     return h
+
+
+def ref_tile_order_statistics(h, block=256):
+    """(u_stat, row_means) with every row summed per column block, as the
+    tiled build sums it: row i of column block k along the row where k is
+    i's own block or a later one, else down column i of the tile (k, i's
+    block); then the block sums added over k in order."""
+    n = h.shape[0]
+    starts = range(0, n, block)
+    row_sums = np.zeros(n)
+    for c in starts:
+        cols = slice(c, c + block)
+        block_sums = np.empty(n)
+        for r in starts:
+            rows = slice(r, r + block)
+            if r <= c:
+                block_sums[rows] = h[rows, cols].sum(axis=1)
+            else:
+                block_sums[rows] = h[cols, rows].sum(axis=0)
+        row_sums += block_sums
+    return float(row_sums.sum() / n**2), row_sums / n
 
 
 def ref_kernel_statistics(h):

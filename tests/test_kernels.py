@@ -20,8 +20,10 @@ from gosta_sim.kernels import (DesignMatrix, KernelMatrix, LabeledDataset,
 from gosta_sim.kernels import _BLOCK
 
 from _reference import (auc_double_loop, ref_auc_matrix, ref_kernel_statistics,
-                        ref_scatter_matrix, ref_variance_matrix,
-                        scatter_double_loop, u_stat_double_loop)
+                        ref_pairwise_sq_dists_direct, ref_scatter_matrix,
+                        ref_scores_direct, ref_tile_order_statistics,
+                        ref_variance_matrix, scatter_double_loop,
+                        u_stat_double_loop)
 
 
 def test_zero_kernel_targets():
@@ -253,38 +255,54 @@ def test_mean_difference_direction():
 
 
 def _kernel_case(name, n, seed=0):
-    """(spec, data, whole-matrix reference H) for one of the three kernels on
-    clustered points, both classes present."""
+    """(spec, data, direct-difference reference H, Gram-form reference H)
+    for one of the three kernels on clustered points, both classes
+    present."""
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, 3, size=n)
     x = rng.normal(size=(n, 2)) + 4.0 * cells[:, None]
     labels = np.where(rng.random(n) < 0.5, 1, -1)
     labels[:2] = (1, -1)
+    direct = ref_pairwise_sq_dists_direct
     if name == "scatter":
         return (gs.scatter_kernel(Partition(cells)), DesignMatrix(x),
+                ref_scatter_matrix(x, cells, direct),
                 ref_scatter_matrix(x, cells))
     if name == "variance":
-        return gs.variance_kernel(), DesignMatrix(x), ref_variance_matrix(x)
+        return (gs.variance_kernel(), DesignMatrix(x),
+                ref_variance_matrix(x, direct), ref_variance_matrix(x))
     theta = rng.normal(size=2)
     return (gs.auc_kernel(theta, labels),
             LabeledDataset(DesignMatrix(x), labels),
+            ref_auc_matrix(x, theta, labels, ref_scores_direct),
             ref_auc_matrix(x, theta, labels))
 
 
 @pytest.mark.parametrize("n", [2, 7, 100, 257, 2 * _BLOCK + 91])
 @pytest.mark.parametrize("name", ["scatter", "variance", "auc"])
 def test_blocked_build_matches_whole_matrix_reference(name, n, monkeypatch):
-    spec, data, h_ref = _kernel_case(name, n)
-    u, row_means, frob, vec = ref_kernel_statistics(h_ref)
-    # two threads even on a one-CPU host, so the threaded path always runs
-    for cpus in (1, 2):
+    # H equals the direct differences exactly and the Gram form
+    # sq_i + sq_j - 2 x_i.x_j to 1e-12 of max|H|: that form cancels on
+    # near-coincident points, so an entrywise relative bound would not hold
+    spec, data, h_ref, h_gram = _kernel_case(name, n)
+    u, row_means = ref_tile_order_statistics(h_ref)
+    _, _, frob, vec = ref_kernel_statistics(h_ref)
+    # two and three threads even on a one-CPU host, so the threaded path
+    # always runs; from_dense fills the same row-sum slots as the build
+    norms = set()
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         km = build_kernel_matrix(spec, data)
         assert np.array_equal(km.dense(), h_ref), cpus
-        assert km.u_stat == u
-        assert np.array_equal(km.row_means, row_means)
-        assert km.frob_centered == pytest.approx(frob, rel=1e-12)
-        assert km.vec_centered == pytest.approx(vec, rel=1e-12)
+        assert np.abs(km.dense() - h_gram).max() \
+            <= 1e-12 * np.abs(h_gram).max()
+        for k in (km, KernelMatrix.from_dense(km.dense().copy())):
+            assert k.u_stat == u
+            assert np.array_equal(k.row_means, row_means)
+            norms.add((k.frob_centered, k.vec_centered))
+    assert len(norms) == 1
+    assert km.frob_centered == pytest.approx(frob, rel=1e-12)
+    assert km.vec_centered == pytest.approx(vec, rel=1e-12)
 
 
 _TILED_N = 2 * _BLOCK + 5  # three row blocks, the last one 5 rows high
@@ -338,8 +356,8 @@ def test_fault_in_second_thread_names_the_kernel(fault, monkeypatch):
     placed = []
     sq_dist_tile = kernels._sq_dist_tile
 
-    def faulty(g, sq, a, b, t, u, v):
-        sq_dist_tile(g, sq, a, b, t, u, v)
+    def faulty(xt, a, b, t, v):
+        sq_dist_tile(xt, a, b, t, v)
         if (a.start, b.start) == (_BLOCK, 2 * _BLOCK):
             t[2, 3] = float(fault)
             placed.append(threading.current_thread()
@@ -404,3 +422,101 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_on_threads_splits_in_snake_order(monkeypatch):
+    # row block i of a 12-block build owns 12 - i tile pairs; the snake
+    # order gives each of two parts 39 of the 78, and part 0 runs here
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    parts = {}
+
+    def record(share):
+        parts[threading.current_thread() is threading.main_thread()] = share
+
+    parallel.on_threads(record, 12)
+    assert parts == {True: [0, 3, 4, 7, 8, 11], False: [1, 2, 5, 6, 9, 10]}
+    assert [sum(12 - i for i in p) for p in parts.values()] == [39, 39]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["scatter", "variance", "auc"])
+def test_build_peak_is_the_matrix_and_tile_buffers(name, cpus, monkeypatch):
+    # the n x n result is 8 n^2 bytes; each thread adds two float tiles and
+    # one boolean tile, and the bound constants wait for their first read
+    n = 2000
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+    spec, data = _kernel_case(name, n)[:2]
+    tracemalloc.start()
+    try:
+        km = build_kernel_matrix(spec, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
+    assert not {"frob_centered", "vec_centered"} & set(vars(km))
+
+
+_HOST_PROBE = r"""
+import hashlib, json, pathlib, sys, tempfile
+import numpy as np
+import gosta_sim as gs
+from gosta_sim import harness, parallel
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+out = {}
+for cpus in (1, 2):
+    parallel.available_cpus = lambda: cpus
+    got = {}
+    for n, d in ((300, 11), (1599, 11), (3000, 5)):
+        design, part = harness.synth_gaussian_mixture(
+            n, d, 3, 3.0, np.random.default_rng(1))
+        labeled = gs.LabeledDataset(design,
+                                    np.where(part.assignment == 1, 1, -1))
+        for name, data in (("scatter", design), ("variance", design),
+                           ("auc", labeled)):
+            km = gs.build_kernel_matrix(name, data, part)
+            got[f"{name} n={n} d={d}"] = {
+                "H": digest(km.H.tobytes()),
+                "row_means": digest(km.row_means.tobytes()),
+                "u_stat": repr(km.u_stat),
+                "frob_centered": repr(km.frob_centered),
+                "vec_centered": repr(km.vec_centered)}
+            del km
+    with tempfile.TemporaryDirectory() as tmp:
+        config = pathlib.Path(tmp) / "exp.json"
+        config.write_text(json.dumps({
+            "graph": {"family": "watts_strogatz", "n": 300, "k": 4,
+                      "p": 0.3},
+            "data": {"kind": "gaussian_mixture", "n": 300, "d": 11,
+                     "clusters": 3, "separation": 3.0},
+            "kernel": {"name": "scatter"},
+            "protocols": list(gs.engines.PROTOCOLS), "iters": 300,
+            "runs": 2, "seed": 1, "output_dir": str(pathlib.Path(tmp) / "o")}))
+        harness.run_experiment(harness.load_experiment(config))
+        got["csv"] = {p.name: digest(p.read_bytes())
+                      for p in sorted((pathlib.Path(tmp) / "o").iterdir())}
+    out[cpus] = got
+json.dump(out, sys.stdout)
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_cpus():
+    # H, its statistics and an experiment's CSVs, from fresh interpreters
+    # with one and two BLAS threads and the CPU helper at 1 and at 2
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    runs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", _HOST_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        for cpus, got in json.loads(out.stdout).items():
+            runs[f"blas={blas} cpus={cpus}"] = got
+    first = runs.pop("blas=1 cpus=1")
+    assert len(first["csv"]) > 0
+    for setting, got in runs.items():
+        for case, values in first.items():
+            assert got[case] == values, (setting, case)
