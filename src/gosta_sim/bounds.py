@@ -15,13 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .expectation import ORACLES
 from .graph import Graph
 from .kernels import KernelMatrix
 from .spectral import SpectralSummary, spectral_summary
 
 __all__ = [
-    "BOUNDS",
     "BoundReport",
     "AsyncConstants",
     "FitResult",
@@ -182,12 +180,6 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     return FitResult(constant=k, residual=resid, envelope=env)
 
 
-# The protocols with a bound, each mapped to its analytic bound; gosta_async
-# has none (None) and gets a fitted ``K * log t / t`` curve instead.
-BOUNDS: dict[str, Callable | None] = {"gosta_sync": sync_error_bound,
-                                      "u2": u2_error_bound, "gosta_async": None}
-
-
 def bound_report(g: Graph, km: KernelMatrix, protocol: str,
                  t_grid) -> BoundReport:
     """Exact oracle error together with the matching bound on a time grid.
@@ -197,13 +189,15 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
     ``K * log t / t`` curve and the fit constant is reported alongside the
     spectral constants.
     """
+    from .engines import PROTOCOLS  # engines imports this module
     t_grid = sorted({int(t) for t in t_grid})
     if not t_grid or t_grid[0] < 1:
         raise ValueError("t_grid must contain iterations >= 1")
-    if protocol not in BOUNDS:
+    proto = PROTOCOLS.get(protocol)
+    if proto is None or proto.bound is None:
         raise ValueError(f"no bound available for protocol '{protocol}'")
     s = spectral_summary(g)
-    oracle = ORACLES[protocol].curve(g, km, t_grid[-1], t_grid)
+    oracle = proto.oracle(g, km, t_grid[-1], t_grid)
     actual = np.array([np.linalg.norm(oracle[t] - km.u_stat) for t in t_grid])
     constants = {
         "gap_c": s.gap_c,
@@ -213,14 +207,13 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
         "frob_centered": km.frob_centered,
     }
     tarr = np.array(t_grid, dtype=np.float64)
-    bound_fn = BOUNDS[protocol]
-    if bound_fn is not None:
-        bound = np.array([bound_fn(g, km, t, s) for t in t_grid])
+    if callable(proto.bound):
+        bound = np.array([proto.bound(g, km, t, s) for t in t_grid])
     else:
         ac = async_constants(g, s)
         constants["p_bar"] = ac.p_bar
         constants["t_c"] = ac.t_c
-        fit = fit_rate(tarr, actual, "logt_over_t")
+        fit = fit_rate(tarr, actual, proto.bound)
         constants["fit_constant"] = fit.constant
         constants["fit_residual"] = fit.residual
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,13 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import engines, expectation, harness, kernels
-from .engines import EngineConfig, relative_error
+from .bounds import bound_report
+from .engines import PROTOCOLS, EngineConfig, relative_error
 from .graph import read_graph_file, write_graph_file
 from .spectral import beta_second_smallest
-
-PROTOCOL_CHOICES = engines.PROTOCOLS
 
 
 def _load_graph(spec_text: str, seed: int):
@@ -85,13 +83,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_expect(args) -> int:
     g = _load_graph(args.graph, args.seed)
     km, x = _load_kernel(args)
-    if args.protocol not in expectation.ORACLES:
-        raise ValueError(f"no expectation oracle for '{args.protocol}'")
-    curve, limit, takes_values = expectation.ORACLES[args.protocol]
-    source = x if takes_values else km
-    oracle = curve(g, source, args.t_max,
-                   expectation.geometric_checkpoints(args.t_max))
-    target = limit(source)
+    proto = PROTOCOLS[args.protocol]
+    source = x if proto.on_values else km
+    oracle = proto.oracle(g, source, args.t_max,
+                          expectation.geometric_checkpoints(args.t_max))
+    target = proto.limit(source)
     lines = ["t,node,expected_Z,target,abs_err"]
     for t in sorted(oracle):
         for node in range(g.n):
@@ -107,7 +103,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.graph, args.seed)
     km, _ = _load_kernel(args)
     grid = expectation.geometric_checkpoints(args.t_max)
-    report = bounds_mod.bound_report(g, km, args.protocol, grid)
+    report = bound_report(g, km, args.protocol, grid)
     lines = ["t,actual_err,bound_val,ratio"]
     for k, t in enumerate(report.t_grid):
         actual = report.actual_err[k]
@@ -182,13 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphfile")
     p.set_defaults(func=_cmd_spectrum)
 
-    def add_common(p, protocols=PROTOCOL_CHOICES):
-        p.add_argument("--protocol", required=True, choices=protocols)
+    def add_common(p, field=None):
+        # the protocols whose record has ``field``, or all of them
+        p.add_argument("--protocol", required=True, choices=tuple(
+            name for name, proto in PROTOCOLS.items()
+            if field is None or getattr(proto, field) is not None))
         p.add_argument("--graph", required=True,
                        help="graph spec (complete:n=100, grid2d:rows=8,cols=8,"
                             " watts_strogatz:n=100,k=5,p=0.3) or a file path")
-        p.add_argument("--kernel", required=True,
-                       choices=("variance", "scatter", "auc"))
+        p.add_argument("--kernel", required=True, choices=kernels.KERNEL_NAMES)
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--cell-column", type=int, default=-1,
                        help="cell-id column for the scatter kernel")
@@ -205,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "expect", help="expected-dynamics oracle curves: closed forms in the "
-        "Laplacian eigenbasis, independent of t (gosta_async: an O(n^2) "
-        "mean-field step per iteration)")
-    add_common(p, protocols=tuple(expectation.ORACLES))
+        "Laplacian eigenbasis, independent of t (the asynchronous protocol: "
+        "an O(n^2) mean-field step per iteration)")
+    add_common(p, "oracle")
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("bounds", help="bound vs the expected error of the "
                        "eigenbasis oracles")
-    add_common(p, protocols=tuple(bounds_mod.BOUNDS))
+    add_common(p, "bound")
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)

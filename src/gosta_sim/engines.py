@@ -1,4 +1,6 @@
-"""Sequential simulators for every gossip protocol and the two baselines.
+"""Sequential simulators for every gossip protocol and the two baselines,
+and ``PROTOCOLS``, the one ``Protocol`` record per protocol (its runner,
+oracle and bound) that the CLI, the bounds and the harness read.
 
 All protocols share the iteration model: one global step draws one edge
 uniformly at random (two for the double-propagation protocol). Observations
@@ -40,21 +42,23 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import sync_error_bound, u2_error_bound
+from .expectation import (boyd_expectation, every_checkpoints,
+                          gosta_async_expectation, gosta_sync_expectation,
+                          u1_expectation, u2_expectation)
 from .graph import Graph, warn_if_unsuitable
 from .kernels import KernelMatrix
 
 __all__ = [
-    "PROTOCOLS", "EngineConfig", "ProtocolState", "Trace", "RelativeError",
-    "InvariantError", "run_boyd", "run_u1", "run_u2", "run_gosta_sync",
-    "run_gosta_async", "run_flooding", "run_master_node", "run_protocol",
-    "relative_error", "derive_seed",
+    "PROTOCOLS", "Protocol", "EngineConfig", "ProtocolState", "Trace",
+    "RelativeError", "InvariantError", "run_boyd", "run_u1", "run_u2",
+    "run_gosta_sync", "run_gosta_async", "run_flooding", "run_master_node",
+    "run_protocol", "relative_error", "derive_seed",
 ]
-
-PROTOCOLS = ("boyd", "u1", "u2", "gosta_sync", "gosta_async",
-             "flooding", "master_node")
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{self.protocol}'; "
-                             f"expected one of {PROTOCOLS}")
+                             f"expected one of {tuple(PROTOCOLS)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.checkpoints is None:
@@ -114,11 +118,7 @@ class EngineConfig:
     def checkpoint_iters(self) -> tuple[int, ...]:
         if self.checkpoints is not None:
             return self.checkpoints
-        ts = list(range(self.record_every, self.max_iters + 1,
-                        self.record_every))
-        if ts[-1] != self.max_iters:
-            ts.append(self.max_iters)
-        return tuple(ts)
+        return every_checkpoints(self.max_iters, self.record_every)
 
 
 @dataclass
@@ -513,8 +513,7 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     return Trace("flooding", *out, truth=km.u_stat, final_state=state)
 
 
-def run_master_node(km: KernelMatrix, n: int, d: int,
-                    cfg: EngineConfig) -> Trace:
+def run_master_node(km: KernelMatrix, cfg: EngineConfig) -> Trace:
     """Centralized broadcast baseline, independent of any network topology.
 
     At t=0 every node uploads its observation (n*d units); at each iteration
@@ -522,8 +521,7 @@ def run_master_node(km: KernelMatrix, n: int, d: int,
     Estimates average pair values over all received indices plus the node's
     own, excluding the zero self-pair. Fully deterministic.
     """
-    if n != km.n:
-        raise ValueError(f"n={n} does not match the kernel matrix size {km.n}")
+    n, d = km.n, km.dim
     h = km.dense()
     idx = np.arange(n)
 
@@ -544,26 +542,59 @@ def run_master_node(km: KernelMatrix, n: int, d: int,
                  truth=km.u_stat, final_state=state)
 
 
+class Protocol(NamedTuple):
+    """One protocol: its simulator, expected dynamics and bound.
+
+    ``runner(g, source, cfg)`` runs it on the node values x when
+    ``on_values``, else on the kernel matrix, and ignores g unless
+    ``on_graph``. ``oracle(g, source, t_max, checkpoints)`` is its exact
+    expected dynamics, converging to ``limit(source)``. ``bound`` is its
+    analytic bound ``bound(g, km, t, summary)``, or the ``fit_rate`` model
+    whose fitted curve stands in where the theory gives only a rate.
+    """
+
+    runner: Callable[..., Trace]
+    on_values: bool = False
+    on_graph: bool = True
+    oracle: Callable[..., dict[int, np.ndarray]] | None = None
+    limit: Callable[..., np.ndarray] | None = None
+    bound: Callable[..., float] | str | None = None
+
+
+def _pair_average(km: KernelMatrix) -> np.ndarray:
+    return np.full(km.n, km.u_stat)
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "boyd": Protocol(run_boyd, on_values=True, oracle=boyd_expectation,
+                     limit=lambda x: np.full(len(x), np.mean(x))),
+    "u1": Protocol(run_u1, oracle=u1_expectation,
+                   limit=lambda km: km.row_means),
+    "u2": Protocol(run_u2, oracle=u2_expectation, limit=_pair_average,
+                   bound=u2_error_bound),
+    "gosta_sync": Protocol(run_gosta_sync, oracle=gosta_sync_expectation,
+                           limit=_pair_average, bound=sync_error_bound),
+    "gosta_async": Protocol(run_gosta_async, oracle=gosta_async_expectation,
+                            limit=_pair_average, bound="logt_over_t"),
+    "flooding": Protocol(run_flooding),
+    "master_node": Protocol(lambda g, km, cfg: run_master_node(km, cfg),
+                            on_graph=False),
+}
+
+
 def run_protocol(cfg: EngineConfig, g: Graph | None = None,
                  km: KernelMatrix | None = None,
                  x: np.ndarray | None = None) -> Trace:
     """Dispatch a run by the protocol named in ``cfg``."""
-    name = cfg.protocol
-    if name == "boyd":
-        if g is None or x is None:
-            raise ValueError("boyd needs a graph and a node-value vector")
-        return run_boyd(g, x, cfg)
-    if name == "master_node":
-        if km is None:
-            raise ValueError("master_node needs a kernel matrix")
-        return run_master_node(km, km.n, km.dim, cfg)
-    if km is None or g is None:
-        raise ValueError(f"{name} needs a graph and a kernel matrix")
-    if g.n != km.n:
+    proto = PROTOCOLS[cfg.protocol]
+    source = x if proto.on_values else km
+    if source is None or (proto.on_graph and g is None):
+        needs = ("a graph and " if proto.on_graph else "") + (
+            "a node-value vector" if proto.on_values else "a kernel matrix")
+        raise ValueError(f"{cfg.protocol} needs {needs}")
+    if proto.on_graph and not proto.on_values and g.n != km.n:
         raise ValueError(f"graph size {g.n} does not match sample size {km.n}")
-    runner = {"u1": run_u1, "u2": run_u2, "gosta_sync": run_gosta_sync,
-              "gosta_async": run_gosta_async, "flooding": run_flooding}[name]
-    return runner(g, km, cfg)
+    return proto.runner(g, source, cfg)
 
 
 def relative_error(trace: Trace) -> RelativeError:

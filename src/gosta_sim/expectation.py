@@ -33,15 +33,13 @@ W2 on irregular graphs, so it steps through the iterations at O(n^2) each.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from .graph import Graph, adjacency, warn_if_unsuitable
 from .kernels import KernelMatrix
 from .spectral import laplacian_eigh, w_alpha
 
-__all__ = ["ORACLES", "Oracle", "divided_difference", "geometric_checkpoints",
+__all__ = ["divided_difference", "geometric_checkpoints", "every_checkpoints",
            "gosta_sync_expectation", "gosta_async_expectation",
            "u1_expectation", "u2_expectation", "boyd_expectation"]
 
@@ -64,9 +62,15 @@ def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
     if not pts or pts[-1] != t_max:
         pts.append(t_max)
     if len(pts) > max_points:
+        # linspace gives only the first index for one point: close on t_max
         keep = np.unique(np.linspace(0, len(pts) - 1, max_points).astype(int))
-        pts = [pts[i] for i in keep]
+        pts = [pts[i] for i in keep[:-1]] + [t_max]
     return tuple(pts)
+
+
+def every_checkpoints(t_max: int, step: int) -> tuple[int, ...]:
+    """Every ``step``-th iteration before t_max, then t_max itself."""
+    return (*range(step, t_max, step), t_max)
 
 
 def _power(defect, t):
@@ -204,27 +208,3 @@ def boyd_expectation(g: Graph, x: np.ndarray, t_max: int,
                            "boyd_expectation")
     vx = v.T @ x
     return {t: v @ (_power(dm, t) * vx) for t in cps}
-
-
-class Oracle(NamedTuple):
-    """``curve(g, source, t_max, checkpoints)`` and ``limit(source)``, its
-    limit; the source is the node-value vector x when ``takes_values`` (boyd),
-    else the kernel."""
-
-    curve: Callable[..., dict[int, np.ndarray]]
-    limit: Callable[..., np.ndarray]
-    takes_values: bool = False
-
-
-def _pair_average(km: KernelMatrix) -> np.ndarray:
-    return np.full(km.n, km.u_stat)
-
-
-ORACLES: dict[str, Oracle] = {
-    "boyd": Oracle(boyd_expectation, lambda x: np.full(len(x), np.mean(x)),
-                   takes_values=True),
-    "u1": Oracle(u1_expectation, lambda km: km.row_means),
-    "u2": Oracle(u2_expectation, _pair_average),
-    "gosta_sync": Oracle(gosta_sync_expectation, _pair_average),
-    "gosta_async": Oracle(gosta_async_expectation, _pair_average),
-}

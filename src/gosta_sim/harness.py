@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engines, kernels, parallel
-from .engines import EngineConfig, derive_seed, relative_error
+from .engines import PROTOCOLS, EngineConfig, derive_seed, relative_error
+from .expectation import every_checkpoints, geometric_checkpoints
 from .graph import (Graph, make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
 from .kernels import DesignMatrix, LabeledDataset, Partition
@@ -61,7 +62,6 @@ _DATA_KEYS = {
     "gaussian_mixture": {"n", "d", "clusters", "separation"},
     "two_class": {"n", "d", "margin"},
 }
-_KERNEL_NAMES = ("variance", "scatter", "auc")
 _CHECKPOINT_POLICIES = ("geometric", "every")
 
 
@@ -152,8 +152,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
 
     kernel = dict(raw["kernel"])
     _reject_unknown(kernel, {"name"}, "kernel spec")
-    if kernel.get("name") not in _KERNEL_NAMES:
-        raise ValueError(f"kernel name must be one of {_KERNEL_NAMES}")
+    if kernel.get("name") not in kernels.KERNEL_NAMES:
+        raise ValueError(f"kernel name must be one of {kernels.KERNEL_NAMES}")
 
     data = dict(raw["data"])
     kind = data.pop("kind", None)
@@ -171,7 +171,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if not protocols:
         raise ValueError("protocols list must be nonempty")
     for proto in protocols:
-        if proto not in engines.PROTOCOLS:
+        if proto not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{proto}'")
 
     iters = int(raw["iters"])
@@ -336,14 +336,9 @@ def _materialize_data(spec: ExperimentSpec):
 
 
 def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
-    from .expectation import geometric_checkpoints
     if spec.checkpoint_policy == "geometric":
         return geometric_checkpoints(spec.iters, spec.checkpoint_max_points)
-    ts = list(range(spec.checkpoint_step, spec.iters + 1,
-                    spec.checkpoint_step))
-    if ts[-1] != spec.iters:
-        ts.append(spec.iters)
-    return tuple(ts)
+    return every_checkpoints(spec.iters, spec.checkpoint_step)
 
 
 def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
@@ -408,9 +403,8 @@ def run_experiment(spec: ExperimentSpec,
     if graph.n != km.n:
         raise ValueError(f"graph has {graph.n} nodes but the dataset has "
                          f"{km.n} observations")
-    # master_node is the one protocol that runs without the graph; the
-    # first protocol that uses it names the check, as its run would.
-    on_graph = [p for p in spec.protocols if p != "master_node"]
+    # the first protocol run on the graph names the check, as its run would
+    on_graph = [p for p in spec.protocols if PROTOCOLS[p].on_graph]
     if on_graph:
         warn_if_unsuitable(graph, on_graph[0])
     cps = _experiment_checkpoints(spec)

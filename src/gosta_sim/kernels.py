@@ -68,6 +68,9 @@ __all__ = [
 # Largest sample whose kernel matrix is built: 8 n^2 bytes, 128 MB at 4000.
 DENSE_KERNEL_LIMIT = 4000
 
+# The kernels that ``build_kernel_matrix`` builds by name.
+KERNEL_NAMES = ("variance", "scatter", "auc")
+
 
 @dataclass(frozen=True)
 class DesignMatrix:
@@ -430,7 +433,8 @@ def _resolve_named_kernel(name: str, data, partition: Partition | None) -> Kerne
             raise ValueError("the auc kernel requires labeled data")
         theta = mean_difference_direction(data)
         return auc_kernel(theta, data.labels)
-    raise ValueError(f"unknown kernel '{name}' (expected variance, scatter or auc)")
+    raise ValueError(f"unknown kernel '{name}' (expected "
+                     f"{', '.join(KERNEL_NAMES[:-1])} or {KERNEL_NAMES[-1]})")
 
 
 def mean_difference_direction(ds: LabeledDataset) -> np.ndarray:

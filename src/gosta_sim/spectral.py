@@ -87,9 +87,7 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
     The multiplicity of the eigenvalue 0 equals the number of connected
     components.
     """
-    lap = laplacian(g)
-    lap = (lap + lap.T) / 2.0
-    eigs = np.linalg.eigvalsh(lap)
+    eigs = np.linalg.eigvalsh(laplacian(g))
     return eigs[::-1].copy()
 
 

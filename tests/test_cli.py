@@ -172,3 +172,51 @@ def test_cli_rejects_unusable_args(tmp_path, capsys):
                            "--out", str(out))
     assert code == 1
     assert "error" in err
+
+
+def test_protocol_messages(tmp_path, capsys):
+    # the exact text of every protocol-name error, from the engines, the
+    # bounds and the argument parser
+    import numpy as np
+
+    import gosta_sim as gs
+    from gosta_sim.engines import EngineConfig, run_protocol
+
+    g5, g4 = gs.make_complete(5), gs.make_complete(4)
+    km = gs.KernelMatrix.from_dense(np.ones((4, 4)) - np.eye(4))
+    cases = [
+        ("boyd", dict(g=g4, km=km),
+         "boyd needs a graph and a node-value vector"),
+        ("master_node", dict(g=g4, x=np.zeros(4)),
+         "master_node needs a kernel matrix"),
+        ("u1", dict(km=km), "u1 needs a graph and a kernel matrix"),
+        ("gosta_sync", dict(g=g5, km=km),
+         "graph size 5 does not match sample size 4"),
+    ]
+    for protocol, inputs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            run_protocol(EngineConfig(protocol, 5), **inputs)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        EngineConfig("nope", 5)
+    assert str(exc.value) == (
+        "unknown protocol 'nope'; expected one of ('boyd', 'u1', 'u2', "
+        "'gosta_sync', 'gosta_async', 'flooding', 'master_node')")
+    for protocol in ("u1", "nope"):
+        with pytest.raises(ValueError) as exc:
+            gs.bound_report(g4, km, protocol, [1, 2])
+        assert str(exc.value) == (
+            f"no bound available for protocol '{protocol}'")
+
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "5", "--d", "1",
+            "--out", str(data))
+    for command, protocol in (("expect", "flooding"),
+                              ("expect", "master_node"), ("bounds", "u1")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--protocol", protocol, "--graph", "complete:n=5",
+                  "--kernel", "variance", "--data", str(data),
+                  "--t-max", "10", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert (f"argument --protocol: invalid choice: '{protocol}'"
+                in capsys.readouterr().err)

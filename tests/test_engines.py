@@ -275,7 +275,7 @@ def test_master_node_comm_and_estimates(rng, kernel_factory):
     n, d = 5, 3
     km2 = gs.KernelMatrix.from_dense(np.asarray(h).copy(), dim=d)
     ts = [0, 1, 2, 5, 8]
-    tr = gs.run_master_node(km2, n, d, cfg_for("master_node", 8, 0, cps=ts))
+    tr = gs.run_master_node(km2, cfg_for("master_node", 8, 0, cps=ts))
     for k, t in enumerate(ts):
         b = min(t, n)
         assert tr.comm_units[k] == n * d * (1 + b)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import gosta_sim as gs
 import _reference as ref
 from gosta_sim.engines import EngineConfig, derive_seed
-from gosta_sim.expectation import (ORACLES, divided_difference,
-                                   geometric_checkpoints)
+from gosta_sim.engines import PROTOCOLS
+from gosta_sim.expectation import divided_difference, geometric_checkpoints
 from gosta_sim.graph import adjacency
 from gosta_sim.spectral import w_alpha
 
@@ -39,6 +39,15 @@ def test_geometric_checkpoints_cap():
     cps = geometric_checkpoints(10**6, max_points=10)
     assert len(cps) <= 10
     assert cps[-1] == 10**6
+
+
+def test_geometric_checkpoints_cap_keeps_t_max():
+    # one point is t_max itself, not the first point of the grid
+    assert geometric_checkpoints(20000, max_points=1) == (20000,)
+    assert geometric_checkpoints(20000, max_points=2) == (1, 20000)
+    for points in range(1, 14):
+        cps = geometric_checkpoints(20000, max_points=points)
+        assert len(cps) <= points and cps[-1] == 20000
 
 
 # ------------------------------------------------------------ sync oracle
@@ -345,10 +354,13 @@ def oracle_scenarios(draw):
             sorted(cps))
 
 
+WITH_ORACLE = {name: p for name, p in PROTOCOLS.items() if p.oracle}
+
+
 def assert_oracles_match_recursions(g, km, x, t_max, cps):
-    for protocol, oracle in ORACLES.items():
+    for protocol, proto in WITH_ORACLE.items():
         source, ref_source = (x, x) if protocol == "boyd" else (km, km.dense())
-        got = oracle.curve(g, source, t_max, cps)
+        got = proto.oracle(g, source, t_max, cps)
         expected = getattr(ref, f"ref_{protocol}_expectation")(
             g, ref_source, t_max, set(cps))
         assert sorted(got) == cps
@@ -433,12 +445,12 @@ def test_oracles_on_coincident_and_negative_eigenvalues(g, kernel_factory):
     km = kernel_factory(g.n, np.random.default_rng(g.n))
     x = np.random.default_rng(1).normal(size=g.n)
     assert_oracles_match_recursions(g, km, x, 400, [1, 2, 3, 50, 400])
-    for protocol, oracle in ORACLES.items():
+    for protocol, proto in WITH_ORACLE.items():
         if protocol == "gosta_async":  # its step loop is not run to 10^7
             continue
         source = x if protocol == "boyd" else km
-        late = oracle.curve(g, source, 10**7, [10**7])[10**7]
-        limit = oracle.limit(source)
+        late = proto.oracle(g, source, 10**7, [10**7])[10**7]
+        limit = proto.limit(source)
         if protocol == "u2" and g.n == 2:
             # W1 is the swap of the two nodes, so W1^s H W1^s = H and u2
             # reads the zero diagonal at every step

@@ -336,7 +336,9 @@ def test_worker_error_reaches_parent_and_cli(tmp_path, monkeypatch, capsys):
     def broken(g, km, cfg):
         raise InvariantError(message)
 
-    monkeypatch.setattr(gs.engines, "run_gosta_sync", broken)
+    monkeypatch.setitem(gs.engines.PROTOCOLS, "gosta_sync",
+                        gs.engines.PROTOCOLS["gosta_sync"]._replace(
+                            runner=broken))
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         spec = _pool_config(tmp_path, tmp_path / "out")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gosta_sim as gs
-from gosta_sim.expectation import ORACLES
+from gosta_sim.engines import PROTOCOLS
 from gosta_sim.spectral import _lobpcg_beta, beta_second_smallest
 
 from _reference import brute_force_w_alpha
@@ -172,8 +172,9 @@ def test_one_eigendecomposition_per_graph(monkeypatch, kernel_factory):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
     gs.spectral_summary(g)
-    for protocol in gs.bounds.BOUNDS:
-        gs.bound_report(g, km, protocol, grid)
+    for protocol, proto in PROTOCOLS.items():
+        if proto.bound is not None:
+            gs.bound_report(g, km, protocol, grid)
     gs.u1_expectation(g, km, 200, grid)
     gs.boyd_expectation(g, x, 200, grid)
     assert calls == {"eigh": 1, "eigvalsh": 0}
@@ -190,10 +191,12 @@ def test_cached_eigenbasis_read_only_and_oracles_repeat(kernel_factory):
         beta[0] = 0.0
     raw = beta.copy()
     cps = [1, 2, 10, 100]
-    for protocol, oracle in ORACLES.items():
-        source = x if oracle.takes_values else km
-        first = oracle.curve(g, source, 100, cps)
-        second = oracle.curve(g, source, 100, cps)
+    for protocol, proto in PROTOCOLS.items():
+        if proto.oracle is None:
+            continue
+        source = x if proto.on_values else km
+        first = proto.oracle(g, source, 100, cps)
+        second = proto.oracle(g, source, 100, cps)
         for t in cps:
             assert np.array_equal(first[t], second[t]), (protocol, t)
     assert gs.laplacian_eigh(g)[1] is v
