@@ -7,7 +7,7 @@ calculators, and an experiment harness with reproducible seeding.
 
 from .bounds import (async_constants, bound_report, fit_rate,
                      sync_error_bound, u2_error_bound)
-from .engines import (EngineConfig, ProtocolState, Trace,
+from .engines import (EngineConfig, Trace,
                       relative_error, run_boyd,
                       run_flooding, run_gosta_async, run_gosta_sync,
                       run_master_node, run_protocol, run_u1, run_u2)

@@ -121,12 +121,10 @@ def async_constants(g: Graph,
                     summary: SpectralSummary | None = None) -> AsyncConstants:
     """Selection-probability constants and the contraction modulus mu_r."""
     s = _gap(g, summary)
-    m = g.num_edges
-    p_bar = float(g.degrees.min()) / m
-    ratio = s.beta_second_smallest / (2.0 * m)
+    p_bar = float(g.degrees.min()) / g.num_edges
 
     def mu_r(t: float) -> float:
-        return (1.0 - 1.0 / t) - ratio * (1.0 - 1.0 / (p_bar * t))
+        return (1.0 - 1.0 / t) - s.gap_c * (1.0 - 1.0 / (p_bar * t))
 
     return AsyncConstants(p_bar=p_bar, t_c=1.0 / p_bar, mu_r=mu_r)
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import engines, expectation, harness, kernels
 from .bounds import bound_report
-from .engines import PROTOCOLS, EngineConfig, relative_error
+from .engines import PROTOCOLS, EngineConfig, node_errors, relative_error
 from .graph import read_graph_file, write_graph_file
-from .spectral import beta_second_smallest
+from .spectral import SpectralSummary, beta_second_smallest
 
 
 def _load_graph(spec_text: str, seed: int):
@@ -36,15 +36,14 @@ def _load_kernel(args):
 
 def _cmd_spectrum(args) -> int:
     g = read_graph_file(args.graphfile)
-    beta = beta_second_smallest(g)
-    m = g.num_edges
+    s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
     payload = {
         "n": g.n,
-        "m": m,
-        "beta_second_smallest": beta,
-        "lambda2_w2": 1.0 - beta / (2.0 * m),
-        "lambda2_w1": 1.0 - beta / m,
-        "gap_c": beta / (2.0 * m),
+        "m": g.num_edges,
+        "beta_second_smallest": s.beta_second_smallest,
+        "lambda2_w2": s.lambda2_of_w2,
+        "lambda2_w1": s.lambda2_of_w1,
+        "gap_c": s.gap_c,
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -61,18 +60,16 @@ def _cmd_simulate(args) -> int:
                            seed=engines.derive_seed(args.seed, 0, run))
         trace = engines.run_protocol(cfg, g=g, km=km, x=x)
         err = relative_error(trace)
+        nodes_err = node_errors(trace)[0] if args.per_node else None
         for k, t in enumerate(trace.ts):
             lines.append(f"{run},{int(t)},{int(trace.comm_units[k])},"
                          f"{float(err.mean[k]):.17g},{float(err.std[k]):.17g}")
             if args.per_node:
-                truth = np.atleast_1d(np.asarray(trace.truth))
-                diff = np.abs(trace.estimates[k] - truth)
-                nodes_err = diff if err.absolute else diff / np.abs(truth)
                 for node in range(trace.estimates.shape[1]):
                     per_node_lines.append(
                         f"{run},{int(t)},{node + 1},"
                         f"{trace.estimates[k, node]:.17g},"
-                        f"{nodes_err[node]:.17g}")
+                        f"{nodes_err[k, node]:.17g}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     if args.per_node:
         extra = Path(args.out).with_suffix(".nodes.csv")

@@ -20,7 +20,10 @@ between checkpoints, handing each step its edges as Python ints in bounded
 chunks. An iteration touches only the 2-4 nodes on its drawn edges, so a
 checkpoint copies just the nodes touched since the last one into numpy
 mirrors of the per-node state, and snapshots and invariant checks run on
-blocks of mirror rows.
+blocks of mirror rows. A run is observed only at its checkpoints: the
+per-node state is internal, and its invariants (the auxiliary index lists
+stay permutations, the asynchronous activation counts sum to 2t) are
+checked at every checkpoint.
 
 - u1, u2 and gosta_sync fold a pair value into every node's running average
   on every iteration. Node k instead keeps ``S_k = t * Z_k``, its current
@@ -54,31 +57,11 @@ from .graph import Graph, warn_if_unsuitable
 from .kernels import KernelMatrix
 
 __all__ = [
-    "PROTOCOLS", "Protocol", "EngineConfig", "ProtocolState", "Trace",
-    "RelativeError", "InvariantError", "run_boyd", "run_u1", "run_u2",
-    "run_gosta_sync", "run_gosta_async", "run_flooding", "run_master_node",
-    "run_protocol", "relative_error", "derive_seed",
+    "PROTOCOLS", "Protocol", "EngineConfig", "Trace", "RelativeError",
+    "InvariantError", "run_boyd", "run_u1", "run_u2", "run_gosta_sync",
+    "run_gosta_async", "run_flooding", "run_master_node", "run_protocol",
+    "relative_error", "node_errors", "derive_seed",
 ]
-
-
-@dataclass(frozen=True)
-class ProtocolState:
-    """One snapshot of a running protocol (attached to traces as the final
-    state).
-
-    ``aux_primary`` (and ``aux_secondary`` for the double-propagation
-    protocol) hold the auxiliary observation index at each node and remain
-    permutations of 0..n-1 throughout a run. ``iter_counters`` are the
-    asynchronous per-node iteration estimators m_k; ``flood_holdings`` the
-    per-node sets of received observation indices of the flooding baseline.
-    """
-
-    t: int
-    estimates: np.ndarray
-    aux_primary: np.ndarray | None = None
-    aux_secondary: np.ndarray | None = None
-    iter_counters: np.ndarray | None = None
-    flood_holdings: tuple[frozenset, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -130,8 +113,8 @@ class Trace:
     (one unit = one observation coordinate). ``truth`` is the exact target:
     the pair average for full-statistic protocols, the sample mean for
     plain averaging, or the per-node partial means (a vector) for the
-    single-propagation protocol. ``m_snapshots`` holds the per-node
-    iteration estimators of the asynchronous protocol.
+    single-propagation protocol. ``m_snapshots[k]`` holds the per-node
+    iteration estimators of the asynchronous protocol at ``ts[k]``.
     """
 
     protocol: str
@@ -140,7 +123,6 @@ class Trace:
     comm_units: np.ndarray
     truth: float | np.ndarray
     m_snapshots: np.ndarray | None = None
-    final_state: ProtocolState | None = None
 
     def __post_init__(self) -> None:
         if (np.diff(self.ts) <= 0).any():
@@ -270,8 +252,7 @@ def run_boyd(g: Graph, x: np.ndarray, cfg: EngineConfig) -> Trace:
 
     out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2, step, (z,),
                  lambda t, zm: zm)
-    state = ProtocolState(t=cfg.max_iters, estimates=np.array(z))
-    return Trace("boyd", *out, truth=float(x.mean()), final_state=state)
+    return Trace("boyd", *out, truth=float(x.mean()))
 
 
 def run_u1(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -298,10 +279,7 @@ def run_u1(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
 
     out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 * km.dim, step,
                  (s, last, cur, y), _flushed_mean, perms=(3,))
-    state = ProtocolState(t=cfg.max_iters,
-                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
-                          aux_primary=np.array(y))
-    return Trace("u1", *out, truth=km.row_means.copy(), final_state=state)
+    return Trace("u1", *out, truth=km.row_means.copy())
 
 
 def run_u2(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -338,10 +316,7 @@ def run_u2(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     out = _drive(g, cfg, np.random.default_rng(cfg.seed), 4 * km.dim, step,
                  (s, last, cur, y1, y2), _flushed_mean, perms=(3, 4),
                  pairs=True)
-    state = ProtocolState(t=cfg.max_iters,
-                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
-                          aux_primary=np.array(y1), aux_secondary=np.array(y2))
-    return Trace("u2", *out, truth=km.u_stat, final_state=state)
+    return Trace("u2", *out, truth=km.u_stat)
 
 
 def run_gosta_sync(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -369,10 +344,7 @@ def run_gosta_sync(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
 
     out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 + 2 * km.dim,
                  step, (s, last, cur, y), _flushed_mean, perms=(3,))
-    state = ProtocolState(t=cfg.max_iters,
-                          estimates=_flushed_mean(cfg.max_iters, s, last, cur),
-                          aux_primary=np.array(y))
-    return Trace("gosta_sync", *out, truth=km.u_stat, final_state=state)
+    return Trace("gosta_sync", *out, truth=km.u_stat)
 
 
 def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -415,11 +387,7 @@ def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
 
     out = _drive(g, cfg, np.random.default_rng(cfg.seed), 2 + 2 * km.dim,
                  step, (z, activations, y), snapshot, perms=(2,))
-    state = ProtocolState(t=cfg.max_iters, estimates=np.array(z),
-                          aux_primary=np.array(y),
-                          iter_counters=np.array(activations) / p)
-    return Trace("gosta_async", *out, truth=km.u_stat,
-                 m_snapshots=msnap, final_state=state)
+    return Trace("gosta_async", *out, truth=km.u_stat, m_snapshots=msnap)
 
 
 def _uniform_below(rng: np.random.Generator):
@@ -507,10 +475,7 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
         return np.divide(sm, cm, out=np.zeros(sm.shape), where=cm > 0)
 
     out = _drive(g, cfg, rng, 2 * km.dim, step, (sums, counts), snapshot)
-    final = snapshot(cfg.max_iters, np.array(sums), np.array(counts))
-    state = ProtocolState(t=cfg.max_iters, estimates=final,
-                          flood_holdings=tuple(map(frozenset, held_sets)))
-    return Trace("flooding", *out, truth=km.u_stat, final_state=state)
+    return Trace("flooding", *out, truth=km.u_stat)
 
 
 def run_master_node(km: KernelMatrix, cfg: EngineConfig) -> Trace:
@@ -533,13 +498,11 @@ def run_master_node(km: KernelMatrix, cfg: EngineConfig) -> Trace:
 
     ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
     received = np.minimum(ts, n)
-    final = min(cfg.max_iters, n)
-    # every checkpoint from t = n on, and the final state, share b = n
-    by_count = {b: estimate(b) for b in {*received.tolist(), final}}
+    # every checkpoint from t = n on shares b = n
+    by_count = {b: estimate(b) for b in set(received.tolist())}
     est = np.array([by_count[b] for b in received.tolist()])
-    state = ProtocolState(t=cfg.max_iters, estimates=by_count[final])
     return Trace("master_node", ts, est, n * d * (1 + received),
-                 truth=km.u_stat, final_state=state)
+                 truth=km.u_stat)
 
 
 class Protocol(NamedTuple):
@@ -597,15 +560,18 @@ def run_protocol(cfg: EngineConfig, g: Graph | None = None,
     return proto.runner(g, source, cfg)
 
 
-def relative_error(trace: Trace) -> RelativeError:
-    """Per-checkpoint mean and population std of node errors.
-
-    Node errors are |Z_k - truth_k| / |truth_k|; if the truth contains an
-    exact zero the unnormalized absolute error is used and flagged.
-    """
+def node_errors(trace: Trace) -> tuple[np.ndarray, bool]:
+    """Every node's error |Z_k - truth_k| / |truth_k| at every checkpoint,
+    and a flag set when the truth contains an exact zero, in which case the
+    unnormalized absolute error is used."""
     truth = np.atleast_1d(np.asarray(trace.truth, dtype=np.float64))
     absolute = bool((truth == 0.0).any())
     diff = np.abs(trace.estimates - truth)
-    err = diff if absolute else diff / np.abs(truth)
+    return (diff if absolute else diff / np.abs(truth)), absolute
+
+
+def relative_error(trace: Trace) -> RelativeError:
+    """Per-checkpoint mean and population std of the :func:`node_errors`."""
+    err, absolute = node_errors(trace)
     return RelativeError(ts=trace.ts.copy(), mean=err.mean(axis=1),
                          std=err.std(axis=1), absolute=absolute)

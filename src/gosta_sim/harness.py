@@ -33,7 +33,7 @@ from .expectation import every_checkpoints, geometric_checkpoints
 from .graph import (Graph, make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
 from .kernels import DesignMatrix, LabeledDataset, Partition
-from .spectral import beta_second_smallest
+from .spectral import SpectralSummary, beta_second_smallest
 
 __all__ = [
     "ExperimentSpec",
@@ -500,11 +500,11 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     rows = []
     for spec in graph_specs:
         g = build_graph_from_spec(spec, seed)
-        beta = beta_second_smallest(g)
+        s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
         rows.append({
             "family": spec["family"],
             "n": g.n,
             "m": g.num_edges,
-            "gap": beta / (2.0 * g.num_edges),
+            "gap": s.gap_c,
         })
     return rows

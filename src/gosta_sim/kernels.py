@@ -10,27 +10,28 @@ The two dispersion norms of :class:`KernelMatrix` (Frobenius norm of the
 row-centered matrix, Euclidean norm of the centered row means) are the
 data-dependent constants of the convergence bounds.
 
-Every built-in kernel is built by one tiled loop into one n x n float64
-buffer, with no BLAS call. The loop visits each pair of 256 x 256 tiles on
-and above the diagonal once and fills the tile in two preallocated tile
-buffers: the squared distances ``sum_k (x_ik - x_jk)^2`` by direct
-differences in coordinate order (exactly symmetric with a zero diagonal,
-and free of the cancellation in ``|x|^2 + |y|^2 - 2 x.y``), then ``sqrt``
-and the cell mask (``scatter``) or ``/ 2`` (``variance``); ``auc`` scores
-are ``sum_k x[:, k] theta_k`` in coordinate order. Each finished tile is
+Every :class:`KernelSpec` is built by one tiled loop into one n x n
+float64 buffer. The loop visits each pair of 256 x 256 tiles on and above
+the diagonal once and fills the tile in two preallocated tile buffers with
+the kernel's ``tile``. The built-in kernels make no BLAS call: the squared
+distances ``sum_k (x_ik - x_jk)^2`` by direct differences in coordinate
+order (exactly symmetric with a zero diagonal, and free of the cancellation
+in ``|x|^2 + |y|^2 - 2 x.y``), then ``sqrt`` and the cell mask
+(``scatter``) or ``/ 2`` (``variance``); ``auc`` scores are
+``sum_k x[:, k] theta_k`` in coordinate order. Each finished tile is
 checked for non-finite values (a diagonal tile also for exact symmetry and
 a zero diagonal) while in cache, written with its transpose, and summed
 into the row-sum slots, each written by exactly one tile. The row blocks
 are split over one thread per available CPU (numpy releases the GIL in its
 loops), started and joined within the call, also when it raises. Every sum
-has a fixed order, so H and its statistics have the same bits for any
-thread count, BLAS setting and host. The two dispersion norms are computed
-on first access, since only the bounds read them.
-:meth:`KernelMatrix.from_dense` is the checked entry for any other matrix,
-such as a custom :class:`KernelSpec`'s; it fills the same slots, so it
-reproduces a built matrix's statistics bit for bit. Above
-``DENSE_KERNEL_LIMIT`` observations the build fails before it evaluates
-any pair, naming the 8n^2 bytes the matrix would need.
+has a fixed order, so a built-in kernel's H and its statistics have the
+same bits for any thread count, BLAS setting and host. The two dispersion
+norms are computed on first access, since only the bounds read them.
+:meth:`KernelMatrix.from_dense` is the checked entry for any matrix that
+no :class:`KernelSpec` builds; it fills the same slots, so it reproduces a
+built matrix's statistics bit for bit. Above ``DENSE_KERNEL_LIMIT``
+observations the build fails before it evaluates any pair, naming the
+8n^2 bytes the matrix would need.
 """
 
 from __future__ import annotations
@@ -145,27 +146,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A named pairwise kernel.
-
-    ``matrix_fn`` builds the dense n x n kernel matrix from the observation
-    array, exactly symmetric with a zero diagonal.
-    """
+    """A named pairwise kernel. ``tile(xt, a, b, t, v, m)`` writes
+    ``H[a, b]`` (a and b are row slices) into ``t`` from ``xt = x.T``, with
+    ``v`` and the boolean ``m`` of the same shape as scratch; see
+    :func:`_tiled_build` for the checks on each tile."""
 
     name: str
-    matrix_fn: Callable[[np.ndarray], np.ndarray]
-
-
-class _TiledKernel(KernelSpec):
-    """A built-in kernel, given by the ``tile`` of :func:`_tiled_build`.
-    ``build(x)`` checks every tile and also returns the row-sum slots, so
-    ``from_dense`` is skipped; ``matrix_fn`` returns H alone."""
-
-    def __init__(self, name: str, tile) -> None:
-        super().__init__(name, lambda x: self.build(x)[0])
-        object.__setattr__(self, "tile", tile)
-
-    def build(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _tiled_build(x, self.tile)
+    tile: Callable[..., None]
 
 
 # Row-block height and tile edge of the dense build, checks and statistics:
@@ -194,22 +181,13 @@ def _fill_slots(slots: np.ndarray, spans: list[slice], i: int, j: int,
         t.sum(axis=0, out=slots[i, spans[j]])
 
 
-class _NonFiniteError(ValueError):
-    """A dense kernel matrix holds a NaN or an infinity."""
-
-
-def _all_finite(h: np.ndarray) -> bool:
-    return all(np.isfinite(h[s]).all() for s in _spans(h.shape[0]))
-
-
-def _tiled_build(x: np.ndarray, tile) -> tuple[np.ndarray, np.ndarray]:
+def _tiled_build(x: np.ndarray, kernel: KernelSpec):
     """The kernel matrix of the n observations ``x`` and its row-sum slots,
-    a pair of tiles at a time: ``tile(xt, a, b, t, v, m)`` writes tile
-    ``(a, b)`` into ``t`` from ``xt = x.T`` (a contiguous row per
-    coordinate), with ``v`` and the boolean ``m`` as scratch. Each tile is
-    checked in cache, written to ``h[a, b]`` and transposed to ``h[b, a]``,
-    and summed into the slots. Row blocks go to the threads of
-    :func:`parallel.on_threads`, each with its own buffers."""
+    a pair of tiles at a time by ``kernel.tile``. Each tile must be finite,
+    and a diagonal one exactly symmetric with a zero diagonal (else
+    ValueError); it is checked in cache, written to ``h[a, b]`` and
+    transposed to ``h[b, a]``, and summed into the slots. Row blocks go to
+    the threads of :func:`parallel.on_threads`, each with its own buffers."""
     n = x.shape[0]
     xt = np.ascontiguousarray(x.T)
     spans = _spans(n)
@@ -227,10 +205,10 @@ def _tiled_build(x: np.ndarray, tile) -> tuple[np.ndarray, np.ndarray]:
             for j in range(i, len(spans)):
                 b = spans[j]
                 t, v, m = (_tile(z, a, b) for z in (*buf, mask))
-                tile(xt, a, b, t, v, m)
+                kernel.tile(xt, a, b, t, v, m)
                 if not np.isfinite(t, out=m).all():
-                    raise _NonFiniteError(
-                        "kernel matrix contains non-finite values")
+                    raise ValueError(f"kernel '{kernel.name}' produced "
+                                     "non-finite values")
                 if i == j and (np.not_equal(t, t.T, out=m).any()
                                or np.diagonal(t).any()):
                     raise ValueError("kernel tile is not symmetric with a "
@@ -267,7 +245,7 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
         np.sqrt(t, out=t)
         np.multiply(t, np.equal(cells[a, None], cells[b], out=m), out=t)
 
-    return _TiledKernel("scatter", tile)
+    return KernelSpec("scatter", tile)
 
 
 def _scores(xt: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -301,7 +279,7 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
         np.subtract(1.0, t, out=t)
         np.multiply(t, np.greater(ls_a[:, None], -ls_b, out=m), out=t)
 
-    return _TiledKernel("auc", tile)
+    return KernelSpec("auc", tile)
 
 
 def variance_kernel() -> KernelSpec:
@@ -312,7 +290,7 @@ def variance_kernel() -> KernelSpec:
         _sq_dist_tile(xt, a, b, t, v)
         np.divide(t, 2.0, out=t)
 
-    return _TiledKernel("variance", tile)
+    return KernelSpec("variance", tile)
 
 
 @dataclass(frozen=True)
@@ -356,12 +334,17 @@ class KernelMatrix:
 
     @classmethod
     def from_dense(cls, h: np.ndarray, dim: int = 1) -> "KernelMatrix":
+        """The entry for a matrix that no :class:`KernelSpec` builds: ``h``
+        must be square, finite, exactly symmetric and zero on the diagonal
+        (else ValueError). A float64 ``h`` is held as it is and made
+        read-only. ``dim``, the observation dimension, sets the engines'
+        communication units: ``dim`` per observation transfer."""
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("kernel matrix must be square")
         n = h.shape[0]
-        if not _all_finite(h):
-            raise _NonFiniteError("kernel matrix contains non-finite values")
+        if not all(np.isfinite(h[s]).all() for s in _spans(n)):
+            raise ValueError("kernel matrix contains non-finite values")
         spans = _spans(n)
         slots = np.empty((len(spans), n))
         for i, j in combinations_with_replacement(range(len(spans)), 2):
@@ -391,7 +374,7 @@ def build_kernel_matrix(kernel, data,
     "scatter" (needs ``partition``) or "auc" (needs a :class:`LabeledDataset`;
     the scoring direction defaults to the difference of the class means).
     Raises ValueError above ``DENSE_KERNEL_LIMIT`` observations, before any
-    pair is evaluated.
+    pair is evaluated, and when a tile fails its checks.
     """
     if isinstance(kernel, str):
         kernel = _resolve_named_kernel(kernel, data, partition)
@@ -410,15 +393,8 @@ def build_kernel_matrix(kernel, data,
             f"kernel matrix for n={n} would need {8 * n * n:,} bytes "
             f"(8 n^2) as a dense float64 array; the limit is "
             f"n <= {DENSE_KERNEL_LIMIT}")
-    try:
-        if isinstance(kernel, _TiledKernel):
-            h, slots = kernel.build(design.rows)
-            return KernelMatrix._from_checked(h, slots, design.d)
-        return KernelMatrix.from_dense(kernel.matrix_fn(design.rows),
-                                       dim=design.d)
-    except _NonFiniteError:
-        raise ValueError(f"kernel '{kernel.name}' produced non-finite "
-                         "values") from None
+    h, slots = _tiled_build(design.rows, kernel)
+    return KernelMatrix._from_checked(h, slots, design.d)
 
 
 def _resolve_named_kernel(name: str, data, partition: Partition | None) -> KernelSpec:

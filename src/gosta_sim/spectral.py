@@ -53,19 +53,25 @@ DENSE_SPECTRUM_LIMIT = 2000
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral constants of a connected graph.
+    """Spectral constants of a graph with m edges, all set by beta_{n-1}.
 
-    ``laplacian_eigs`` holds the full Laplacian spectrum in decreasing order,
-    or None when only the second-smallest eigenvalue was computed (large
-    graphs). ``gap_c`` is ``1 - lambda2_of_w2 = beta_{n-1} / (2 m)``.
+    ``gap_c = 1 - lambda2_of_w2 = beta_{n-1} / (2 m)`` and ``lambda2_of_w1 =
+    1 - beta_{n-1} / m``; :meth:`from_beta` is the one place they are formed.
     """
 
-    laplacian_eigs: np.ndarray | None
     lambda2_of_w2: float
     lambda2_of_w1: float
     gap_c: float
-    edge_count: int
     beta_second_smallest: float
+
+    @classmethod
+    def from_beta(cls, beta: float, m: int) -> "SpectralSummary":
+        if m == 0:
+            raise ValueError("spectral constants are undefined on a graph "
+                             "with no edges")
+        return cls(lambda2_of_w2=1.0 - beta / (2.0 * m),
+                   lambda2_of_w1=1.0 - beta / m, gap_c=beta / (2.0 * m),
+                   beta_second_smallest=beta)
 
 
 def w_alpha(g: Graph, alpha: float) -> np.ndarray:
@@ -218,9 +224,13 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
       Rayleigh quotient stops being positive (as on a disconnected graph),
       the dense spectrum with a logged warning for n <= 4000, else
       RuntimeError.
-    The result is a deterministic function of the graph.
+    The result is a deterministic function of the graph. Raises ValueError
+    on a graph with no edges.
     """
     n = g.n
+    if g.num_edges == 0:
+        raise ValueError("beta_second_smallest is undefined on a graph with "
+                         "no edges")
     if n >= 2 and g.num_edges == n * (n - 1) // 2:
         return float(n)
     shape = _grid_shape(g)
@@ -243,28 +253,19 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Spectral constants controlling the convergence bounds.
 
-    Up to ``DENSE_SPECTRUM_LIMIT`` nodes they come from the cached
+    Up to ``DENSE_SPECTRUM_LIMIT`` nodes beta_{n-1} comes from the cached
     :func:`laplacian_eigh`; above it from :func:`beta_second_smallest`.
     Raises on disconnected graphs, where the gap is zero and every bound
-    is vacuous.
+    is vacuous, and on a graph with no edges.
     """
+    if g.num_edges == 0:
+        raise ValueError("spectral summary is undefined on a graph with no "
+                         "edges")
     if not diagnose(g).connected:
         raise ValueError("spectral summary requires a connected graph "
                          "(the averaging gap of a disconnected graph is zero)")
-    m = g.num_edges
     if g.n <= DENSE_SPECTRUM_LIMIT:
-        eigs = laplacian_eigh(g)[0][::-1].copy()
-        beta = float(eigs[-2])
+        beta = float(laplacian_eigh(g)[0][1])
     else:
-        eigs = None
         beta = beta_second_smallest(g)
-    lam2_w2 = 1.0 - beta / (2.0 * m)
-    lam2_w1 = 1.0 - beta / m
-    return SpectralSummary(
-        laplacian_eigs=eigs,
-        lambda2_of_w2=lam2_w2,
-        lambda2_of_w1=lam2_w1,
-        gap_c=beta / (2.0 * m),
-        edge_count=m,
-        beta_second_smallest=beta,
-    )
+    return SpectralSummary.from_beta(beta, g.num_edges)

@@ -216,17 +216,12 @@ def ref_run_boyd(g, x, max_iters, seed, checkpoints):
     return out
 
 
-def ref_run_flooding(g, h, max_iters, seed, checkpoints):
-    n = h.shape[0]
+def _ref_flooding_steps(g, max_iters, seed):
+    """Yield t and every node's held indices, in arrival order, after each
+    iteration t of the flooding baseline."""
     rng = np.random.default_rng(seed)
     eidx = rng.integers(0, g.num_edges, size=max_iters)
-    held = [[v] for v in range(n)]
-    out = {}
-
-    def estimate(k):
-        vals = [h[k, l] for l in held[k] if l != k]
-        return sum(vals) / len(vals) if vals else 0.0
-
+    held = [[v] for v in range(g.n)]
     for t in range(1, max_iters + 1):
         i, j = (int(v) for v in g.edges[eidx[t - 1]])
         pick_i = held[i][int(rng.integers(0, len(held[i])))]
@@ -235,9 +230,26 @@ def ref_run_flooding(g, h, max_iters, seed, checkpoints):
             held[j].append(pick_i)
         if pick_j not in held[i]:
             held[i].append(pick_j)
-        if t in checkpoints:
-            out[t] = np.array([estimate(k) for k in range(n)])
-    return out
+        yield t, held
+
+
+def ref_run_flooding(g, h, max_iters, seed, checkpoints):
+    def estimate(held, k):
+        vals = [h[k, l] for l in held[k] if l != k]
+        return sum(vals) / len(vals) if vals else 0.0
+
+    return {t: np.array([estimate(held, k) for k in range(g.n)])
+            for t, held in _ref_flooding_steps(g, max_iters, seed)
+            if t in checkpoints}
+
+
+def ref_flooding_holdings(g, max_iters, seed):
+    """Every node's held indices after ``max_iters`` iterations of
+    ``ref_run_flooding``."""
+    held = [[v] for v in range(g.n)]
+    for _, held in _ref_flooding_steps(g, max_iters, seed):
+        pass
+    return held
 
 
 # ------------------------------------------------ expected-dynamics recursions

@@ -160,6 +160,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_rejects_graph_without_edges(tmp_path, capsys, n):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"{n} 0\n")
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", str(n + 1),
+            "--d", "1", "--out", str(data))
+    for args in (["spectrum", str(gpath)], ["table1", "--graph", str(gpath)],
+                 ["bounds", "--protocol", "u2", "--graph", str(gpath),
+                  "--kernel", "variance", "--data", str(data), "--t-max",
+                  "10", "--out", str(tmp_path / "b.csv")]):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err.startswith("gosta-sim: error: ")
+        assert "undefined on a graph with no edges" in err
+
+
 def test_cli_rejects_unusable_args(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "plain", "--n", "6", "--d", "1",

@@ -200,28 +200,44 @@ def test_flooding_initial_estimate_zero(rng, kernel_factory):
     assert (tr.estimates[0] == 0.0).all()
 
 
-def test_final_state_snapshots(rng, kernel_factory):
+@pytest.mark.parametrize("protocol,lists", [
+    ("u1", 1), ("u2", 2), ("gosta_sync", 1), ("gosta_async", 1)])
+def test_checkpoint_aux_lists_checked_as_permutations(monkeypatch, rng,
+                                                      kernel_factory,
+                                                      protocol, lists):
+    # every checkpoint row of every auxiliary index list goes through
+    # _check_permutation; blocks of two checkpoints make several calls
+    import gosta_sim.engines as engines
+    checked = []
+    monkeypatch.setattr(engines, "_check_permutation",
+                        lambda y: checked.append(np.array(y)))
+    monkeypatch.setattr(engines, "_BLOCK", 12)
     g = small_graph()
-    km = kernel_factory(6, rng)
-    tr = gs.run_u2(g, km, cfg_for("u2", 40, 6, cps=[40]))
-    st = tr.final_state
-    assert st.t == 40
-    assert sorted(st.aux_primary) == list(range(6))
-    assert sorted(st.aux_secondary) == list(range(6))
-    assert np.array_equal(st.estimates, tr.estimates[-1])
-    tr = gs.run_gosta_async(g, km, cfg_for("gosta_async", 40, 6, cps=[40]))
-    assert tr.final_state.iter_counters is not None
-    assert np.array_equal(tr.final_state.iter_counters, tr.m_snapshots[-1])
+    cps = [0, 1, 7, 20, 39, 40]
+    tr = gs.run_protocol(cfg_for(protocol, 40, 6, cps=cps), g=g,
+                         km=kernel_factory(6, rng))
+    rows = np.concatenate(checked)
+    assert len(checked) == lists * 3 and len(rows) == lists * len(cps)
+    assert (np.sort(rows, axis=1) == np.arange(6)).all()
+    assert (rows != np.arange(6)).any()  # the lists did move
+    if protocol == "gosta_async":
+        # the iteration estimators m_k = activations_k / p_k sum to 2t
+        p = g.degrees / g.num_edges
+        assert np.allclose((tr.m_snapshots * p).sum(axis=1), 2 * tr.ts)
 
 
 def test_flooding_holdings_contain_self_and_grow(rng, kernel_factory):
+    # the holdings are the reference's, whose estimates the engine matches
+    # bit for bit
     g = small_graph()
     km = kernel_factory(6, rng)
     prev_sizes = None
     for iters in (5, 20, 80):
         tr = gs.run_flooding(g, km, cfg_for("flooding", iters, 13,
                                             cps=[iters]))
-        holdings = tr.final_state.flood_holdings
+        expected = ref.ref_run_flooding(g, km.dense(), iters, 13, {iters})
+        assert np.array_equal(tr.estimates[-1], expected[iters])
+        holdings = ref.ref_flooding_holdings(g, iters, 13)
         assert all(k in holdings[k] for k in range(6))
         sizes = [len(s) for s in holdings]
         if prev_sizes is not None:
@@ -341,8 +357,8 @@ def test_engines_match_reference_implementations(seed, graph, iters, cps,
             else:
                 assert np.allclose(tr.estimates[k], expected[int(t)],
                                    rtol=0, atol=1e-12), f"{name} at t={t}"
-    if graph == "complete":  # tr is flooding's, the loop's last engine
-        assert max(map(len, tr.final_state.flood_holdings)) >= 20
+    if graph == "complete":  # flooding's compared run spreads observations
+        assert max(map(len, ref.ref_flooding_holdings(g, iters, seed))) >= 20
     x = np.random.default_rng(seed + 99).normal(size=g.n)
     tr = gs.run_boyd(g, x, cfg_for("boyd", iters, seed, cps=sorted(cps)))
     expected = ref.ref_run_boyd(g, x, iters, seed, cps)
@@ -397,10 +413,6 @@ def test_engines_match_reference_on_random_graphs(scenario):
                 assert np.allclose(tr.estimates[k], expected[t],
                                    rtol=0, atol=1e-12)
         assert np.array_equal(tr.comm_units, [rates[name] * t for t in cps])
-        state = tr.final_state
-        for aux in (state.aux_primary, state.aux_secondary):
-            if aux is not None:
-                assert sorted(aux) == list(range(g.n))
 
 
 def test_check_permutation_raises_named_error():
