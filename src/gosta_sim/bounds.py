@@ -178,14 +178,25 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     return FitResult(constant=k, residual=resid, envelope=env)
 
 
+def _fitted_curve(model: str, fit: FitResult, t: np.ndarray) -> np.ndarray:
+    """The curve of a :func:`fit_rate` model with its fitted constants."""
+    if model == "inv_t":
+        return fit.constant / t
+    if model == "exp":
+        return fit.constant * np.exp(-fit.rate * t)
+    return fit.constant * np.log(t) / t
+
+
 def bound_report(g: Graph, km: KernelMatrix, protocol: str,
                  t_grid) -> BoundReport:
     """Exact oracle error together with the matching bound on a time grid.
 
-    For the asynchronous protocol, whose theory only asserts an O(log t / t)
-    rate with an unconstructed constant, ``bound_val`` is the fitted
-    ``K * log t / t`` curve and the fit constant is reported alongside the
-    spectral constants.
+    For a protocol whose record names a :func:`fit_rate` model instead of a
+    bound function (the asynchronous protocol, whose theory only asserts an
+    O(log t / t) rate with an unconstructed constant), ``bound_val`` is that
+    model's fitted curve (``K * log t / t``, ``K / t`` or
+    ``K * exp(-rate * t)``), infinite below t = 2, and the fit constant is
+    reported alongside the spectral constants.
     """
     from .engines import PROTOCOLS  # engines imports this module
     t_grid = sorted({int(t) for t in t_grid})
@@ -215,7 +226,7 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
         constants["fit_constant"] = fit.constant
         constants["fit_residual"] = fit.residual
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(tarr >= 2, fit.constant * np.log(tarr) / tarr,
+            bound = np.where(tarr >= 2, _fitted_curve(proto.bound, fit, tarr),
                              np.inf)
     return BoundReport(protocol=protocol, t_grid=tarr, actual_err=actual,
                        bound_val=bound, constants=constants)

@@ -31,6 +31,9 @@ __all__ = [
 
 logger = logging.getLogger("gosta_sim.graph")
 
+# Rows per slice of the order and duplicate check in Graph.__post_init__.
+_CHECK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -64,9 +67,14 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
             if (e[:, 0] > e[:, 1]).any():
                 raise ValueError("edges must be stored as (i, j) with i < j")
-            keys = e[:, 0].astype(np.int64) * self.n + e[:, 1]
-            if (np.diff(keys) <= 0).any():
-                raise ValueError("edges must be sorted and free of duplicates")
+            # Over slices of _CHECK_ROWS + 1 rows, consecutive slices sharing
+            # one edge, so the check's temporaries stay bounded whatever m.
+            for s in range(0, e.shape[0] - 1, _CHECK_ROWS):
+                block = e[s:s + _CHECK_ROWS + 1]
+                keys = block[:, 0].astype(np.int64) * self.n + block[:, 1]
+                if (np.diff(keys) <= 0).any():
+                    raise ValueError("edges must be sorted and free of "
+                                     "duplicates")
         deg = np.bincount(e.ravel(), minlength=self.n)
         if not np.array_equal(deg, self.degrees):
             raise ValueError("degrees inconsistent with edge list")
@@ -99,11 +107,23 @@ def make_graph(n: int, edges) -> Graph:
 
 
 def make_complete(n: int) -> Graph:
-    """Complete graph on n >= 2 vertices: n(n-1)/2 edges, all degrees n-1."""
+    """Complete graph on n >= 2 vertices: n(n-1)/2 edges, all degrees n-1.
+
+    The edges, in ``np.triu_indices`` order, are written row by row into one
+    preallocated (m, 2) int64 array: the build holds that one 16 m-byte
+    array (19.5 MiB at n = 1599), and its other buffers are O(n) or, in the
+    :class:`Graph` checks, an m-byte mask or one bounded slice.
+    """
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got n={n}")
-    i, j = np.triu_indices(n, k=1)
-    e = np.column_stack([i, j]).astype(np.int64)
+    e = np.empty((n * (n - 1) // 2, 2), dtype=np.int64)
+    vertices = np.arange(n, dtype=np.int64)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        e[start:stop, 0] = i
+        e[start:stop, 1] = vertices[i + 1:]
+        start = stop
     deg = np.full(n, n - 1, dtype=np.int64)
     return Graph(n=n, edges=e, degrees=deg)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gosta_sim as gs
+from gosta_sim.engines import PROTOCOLS
 from gosta_sim.bounds import (async_constants, bound_report, fit_rate,
                               sync_error_bound, u2_error_bound)
 from gosta_sim.expectation import geometric_checkpoints
@@ -202,6 +203,26 @@ def test_bound_report_async_uses_rate_fit(rng, kernel_factory):
     rep = bound_report(g, km, "gosta_async", grid)
     assert "fit_constant" in rep.constants and "t_c" in rep.constants
     assert np.isfinite(rep.constants["fit_constant"])
+
+
+@pytest.mark.parametrize("model, curve", [
+    ("inv_t", lambda fit, t: fit.constant / t),
+    ("logt_over_t", lambda fit, t: fit.constant * np.log(t) / t),
+    ("exp", lambda fit, t: fit.constant * np.exp(-fit.rate * t)),
+], ids=["inv_t", "logt_over_t", "exp"])
+def test_bound_report_draws_the_named_fit_model(model, curve, rng,
+                                                kernel_factory, monkeypatch):
+    # the record's fit_rate model decides both the fit and the drawn curve
+    monkeypatch.setitem(PROTOCOLS, "gosta_async",
+                        PROTOCOLS["gosta_async"]._replace(bound=model))
+    g = gs.make_complete(6)
+    km = kernel_factory(6, rng)
+    rep = bound_report(g, km, "gosta_async", geometric_checkpoints(500))
+    fit = fit_rate(rep.t_grid, rep.actual_err, model)
+    assert rep.constants["fit_constant"] == fit.constant
+    late = rep.t_grid >= 2
+    assert (~late).any() and np.isinf(rep.bound_val[~late]).all()
+    assert np.array_equal(rep.bound_val[late], curve(fit, rep.t_grid[late]))
 
 
 def test_bound_report_rejects_unknown_protocol(rng, kernel_factory):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import gosta_sim as gs
+from gosta_sim import graph
 from gosta_sim.graph import adjacency, warn_if_unsuitable
 
 from _reference import bfs_connected, ref_make_watts_strogatz, ref_sweep
@@ -18,6 +21,64 @@ def test_complete_large_edge_count():
     n = 1599
     g = gs.make_complete(n)
     assert g.num_edges == n * (n - 1) // 2 == 1_277_601
+
+
+@pytest.mark.parametrize("n", [2, 3, 363, 1599])
+def test_complete_edges_match_triu_indices(n):
+    # n = 363 has 65,703 edges, past the first 2**16-row check slice
+    e = gs.make_complete(n).edges
+    i, j = np.triu_indices(n, k=1)
+    expected = np.column_stack([i, j]).astype(np.int64)
+    assert e.dtype == expected.dtype and e.shape == expected.shape
+    assert e.tobytes() == expected.tobytes()
+
+
+def test_complete_build_holds_one_edge_array():
+    # numpy reports its buffers to tracemalloc; the edge array is 16 m
+    # bytes and every other buffer of the build and its checks is O(n), an
+    # m-byte mask, or one check slice.
+    tracemalloc.start()
+    try:
+        g = gs.make_complete(1599)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges.nbytes == 16 * 1_277_601
+    assert peak <= 1.25 * g.edges.nbytes
+
+
+def _graph_error(n, edges):
+    with pytest.raises(ValueError) as err:
+        gs.Graph(n=n, edges=edges, degrees=np.full(n, n - 1, dtype=np.int64))
+    return str(err.value)
+
+
+def test_graph_check_sees_across_slice_boundaries():
+    n, b = 363, graph._CHECK_ROWS
+    edges = gs.make_complete(n).edges
+    assert edges.shape[0] > b + 1
+    unsorted = "edges must be sorted and free of duplicates"
+    # the last row of the first slice repeated as the first row of the
+    # next: only the edge the two slices share shows it
+    e = edges.copy()
+    e[b] = e[b - 1]
+    assert _graph_error(n, e) == unsorted
+    e = edges.copy()
+    e[[b - 1, b]] = e[[b, b - 1]]
+    assert _graph_error(n, e) == unsorted
+    e = edges.copy()
+    e[b] = e[b, ::-1]
+    assert _graph_error(n, e) == "edges must be stored as (i, j) with i < j"
+
+
+def test_graph_check_sees_the_last_row():
+    n = 363
+    edges = gs.make_complete(n).edges
+    for last, message in [((n - 2, n), "edge endpoint out of range [0, n)"),
+                          ((n - 1, n - 1), "self-loops are not allowed")]:
+        e = edges.copy()
+        e[-1] = last
+        assert _graph_error(n, e) == message
 
 
 def test_complete_degenerate():
