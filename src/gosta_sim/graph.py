@@ -21,6 +21,8 @@ __all__ = [
     "make_graph",
     "make_complete",
     "make_grid2d",
+    "complete_num_edges",
+    "grid2d_num_edges",
     "make_watts_strogatz",
     "diagnose",
     "laplacian",
@@ -112,11 +114,12 @@ def make_complete(n: int) -> Graph:
     The edges, in ``np.triu_indices`` order, are written row by row into one
     preallocated (m, 2) int64 array: the build holds that one 16 m-byte
     array (19.5 MiB at n = 1599), and its other buffers are O(n) or, in the
-    :class:`Graph` checks, an m-byte mask or one bounded slice.
+    :class:`Graph` checks, an m-byte mask or one bounded slice. Its
+    :func:`diagnose` result is set here, with no sweep of the edges: K_n is
+    connected, and bipartite only for n = 2 (any three vertices form a
+    triangle).
     """
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got n={n}")
-    e = np.empty((n * (n - 1) // 2, 2), dtype=np.int64)
+    e = np.empty((complete_num_edges(n), 2), dtype=np.int64)
     vertices = np.arange(n, dtype=np.int64)
     start = 0
     for i in range(n - 1):
@@ -125,17 +128,27 @@ def make_complete(n: int) -> Graph:
         e[start:stop, 1] = vertices[i + 1:]
         start = stop
     deg = np.full(n, n - 1, dtype=np.int64)
-    return Graph(n=n, edges=e, degrees=deg)
+    g = Graph(n=n, edges=e, degrees=deg)
+    object.__setattr__(g, "_diagnostics",
+                       GraphDiagnostics(connected=True, bipartite=n == 2))
+    return g
+
+
+def complete_num_edges(n: int) -> int:
+    """Edge count n(n-1)/2 of :func:`make_complete`'s graph, with its
+    argument check: raises ValueError unless n >= 2."""
+    if n < 2:
+        raise ValueError(f"complete graph needs n >= 2, got n={n}")
+    return n * (n - 1) // 2
 
 
 def make_grid2d(rows: int, cols: int) -> Graph:
     """2-D lattice without wraparound.
 
     Interior vertices have degree 4, border vertices 3, corners 2;
-    the edge count is rows*(cols-1) + cols*(rows-1).
+    the edge count is :func:`grid2d_num_edges`.
     """
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValueError(f"grid needs rows*cols >= 2, got {rows}x{cols}")
+    grid2d_num_edges(rows, cols)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -145,6 +158,15 @@ def make_grid2d(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return make_graph(rows * cols, edges)
+
+
+def grid2d_num_edges(rows: int, cols: int) -> int:
+    """Edge count rows*(cols-1) + cols*(rows-1) of :func:`make_grid2d`'s
+    graph, with its argument check: raises ValueError unless rows, cols >= 1
+    and rows*cols >= 2."""
+    if rows < 1 or cols < 1 or rows * cols < 2:
+        raise ValueError(f"grid needs rows*cols >= 2, got {rows}x{cols}")
+    return rows * (cols - 1) + cols * (rows - 1)
 
 
 def _ws_base_ring(n: int, k: int) -> set[tuple[int, int]]:
@@ -231,7 +253,8 @@ def diagnose(g: Graph) -> GraphDiagnostics:
     """Connectivity and bipartiteness via a single BFS 2-coloring sweep.
 
     The result is cached on the graph, which is immutable, so each graph is
-    swept once however many runs and oracles use it.
+    swept once however many runs and oracles use it (a graph from
+    :func:`make_complete` is never swept: the build sets the result).
     """
     diag = g.__dict__.get("_diagnostics")
     if diag is None:

@@ -30,10 +30,12 @@ import numpy as np
 from . import engines, kernels, parallel
 from .engines import PROTOCOLS, EngineConfig, derive_seed, relative_error
 from .expectation import every_checkpoints, geometric_checkpoints
-from .graph import (Graph, make_complete, make_grid2d, make_watts_strogatz,
+from .graph import (Graph, complete_num_edges, grid2d_num_edges,
+                    make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
 from .kernels import DesignMatrix, LabeledDataset, Partition
-from .spectral import SpectralSummary, beta_second_smallest
+from .spectral import (SpectralSummary, beta_second_smallest, complete_beta,
+                       grid2d_beta)
 
 __all__ = [
     "ExperimentSpec",
@@ -117,6 +119,23 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
                          f"allowed: {sorted(allowed)}")
 
 
+def _check_graph_spec(spec: dict) -> str:
+    """The family of a graph spec dict, once it names a known family with
+    exactly that family's keys; raises ValueError otherwise."""
+    family = spec.get("family")
+    if family not in _GRAPH_KEYS:
+        raise ValueError(f"graph family must be one of "
+                         f"{sorted(_GRAPH_KEYS)}, got {family!r}")
+    keys = set(spec) - {"family"}
+    where = f"graph spec '{family}'"
+    _reject_unknown(keys, _GRAPH_KEYS[family], where)
+    missing = _GRAPH_KEYS[family] - keys
+    if missing:
+        raise ValueError(f"missing key(s) {sorted(missing)} in {where}; "
+                         f"required: {sorted(_GRAPH_KEYS[family])}")
+    return family
+
+
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Parse and validate a JSON experiment config.
 
@@ -139,14 +158,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
             raise ValueError(f"{p}: missing required key '{req}'")
 
     graph = dict(raw["graph"])
-    family = graph.pop("family", None)
-    if family not in _GRAPH_KEYS:
-        raise ValueError(f"graph family must be one of "
-                         f"{sorted(_GRAPH_KEYS)}, got {family!r}")
-    _reject_unknown(graph, _GRAPH_KEYS[family], f"graph spec '{family}'")
-    graph["family"] = family
-    if family == "file":
-        gpath = Path(graph.get("path", ""))
+    if _check_graph_spec(graph) == "file":
+        gpath = Path(graph["path"])
         if not gpath.exists():
             raise FileNotFoundError(f"graph file not found: {gpath}")
 
@@ -276,15 +289,14 @@ def parse_graph_spec_string(text: str) -> dict:
             if not val:
                 raise ValueError(f"bad graph spec item '{item}' in '{text}'")
             out[key] = float(val) if key == "p" else int(val)
-    _reject_unknown({k: v for k, v in out.items() if k != "family"},
-                    _GRAPH_KEYS[family], f"graph spec '{family}'")
+    _check_graph_spec(out)
     return out
 
 
 def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     """Materialize a graph spec dict; generator randomness derives from
     ``seed`` through the fixed splitting function."""
-    family = spec["family"]
+    family = _check_graph_spec(spec)
     if family == "complete":
         return make_complete(int(spec["n"]))
     if family == "grid2d":
@@ -293,9 +305,7 @@ def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
         rng = np.random.default_rng(derive_seed(seed, 101))
         return make_watts_strogatz(int(spec["n"]), int(spec["k"]),
                                    float(spec["p"]), rng)
-    if family == "file":
-        return read_graph_file(spec["path"])
-    raise ValueError(f"unknown graph family '{family}'")
+    return read_graph_file(spec["path"])
 
 
 def load_csv_data(path, kernel_name: str, cell_column: int = -1):
@@ -491,20 +501,32 @@ def reaching_time(result: AggregateResult,
 def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     """Averaging-gap table rows for a list of graph specs.
 
-    Each row reports the vertex count, family label and the gap
-    ``c = beta_{n-1} / (2 m)``. Complete graphs and 2-D grids get
-    beta_{n-1} in closed form (n, and 2 - 2cos(pi / max(rows, cols))); other
-    families go through the iterative second-eigenvalue solve, so large
-    instances stay fast.
+    Each row reports the family label, the vertex count n, the edge count
+    m and the gap ``c = beta_{n-1} / (2 m)``. Complete and 2-D grid specs
+    are answered from the spec alone, with no graph built: m and the
+    builder's argument check from ``complete_num_edges`` or
+    ``grid2d_num_edges``, beta_{n-1} from ``complete_beta`` or
+    ``grid2d_beta``, the same bits as :func:`beta_second_smallest` gives on
+    the built graph. Watts-Strogatz and file specs build their graph and
+    call :func:`beta_second_smallest`.
     """
-    rows = []
+    table = []
     for spec in graph_specs:
-        g = build_graph_from_spec(spec, seed)
-        s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
-        rows.append({
-            "family": spec["family"],
-            "n": g.n,
-            "m": g.num_edges,
-            "gap": s.gap_c,
+        family = _check_graph_spec(spec)
+        if family == "complete":
+            n = int(spec["n"])
+            m, beta = complete_num_edges(n), complete_beta(n)
+        elif family == "grid2d":
+            rows, cols = int(spec["rows"]), int(spec["cols"])
+            n, m = rows * cols, grid2d_num_edges(rows, cols)
+            beta = grid2d_beta(rows, cols)
+        else:
+            g = build_graph_from_spec(spec, seed)
+            n, m, beta = g.n, g.num_edges, beta_second_smallest(g)
+        table.append({
+            "family": family,
+            "n": n,
+            "m": m,
+            "gap": SpectralSummary.from_beta(beta, m).gap_c,
         })
-    return rows
+    return table

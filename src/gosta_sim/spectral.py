@@ -15,8 +15,14 @@ beta_{n-1} / (2 m)``; alpha=2 corresponds to the estimate-averaging step
 observation-swap step. These closed forms were pinned against a brute-force
 edge-by-edge construction of the expected matrix; see the test suite.
 
+Two families have beta_{n-1} in closed form (F. Chung, *Spectral Graph
+Theory*, 1997), each written once: :func:`complete_beta` and
+:func:`grid2d_beta`. :func:`beta_second_smallest` applies them to graphs it
+recognises by their edges, and ``harness.table1`` to complete and grid specs,
+with no graph built, so both give the same bits.
+
 Large graphs skip the full spectrum and get beta_{n-1} alone: in closed form
-for complete graphs and grids, otherwise from a block-size-1 LOBPCG
+where it has one, otherwise from a block-size-1 LOBPCG
 iteration written in numpy alone. It applies the Laplacian through the edge
 list, keeps its iterates off the all-ones null vector by subtracting their
 mean, stops on the relative residual ``||L x - beta x|| <= tol * beta`` and
@@ -42,6 +48,8 @@ __all__ = [
     "w_alpha_eigs_from_laplacian",
     "spectral_summary",
     "beta_second_smallest",
+    "complete_beta",
+    "grid2d_beta",
 ]
 
 logger = logging.getLogger("gosta_sim.spectral")
@@ -129,6 +137,27 @@ def w_alpha_eigs_from_laplacian(g: Graph, alpha: float) -> np.ndarray:
     return 1.0 - beta[::-1] / (alpha * m)
 
 
+def complete_beta(n: int) -> float:
+    """beta_{n-1} of the complete graph on n vertices: its Laplacian
+    ``n I - 1 1^T`` has beta_{n-1} = n exactly."""
+    return float(n)
+
+
+def grid2d_beta(rows: int, cols: int) -> float:
+    """beta_{n-1} of the rows x cols grid of :func:`make_grid2d`.
+
+    Its Laplacian is the Kronecker sum of two path Laplacians, with
+    eigenvalues ``(2 - 2cos(pi a / rows)) + (2 - 2cos(pi b / cols))``, so
+    beta_{n-1} = 2 - 2cos(pi / max(rows, cols)). The two-vertex grid is the
+    complete graph K_2 and gets :func:`complete_beta`'s exact 2, where the
+    formula rounds to 1.9999999999999996.
+    """
+    if rows * cols == 2:
+        return complete_beta(2)
+    # 2 - 2cos(x) = 4 sin^2(x / 2), without the cancellation
+    return 4.0 * math.sin(math.pi / (2 * max(rows, cols))) ** 2
+
+
 def _grid_shape(g: Graph) -> tuple[int, int] | None:
     """``(rows, cols)`` when ``g`` has exactly the edges of
     ``make_grid2d(rows, cols)``, else None.
@@ -193,13 +222,10 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
     """Second-smallest Laplacian eigenvalue via a constrained iterative solve.
 
     Two families are answered in closed form, without a solve:
-    - a simple graph with n(n-1)/2 edges is complete, whose Laplacian
-      ``n I - 1 1^T`` has beta_{n-1} = n exactly;
-    - a graph with exactly the edges of ``make_grid2d(rows, cols)`` has the
-      Kronecker sum of two path Laplacians as its Laplacian, with
-      eigenvalues ``(2 - 2cos(pi a / rows)) + (2 - 2cos(pi b / cols))``, so
-      beta_{n-1} = 2 - 2cos(pi / max(rows, cols)) (F. Chung, *Spectral Graph
-      Theory*, 1997).
+    - a simple graph with n(n-1)/2 edges is complete:
+      :func:`complete_beta`;
+    - a graph with exactly the edges of ``make_grid2d(rows, cols)``:
+      :func:`grid2d_beta`.
     Graphs with n <= 32 use the dense spectrum. Larger ones use a
     block-size-1 LOBPCG iteration in numpy alone (A. Knyazev, "Toward the
     optimal preconditioned eigensolver: LOBPCG", SIAM J. Sci. Comput. 2001):
@@ -232,11 +258,10 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
         raise ValueError("beta_second_smallest is undefined on a graph with "
                          "no edges")
     if n >= 2 and g.num_edges == n * (n - 1) // 2:
-        return float(n)
+        return complete_beta(n)
     shape = _grid_shape(g)
     if shape is not None:
-        # 2 - 2cos(x) = 4 sin^2(x / 2), without the cancellation
-        return 4.0 * math.sin(math.pi / (2 * max(shape))) ** 2
+        return grid2d_beta(*shape)
     if n <= 32:
         return float(laplacian_spectrum(g)[-2])
     beta = _lobpcg_beta(g, tol, maxiter)

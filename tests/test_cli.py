@@ -154,6 +154,26 @@ def test_table1_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_cli_rejects_graph_spec_missing_keys(tmp_path, capsys):
+    for spec, missing in (("grid2d:rows=5", "['cols']"),
+                          ("complete:", "['n']")):
+        code, _, err = run_cli(capsys, "table1", "--graph", spec)
+        assert code == 1
+        assert err.startswith("gosta-sim: error: missing key(s) "
+                              f"{missing} in graph spec")
+    cfg = {"graph": {"family": "watts_strogatz", "n": 20},
+           "kernel": {"name": "variance"},
+           "data": {"kind": "gaussian_mixture", "n": 20, "d": 2,
+                    "clusters": 1, "separation": 0.0},
+           "protocols": ["gosta_sync"], "iters": 10}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", str(path))
+    assert code == 1
+    assert err.startswith("gosta-sim: error: missing key(s) ['k', 'p'] in "
+                          "graph spec 'watts_strogatz'")
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", str(tmp_path / "missing.txt"))
     assert code == 1

@@ -225,6 +225,31 @@ def test_diagnose_disjoint_edges():
     assert not d.connected and d.bipartite
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 40])
+def test_complete_diagnostics_set_at_build(n, monkeypatch):
+    g = gs.make_complete(n)
+    cached = g.__dict__["_diagnostics"]
+    assert (cached.connected, cached.bipartite) == graph._sweep(g)
+
+    def no_sweep(g):
+        raise AssertionError("complete graph swept")
+
+    monkeypatch.setattr(graph, "_sweep", no_sweep)
+    assert gs.diagnose(g) is cached
+
+
+def test_diagnose_complete_1599_holds_no_adjacency_lists():
+    g = gs.make_complete(1599)
+    tracemalloc.start()
+    try:
+        d = gs.diagnose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.connected and not d.bipartite
+    assert peak < 10 * 2**20
+
+
 def _sweep_graphs():
     path = [(i, i + 1) for i in range(9)]
     yield "path", gs.make_graph(10, path)

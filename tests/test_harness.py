@@ -2,19 +2,22 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gosta_sim as gs
-from gosta_sim import harness, parallel
+from gosta_sim import graph, harness, parallel
 from gosta_sim.cli import main
 from gosta_sim.engines import InvariantError
 from gosta_sim.harness import (build_graph_from_spec, load_experiment,
                                parse_graph_spec_string, reaching_time,
                                run_experiment, synth_gaussian_mixture,
                                synth_two_class, table1)
+from gosta_sim.spectral import beta_second_smallest
 
 
 def minimal_config(tmp_path, **overrides):
@@ -148,6 +151,28 @@ def test_parse_graph_spec_strings():
         "family": "file", "path": "some/file.txt"}
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("grid2d:rows=5", "['cols']"),
+    ("complete:", "['n']"),
+    ("watts_strogatz:n=20,p=0.3", "['k']"),
+])
+def test_parse_graph_spec_rejects_missing_keys(text, missing):
+    with pytest.raises(ValueError, match=re.escape(
+            f"missing key(s) {missing} in graph spec")):
+        parse_graph_spec_string(text)
+
+
+def test_load_config_missing_graph_key_rejected(tmp_path):
+    path = minimal_config(tmp_path, graph={"family": "watts_strogatz",
+                                           "n": 20})
+    with pytest.raises(ValueError, match=re.escape(
+            "missing key(s) ['k', 'p'] in graph spec 'watts_strogatz'")):
+        load_experiment(path)
+    path = minimal_config(tmp_path, graph={"family": "file"})
+    with pytest.raises(ValueError, match=re.escape("missing key(s) ['path']")):
+        load_experiment(path)
+
+
 def test_build_graph_from_spec_deterministic():
     spec = {"family": "watts_strogatz", "n": 30, "k": 4, "p": 0.5}
     g1 = build_graph_from_spec(spec, seed=5)
@@ -255,6 +280,77 @@ def test_table1_ordering_small():
     gaps = [r["gap"] for r in rows]
     assert gaps[0] < gaps[1] < gaps[2]
     assert rows[2]["gap"] == pytest.approx(1 / 35, rel=1e-6)
+
+
+def test_table1_builds_no_complete_or_grid_graph(tmp_path, monkeypatch):
+    gpath = tmp_path / "cycle.txt"
+    gs.write_graph_file(gs.make_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+                        gpath)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("graph built for a closed-form spec")
+
+    for module in (graph, harness):
+        monkeypatch.setattr(module, "make_complete", no_build)
+        monkeypatch.setattr(module, "make_grid2d", no_build)
+    built = []
+    build = harness.build_graph_from_spec
+
+    def build_other_families(spec, seed=0):
+        if spec["family"] in ("complete", "grid2d"):
+            no_build()
+        built.append(spec["family"])
+        return build(spec, seed)
+
+    monkeypatch.setattr(harness, "build_graph_from_spec", build_other_families)
+    rows = table1([{"family": "complete", "n": 1599},
+                   {"family": "grid2d", "rows": 39, "cols": 41},
+                   {"family": "watts_strogatz", "n": 30, "k": 4, "p": 0.3},
+                   {"family": "file", "path": str(gpath)}], seed=2)
+    assert built == ["watts_strogatz", "file"]
+    assert [(r["n"], r["m"]) for r in rows] == [
+        (1599, 1_277_601), (1599, 3118), (30, 60), (6, 6)]
+
+
+@pytest.mark.parametrize("text", [
+    *(f"complete:n={n}" for n in (2, 3, 40, 1599)),
+    *(f"grid2d:rows={r},cols={c}"
+      for r, c in ((1, 2), (1, 7), (5, 3), (6, 6), (39, 41))),
+])
+def test_table1_closed_form_matches_graph_route(text):
+    # the 1 x 2 grid is also K_2, which beta_second_smallest finds complete
+    spec = parse_graph_spec_string(text)
+    [row] = table1([spec])
+    g = build_graph_from_spec(spec)
+    assert (row["n"], row["m"]) == (g.n, g.num_edges)
+    assert row["gap"] == beta_second_smallest(g) / (2 * g.num_edges)
+
+
+def test_table1_closed_form_allocates_no_graph():
+    specs = [parse_graph_spec_string("complete:n=1599"),
+             parse_graph_spec_string("grid2d:rows=39,cols=41")]
+    tracemalloc.start()
+    try:
+        table1(specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": "complete", "n": 1}, "complete graph needs n >= 2, got n=1"),
+    ({"family": "grid2d", "rows": 1, "cols": 1},
+     "grid needs rows*cols >= 2, got 1x1"),
+    ({"family": "grid2d", "rows": 0, "cols": 4},
+     "grid needs rows*cols >= 2, got 0x4"),
+])
+def test_table1_rejects_bad_specs_as_the_builders_do(spec, message):
+    with pytest.raises(ValueError) as built:
+        build_graph_from_spec(spec)
+    with pytest.raises(ValueError) as answered:
+        table1([spec])
+    assert str(answered.value) == str(built.value) == message
 
 
 def test_boyd_in_experiment(tmp_path):
