@@ -64,6 +64,7 @@ _DATA_KEYS = {
     "gaussian_mixture": {"n", "d", "clusters", "separation"},
     "two_class": {"n", "d", "margin"},
 }
+_OPTIONAL_DATA_KEYS = {"cell_column"}
 _CHECKPOINT_POLICIES = ("geometric", "every")
 
 
@@ -119,6 +120,17 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
                          f"allowed: {sorted(allowed)}")
 
 
+def _check_keys(keys: set[str], allowed: set[str], required: set[str],
+                where: str) -> None:
+    """Raise ValueError on a key outside ``allowed`` or one of ``required``
+    missing from ``keys``."""
+    _reject_unknown(keys, allowed, where)
+    missing = required - keys
+    if missing:
+        raise ValueError(f"missing key(s) {sorted(missing)} in {where}; "
+                         f"required: {sorted(required)}")
+
+
 def _check_graph_spec(spec: dict) -> str:
     """The family of a graph spec dict, once it names a known family with
     exactly that family's keys; raises ValueError otherwise."""
@@ -126,13 +138,8 @@ def _check_graph_spec(spec: dict) -> str:
     if family not in _GRAPH_KEYS:
         raise ValueError(f"graph family must be one of "
                          f"{sorted(_GRAPH_KEYS)}, got {family!r}")
-    keys = set(spec) - {"family"}
-    where = f"graph spec '{family}'"
-    _reject_unknown(keys, _GRAPH_KEYS[family], where)
-    missing = _GRAPH_KEYS[family] - keys
-    if missing:
-        raise ValueError(f"missing key(s) {sorted(missing)} in {where}; "
-                         f"required: {sorted(_GRAPH_KEYS[family])}")
+    _check_keys(set(spec) - {"family"}, _GRAPH_KEYS[family],
+                _GRAPH_KEYS[family], f"graph spec '{family}'")
     return family
 
 
@@ -173,10 +180,11 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if kind not in _DATA_KEYS:
         raise ValueError(f"data kind must be one of {sorted(_DATA_KEYS)}, "
                          f"got {kind!r}")
-    _reject_unknown(data, _DATA_KEYS[kind], f"data spec '{kind}'")
+    _check_keys(set(data), _DATA_KEYS[kind],
+                _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS, f"data spec '{kind}'")
     data["kind"] = kind
     if kind == "csv":
-        dpath = Path(data.get("path", ""))
+        dpath = Path(data["path"])
         if not dpath.exists():
             raise FileNotFoundError(f"dataset file not found: {dpath}")
 
@@ -506,9 +514,9 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     are answered from the spec alone, with no graph built: m and the
     builder's argument check from ``complete_num_edges`` or
     ``grid2d_num_edges``, beta_{n-1} from ``complete_beta`` or
-    ``grid2d_beta``, the same bits as :func:`beta_second_smallest` gives on
-    the built graph. Watts-Strogatz and file specs build their graph and
-    call :func:`beta_second_smallest`.
+    ``grid2d_beta``, the same bits as :func:`beta_second_smallest` and so
+    ``spectral.spectral_summary`` give on the built graph. Watts-Strogatz and
+    file specs build their graph and call :func:`beta_second_smallest`.
     """
     table = []
     for spec in graph_specs:

@@ -21,13 +21,14 @@ Theory*, 1997), each written once: :func:`complete_beta` and
 recognises by their edges, and ``harness.table1`` to complete and grid specs,
 with no graph built, so both give the same bits.
 
-Large graphs skip the full spectrum and get beta_{n-1} alone: in closed form
-where it has one, otherwise from a block-size-1 LOBPCG
-iteration written in numpy alone. It applies the Laplacian through the edge
-list, keeps its iterates off the all-ones null vector by subtracting their
-mean, stops on the relative residual ``||L x - beta x|| <= tol * beta`` and
-falls back to the dense spectrum (n <= 4000) or raises if it does not
-converge; see :func:`beta_second_smallest`.
+Other graphs get beta_{n-1} = 0 exactly when disconnected, the dense spectrum
+for n <= 32 and otherwise a block-size-1 LOBPCG iteration written in numpy
+alone. It applies the Laplacian through the edge list, keeps its iterates
+off the all-ones null vector by subtracting their mean, stops on the
+relative residual ``||L x - beta x|| <= tol * beta`` and falls back to the
+dense spectrum (n <= 4000) or raises if it does not converge. All of this is
+:func:`beta_second_smallest`, the one source of beta_{n-1}: a graph has one
+gap in :func:`spectral_summary`, the bounds, ``spectrum`` and ``table1``.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("gosta_sim.spectral")
-
-# Above this size the full Laplacian spectrum is skipped and only the
-# second-smallest eigenvalue is computed iteratively.
-DENSE_SPECTRUM_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,8 @@ def laplacian_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``(beta, V)`` from ``np.linalg.eigh(laplacian(g))``: eigenvalues in
     increasing order and orthonormal eigenvectors as columns.
 
-    The result is cached on the graph, which is immutable, so the summary,
-    the bounds and every oracle share one O(n^3) solve per graph. Both
-    arrays are read-only.
+    The result is cached on the graph, which is immutable, so every oracle
+    shares one O(n^3) solve per graph. Both arrays are read-only.
     """
     basis = g.__dict__.get("_laplacian_eigh")
     if basis is None:
@@ -180,8 +176,8 @@ def _grid_shape(g: Graph) -> tuple[int, int] | None:
 def _lobpcg_beta(g: Graph, tol: float, maxiter: int) -> float | None:
     """Smallest Laplacian eigenvalue off the all-ones vector by a
     block-size-1 LOBPCG iteration, or None if it does not converge within
-    ``maxiter`` steps or its Rayleigh quotient stops being positive (as on a
-    disconnected graph). See :func:`beta_second_smallest`."""
+    ``maxiter`` steps or its Rayleigh quotient stops being positive. See
+    :func:`beta_second_smallest`."""
     n = g.n
     u, v = g.edges[:, 0], g.edges[:, 1]
     deg = g.degrees.astype(np.float64)
@@ -226,7 +222,8 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
       :func:`complete_beta`;
     - a graph with exactly the edges of ``make_grid2d(rows, cols)``:
       :func:`grid2d_beta`.
-    Graphs with n <= 32 use the dense spectrum. Larger ones use a
+    A disconnected graph gets exactly 0.0, its beta_{n-1}, with no solve.
+    Other graphs with n <= 32 use the dense spectrum. Larger ones use a
     block-size-1 LOBPCG iteration in numpy alone (A. Knyazev, "Toward the
     optimal preconditioned eigensolver: LOBPCG", SIAM J. Sci. Comput. 2001):
     - operator: ``L x = deg * x - bincount(u, x[v]) - bincount(v, x[u])``
@@ -247,9 +244,8 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
       it, as on a path of some 16000 nodes, far past where ``maxiter``
       runs out;
     - fallback: if that is not reached in ``maxiter`` steps, or the
-      Rayleigh quotient stops being positive (as on a disconnected graph),
-      the dense spectrum with a logged warning for n <= 4000, else
-      RuntimeError.
+      Rayleigh quotient stops being positive, the dense spectrum with a
+      logged warning for n <= 4000, else RuntimeError.
     The result is a deterministic function of the graph. Raises ValueError
     on a graph with no edges.
     """
@@ -262,6 +258,8 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
     shape = _grid_shape(g)
     if shape is not None:
         return grid2d_beta(*shape)
+    if not diagnose(g).connected:
+        return 0.0
     if n <= 32:
         return float(laplacian_spectrum(g)[-2])
     beta = _lobpcg_beta(g, tol, maxiter)
@@ -276,21 +274,20 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    """Spectral constants controlling the convergence bounds.
-
-    Up to ``DENSE_SPECTRUM_LIMIT`` nodes beta_{n-1} comes from the cached
-    :func:`laplacian_eigh`; above it from :func:`beta_second_smallest`.
-    Raises on disconnected graphs, where the gap is zero and every bound
-    is vacuous, and on a graph with no edges.
+    """Spectral constants controlling the convergence bounds, from
+    :func:`beta_second_smallest` at every size, cached on the immutable
+    graph. Raises on a graph with no edges, and on a disconnected one,
+    where the gap is zero and every bound is vacuous.
     """
-    if g.num_edges == 0:
-        raise ValueError("spectral summary is undefined on a graph with no "
-                         "edges")
-    if not diagnose(g).connected:
-        raise ValueError("spectral summary requires a connected graph "
-                         "(the averaging gap of a disconnected graph is zero)")
-    if g.n <= DENSE_SPECTRUM_LIMIT:
-        beta = float(laplacian_eigh(g)[0][1])
-    else:
-        beta = beta_second_smallest(g)
-    return SpectralSummary.from_beta(beta, g.num_edges)
+    s = g.__dict__.get("_spectral_summary")
+    if s is None:
+        if g.num_edges == 0:
+            raise ValueError("spectral summary is undefined on a graph with "
+                             "no edges")
+        if not diagnose(g).connected:
+            raise ValueError("spectral summary requires a connected graph "
+                             "(the averaging gap of a disconnected graph is "
+                             "zero)")
+        s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
+        object.__setattr__(g, "_spectral_summary", s)
+    return s

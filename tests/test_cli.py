@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import gosta_sim as gs
 from gosta_sim.cli import main
 
 
@@ -214,9 +216,6 @@ def test_cli_rejects_unusable_args(tmp_path, capsys):
 def test_protocol_messages(tmp_path, capsys):
     # the exact text of every protocol-name error, from the engines, the
     # bounds and the argument parser
-    import numpy as np
-
-    import gosta_sim as gs
     from gosta_sim.engines import EngineConfig, run_protocol
 
     g5, g4 = gs.make_complete(5), gs.make_complete(4)
@@ -257,3 +256,57 @@ def test_protocol_messages(tmp_path, capsys):
         assert exc.value.code == 2
         assert (f"argument --protocol: invalid choice: '{protocol}'"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("data, missing", [
+    ({"kind": "gaussian_mixture", "n": 12}, "['clusters', 'd', 'separation']"),
+    ({"kind": "two_class", "n": 12, "d": 2}, "['margin']"),
+    ({"kind": "csv", "cell_column": 0}, "['path']"),
+], ids=["gaussian_mixture", "two_class", "csv"])
+def test_cli_rejects_data_spec_missing_keys(tmp_path, capsys, data, missing):
+    cfg = {"graph": {"family": "complete", "n": 12},
+           "kernel": {"name": "variance"}, "data": data,
+           "protocols": ["gosta_sync"], "iters": 10}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", str(path))
+    assert code == 1
+    assert err.startswith(f"gosta-sim: error: missing key(s) {missing} in "
+                          f"data spec '{data['kind']}'")
+
+
+@pytest.mark.parametrize("spec", ["complete:n=40", "grid2d:rows=6,cols=7",
+                                  "watts_strogatz:n=300,k=5,p=0.3",
+                                  "watts_strogatz:n=30,k=4,p=0.3"])
+def test_one_graph_one_gap(tmp_path, capsys, kernel_factory, spec):
+    # spectrum on the written graph, its table1 row, the summary and the
+    # bound report's constants carry the same gap bits
+    gpath = tmp_path / "g.txt"
+    assert run_cli(capsys, "gen-graph", spec, "--out", str(gpath))[0] == 0
+    code, out, _ = run_cli(capsys, "spectrum", str(gpath))
+    assert code == 0
+    gap = json.loads(out)["gap_c"]
+    code, out, _ = run_cli(capsys, "table1", "--graph", spec)
+    assert code == 0
+    [row] = out.splitlines()[1:]
+    g = gs.read_graph_file(gpath)
+    km = kernel_factory(g.n, np.random.default_rng(0))
+    report = gs.bound_report(g, km, "gosta_sync", [1, 10])
+    assert float(row.split(",")[3]) == gap
+    assert gs.spectral_summary(g).gap_c == gap
+    assert report.constants["gap_c"] == gap
+
+
+def test_spectrum_and_table1_print_zero_gap_when_disconnected(tmp_path,
+                                                              capsys):
+    half = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
+    gpath = tmp_path / "g.txt"
+    gs.write_graph_file(gs.make_graph(
+        120, np.vstack([half.edges, half.edges + 60])), gpath)
+    code, out, _ = run_cli(capsys, "spectrum", str(gpath))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["beta_second_smallest"] == payload["gap_c"] == 0.0
+    code, out, _ = run_cli(capsys, "table1", "--graph", str(gpath))
+    assert code == 0
+    assert out.splitlines()[1] == "file,120,240,0"

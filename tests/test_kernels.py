@@ -448,7 +448,7 @@ def test_build_peak_is_the_matrix_and_tile_buffers(name, cpus, monkeypatch):
 
 
 _HOST_PROBE = r"""
-import hashlib, json, pathlib, sys, tempfile
+import dataclasses, hashlib, json, pathlib, sys, tempfile
 import numpy as np
 import gosta_sim as gs
 from gosta_sim import harness, parallel
@@ -474,6 +474,17 @@ for cpus in (1, 2):
                 "u_stat": repr(km.u_stat),
                 "frob_centered": repr(km.frob_centered),
                 "vec_centered": repr(km.vec_centered)}
+            if name == "scatter" and n < 3000:
+                g = gs.make_watts_strogatz(n, 5, 0.3,
+                                           np.random.default_rng(n))
+                s = gs.spectral_summary(g)
+                got[f"bounds n={n}"] = {
+                    **{f.name: repr(getattr(s, f.name))
+                       for f in dataclasses.fields(s)},
+                    "sync": [repr(gs.sync_error_bound(g, km, t))
+                             for t in (1, 10, 1000)],
+                    "u2": [repr(gs.u2_error_bound(g, km, t))
+                           for t in (1, 10, 1000)]}
             del km
     with tempfile.TemporaryDirectory() as tmp:
         config = pathlib.Path(tmp) / "exp.json"
@@ -494,8 +505,10 @@ json.dump(out, sys.stdout)
 
 
 def test_outputs_do_not_depend_on_blas_threads_or_cpus():
-    # H, its statistics and an experiment's CSVs, from fresh interpreters
-    # with one and two BLAS threads and the CPU helper at 1 and at 2
+    # H, its statistics, the spectral constants and the sync and u2 bounds
+    # of two Watts-Strogatz graphs, and an experiment's CSVs, from fresh
+    # interpreters with one and two BLAS threads and the CPU helper at 1
+    # and at 2
     src = os.path.dirname(os.path.dirname(gs.__file__))
     runs = {}
     for blas in ("1", "2"):

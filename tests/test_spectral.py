@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gosta_sim as gs
+from gosta_sim import harness
 from gosta_sim.engines import PROTOCOLS
 from gosta_sim.spectral import _lobpcg_beta, beta_second_smallest
 
@@ -129,7 +130,8 @@ def test_summary_identities(rng):
             s.beta_second_smallest / (2.0 * g.num_edges), abs=1e-12)
         beta = gs.laplacian_eigh(g)[0]
         assert beta[0] == pytest.approx(0.0, abs=1e-9)
-        assert s.beta_second_smallest == beta[1]
+        assert s.beta_second_smallest == beta_second_smallest(g)
+        assert s.beta_second_smallest == pytest.approx(beta[1], rel=1e-12)
 
 
 def test_summary_rejects_disconnected():
@@ -144,41 +146,51 @@ def test_iterative_beta_matches_dense(rng):
         assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
 
 
-def test_summary_large_graph_skips_dense_spectrum(monkeypatch):
-    import gosta_sim.spectral as spectral
-    monkeypatch.setattr(spectral, "DENSE_SPECTRUM_LIMIT", 100)
-    g = gs.make_complete(150)
+def test_summary_large_graph_skips_dense_spectrum():
+    # The summary keeps no n x n basis at any size: on the benchmark's
+    # analysis graph, and on a complete graph, which needs no solve.
+    g = harness.build_graph_from_spec(
+        {"family": "watts_strogatz", "n": 60, "k": 5, "p": 0.3}, 1)
     s = gs.spectral_summary(g)
-    assert s.gap_c == pytest.approx(1.0 / 149, rel=1e-6)
-    assert "_laplacian_eigh" not in g.__dict__  # no n x n basis kept
+    assert "_laplacian_eigh" not in g.__dict__
+    assert s.beta_second_smallest == pytest.approx(
+        np.linalg.eigvalsh(gs.laplacian(g))[1], rel=1e-9)
+    g = gs.make_complete(150)
+    assert gs.spectral_summary(g).gap_c == 150 / (150 * 149)
+    assert "_laplacian_eigh" not in g.__dict__
 
 
 def test_one_eigendecomposition_per_graph(monkeypatch, kernel_factory):
     # The summary, the three bound reports and two oracles on one graph
-    # share one cached eigh and run no eigvalsh.
+    # share one cached n x n eigh and run no eigvalsh; the summary's
+    # LOBPCG solve, whose Rayleigh-Ritz steps call eigh on 3 x 3
+    # matrices, runs once.
+    import gosta_sim.spectral as spectral
     rng = np.random.default_rng(60)
     g = gs.make_watts_strogatz(60, 5, 0.3, rng)
     km, x = kernel_factory(60, rng), rng.normal(size=60)
     grid = gs.geometric_checkpoints(200)
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "_lobpcg_beta": 0}
 
-    def counted(name):
-        fn = getattr(np.linalg, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            if name != "eigh" or np.shape(args[0]) == (g.n, g.n):
+                calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    counted(np.linalg, "eigh")
+    counted(np.linalg, "eigvalsh")
+    counted(spectral, "_lobpcg_beta")
     gs.spectral_summary(g)
     for protocol, proto in PROTOCOLS.items():
         if proto.bound is not None:
             gs.bound_report(g, km, protocol, grid)
     gs.u1_expectation(g, km, 200, grid)
     gs.boyd_expectation(g, x, 200, grid)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "_lobpcg_beta": 1}
 
 
 def test_cached_eigenbasis_read_only_and_oracles_repeat(kernel_factory):
@@ -327,15 +339,30 @@ def test_beta_non_convergence_falls_back_to_dense(caplog):
     assert "n=200" in record.getMessage()
 
 
-def test_beta_disconnected_graph_falls_back_to_zero(caplog):
-    # Two disjoint copies: the Rayleigh quotient heads to beta_{n-1} = 0,
-    # which the relative stopping rule cannot meet, so the dense spectrum
-    # answers.
-    half = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
-    g = gs.make_graph(120, np.vstack([half.edges, half.edges + 60]))
-    with caplog.at_level(logging.WARNING, logger="gosta_sim.spectral"):
-        assert beta_second_smallest(g) == pytest.approx(0.0, abs=1e-9)
-    assert "dense fallback" in caplog.text
+def test_beta_disconnected_graph_falls_back_to_zero(monkeypatch, caplog):
+    # beta_{n-1} = 0 exactly, with no solve, no dense spectrum and no
+    # warning: on two disjoint Watts-Strogatz copies, on three vertices with
+    # one edge, and above n = 4000, where a failed solve raises, on two
+    # disjoint 2100-node paths.
+    import gosta_sim.spectral as spectral
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("eigenvalue solve on a disconnected graph")
+
+    def two_copies(half):
+        return gs.make_graph(2 * half.n,
+                             np.vstack([half.edges, half.edges + half.n]))
+
+    monkeypatch.setattr(spectral, "_lobpcg_beta", no_solver)
+    monkeypatch.setattr(spectral, "laplacian_spectrum", no_solver)
+    ws = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
+    path = gs.make_graph(2100, [(i, i + 1) for i in range(2099)])
+    with caplog.at_level(logging.DEBUG, logger="gosta_sim.spectral"):
+        for g in (two_copies(ws), gs.make_graph(3, [(0, 1)]),
+                  two_copies(path)):
+            beta = beta_second_smallest(g)
+            assert beta == 0.0 and isinstance(beta, float)
+    assert not caplog.records
 
 
 def test_beta_non_convergence_raises_above_dense_limit():
