@@ -28,7 +28,10 @@ It is exact at t=1 and asymptotically accurate, but the reciprocal counts
 correlate with the estimates, so it is not the exact expectation of the
 asynchronous simulator at small t; no finite linear recursion closes over
 those correlations. Its correction ``I + D^{-1} A`` does not commute with
-W2 on irregular graphs, so it steps through the iterations at O(n^2) each.
+W2 on irregular graphs, so there is no eigenbasis sum; but K steps of the
+recursion are one fixed matrix polynomial in the starting step, so it
+advances K iterations per matvec against a precomputed (K+1) n x n stack,
+O(n^2) per iteration with the interpreter's cost paid once per block.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ __all__ = ["divided_difference", "geometric_checkpoints", "every_checkpoints",
            "gosta_sync_expectation", "gosta_async_expectation",
            "u1_expectation", "u2_expectation", "boyd_expectation"]
 
-# Elements of the asynchronous oracle's drive buffer (64 KiB of float64).
-_CHUNK_ELEMENTS = 8192
+# Elements of the asynchronous oracle's drive buffer (256 KiB of float64).
+_CHUNK_ELEMENTS = 32768
 
 
 def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
@@ -141,37 +144,136 @@ def gosta_sync_expectation(g: Graph, km: KernelMatrix, t_max: int,
             for t in cps}
 
 
+def _block_size(n: int, t_max: int) -> int:
+    """Steps per block of the asynchronous oracle, from n and t_max alone:
+    the K in 1..16 of least modelled cost ``(t_max/K) (C + (K+1) n^2) +
+    K^2 n^3``, counted in elements of the block's matvec. ``C = 2 10^4`` is
+    one block's interpreter overhead (about 3 us against 0.15 ns per
+    element), and the build's ``2 K^2 n^3`` multiply-adds run at about half
+    an element each. K > 1 also needs its ``(K+1) n^2`` stack within 1 MiB,
+    where the matvec stays in cache. At t_max = 20000 this gives K = 10 at
+    n=60, 7 at n=100, 4 at n=150, 2 at n=200 and 1 from n=256 on."""
+    return min((k for k in range(1, 17) if k == 1 or (k + 1) * n * n <= 2**17),
+               key=lambda k: (t_max / k * (20000 + (k + 1) * n * n)
+                              + k * k * n ** 3))
+
+
+def _times_step(poly, deg: int, j: int, xy) -> None:
+    """Multiply the polynomial in s with coefficients ``poly[:, :deg+1]``
+    by ``(s + j) X + Y`` in place, ``xy`` stacking X over Y."""
+    carry = 0.0
+    for q in range(deg + 1):
+        xm, ym = np.vsplit(xy @ poly[:, q], 2)
+        poly[:, q] = j * xm + ym + carry
+        carry = xm
+    poly[:, deg + 1] = carry
+
+
+def _block_operator(x, y, p, lam, k: int):
+    """Coefficients in s of k steps from s. With ``c(s) = prod_j (s+j)``,
+    ``c(s) z_{s+k} = sum_q s^q (Zz_q z_s + Ze_q lambda^s)``; returned as
+    ``zz[i, q, :] = Zz_q[i]`` and ``ze[i, q, :] = Ze_q[i]`` (q < k)."""
+    n = lam.size
+    zz = np.zeros((n, k + 1, n))
+    zz[:, 1] = x
+    np.add(x, y, out=zz[:, 0])  # the first step, (s + 1) X + Y
+    if k == 1:
+        return zz, p[:, None, :]
+    ze = np.zeros((n, k, n))
+    ze[:, 0] = p
+    xy = np.vstack([x, y])
+    c = np.zeros(k)  # coefficients of c_{j-1}(s) = prod_{0<i<j} (s + i)
+    c[0] = 1.0
+    lam_j = np.ones(n)
+    for j in range(2, k + 1):
+        # c_j(s) z_{s+j} = ((s+j) X + Y) c_{j-1}(s) z_{s+j-1}
+        #                  + c_{j-1}(s) P lambda^(j-1) lambda^s
+        c[1:j] = c[:j - 1] + (j - 1) * c[1:j]
+        c[0] *= j - 1
+        lam_j *= lam
+        _times_step(zz, j - 1, j, xy)
+        _times_step(ze, j - 2, j, xy)
+        ze[:, :j] += c[:j, None] * (p * lam_j)[:, None, :]
+    # X 1 = 1 and Y 1 = -1 give Zz(s) 1 = s c_{k-1}(s) 1. Every block
+    # reapplies the products' rounding error along this slowest mode, where
+    # it would grow linearly with t, so the row sums are set to it exactly.
+    zz -= (zz.sum(axis=2) - np.concatenate(([0.0], c)))[:, :, None] / n
+    return zz, ze
+
+
+def _block_weights(starts, k: int):
+    """``w_q(s) = s^q / prod_{j=1..k} (s + j)`` for each start, as
+    ``s^(q-k) prod_j s/(s+j)`` so that no term overflows."""
+    s = np.asarray(starts, np.float64)[:, None]
+    ratio = np.prod(s / (s + np.arange(1, k + 1)), axis=1, keepdims=True)
+    return ratio / s ** np.arange(k, -1, -1)
+
+
+def _block_runs(cps, k: int):
+    """Block starts from s = 1 to the last checkpoint as ``(size, starts)``
+    runs: whole k-blocks toward each checkpoint, then single steps onto
+    it. Contiguous runs of one size merge, so dense checkpoints still fill
+    whole drive buffers."""
+    runs, s = [], 1
+    for t in cps:
+        for size, stop in ((k, s + (t - s) // k * k), (1, t)):
+            if stop == s:
+                continue
+            if runs and runs[-1][0] == size and runs[-1][1].stop == s:
+                runs[-1] = (size, range(runs[-1][1].start, stop, size))
+            else:
+                runs.append((size, range(s, stop, size)))
+            s = stop
+    return runs
+
+
 def gosta_async_expectation(g: Graph, km: KernelMatrix, t_max: int,
                             checkpoints) -> dict[int, np.ndarray]:
     """Mean-field E[Z(t)] of the asynchronous protocol: the transition
     ``W2 - (I + D^{-1} A)/(2t)`` applied to the previous expectation, plus
     ``diag(H W1^{t-1})/t``. Converges to the pair average; see the module
-    docstring for the approximation caveat."""
+    docstring for the approximation caveat.
+
+    With ``X = W2``, ``Y = -(I + D^{-1} A)/2``, ``P = (H V) o V`` and
+    ``e_s = lambda^s`` the step reads ``t z_t = (t X + Y) z_{t-1} +
+    P e_{t-1}``, so K steps from s are a fixed matrix polynomial in s
+    (:func:`_block_operator`) applied to ``(z_s, e_s)``. Each block is one
+    matvec against the ``(K+1) n x n`` stack and a (K+1)-term combination;
+    the ``e_s`` terms of a buffer of blocks are one product. K is
+    :func:`_block_size`; single steps close each checkpoint."""
     cps, v, dl, _ = _setup(g, km.n, t_max, checkpoints,
                            "gosta_async_expectation")
-    p = (km.dense() @ v) * v
     n = g.n
-    step = np.vstack([w_alpha(g, 2.0),
-                      -(np.eye(n) + adjacency(g) / g.degrees[:, None]) / 2.0])
-    # lambda^k for the k-th step of a chunk; a chunk starting at step s
-    # scales P by lambda^(s-1), so one product gives all its drive terms
-    powers = _power(dl, np.arange(max(1, _CHUNK_ELEMENTS // n))[:, None])
-    y = np.empty((2, n))
-    weights = np.ones(2)  # combines W2 z and -(I + D^{-1} A) z / 2
-    z = np.zeros(n)
+    p = (km.dense() @ v) * v
+    x = w_alpha(g, 2.0)
+    y = -(np.eye(n) + adjacency(g) / g.degrees[:, None]) / 2.0
+    k = _block_size(n, cps[-1])
+    ops = {size: _block_operator(x, y, p, 1.0 - dl, size)
+           for size in {1, k}}
+    z = np.zeros(n)  # z_1: diag(H) is exactly zero
     out = dict.fromkeys(cps)
-    for start in range(1, cps[-1] + 1, len(powers)):
-        ts = np.arange(start, min(start + len(powers), cps[-1] + 1))
-        drive = powers[:len(ts)] @ (_power(dl, start - 1)[:, None] * p.T)
-        drive /= ts[:, None]
-        if start == 1:
-            drive[0] = 0.0  # diag(H) is exactly zero
-        for t, d in zip(ts.tolist(), drive):
-            np.dot(step, z, out=y.reshape(-1))
-            weights[1] = 1.0 / t
-            z = weights @ y + d
-            if t in out:
-                out[t] = z
+    if 1 in out:
+        out[1] = z
+    for size, starts in _block_runs(cps, k):
+        zz, ze = ops[size]
+        stack, wide = zz.reshape(-1, n), ze.reshape(n, -1)
+        r = np.empty((n, size + 1))
+        r_flat = r.reshape(-1)
+        chunk = max(1, _CHUNK_ELEMENTS // (size * n))
+        for first in range(0, len(starts), chunk):
+            s = starts[first:first + chunk]
+            w = _block_weights(s, size)
+            e = _power(dl, np.asarray(s, np.float64)[:, None])
+            # lambda^s below 2^-500 scales P far below the rounding of z,
+            # and its subnormal values would slow the product tenfold
+            e[np.abs(e) < 2.0 ** -500] = 0.0
+            drive = (w[:, :size, None] * e[:, None]).reshape(len(s), -1)
+            drive = drive @ wide.T
+            for start, wb, d in zip(s, w, drive):
+                np.dot(stack, z, out=r_flat)
+                z = r @ wb + d
+                if start + size in out:
+                    out[start + size] = z
     return out
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import given, strategies as st
 
 import gosta_sim as gs
 import _reference as ref
+from gosta_sim import expectation
 from gosta_sim.engines import EngineConfig, derive_seed
 from gosta_sim.engines import PROTOCOLS
 from gosta_sim.expectation import divided_difference, geometric_checkpoints
 from gosta_sim.graph import adjacency
-from gosta_sim.spectral import w_alpha
+from gosta_sim.spectral import laplacian_eigh, w_alpha
 
 from _reference import _async_m1, brute_force_propagation
 
@@ -163,6 +165,113 @@ def test_async_oracle_approaches_target(rng, kernel_factory):
     g = gs.make_complete(6)
     out = gs.gosta_async_expectation(g, km, 50_000, [50_000])
     assert np.abs(out[50_000] - km.u_stat).max() < 1e-3
+
+
+BLOCK_GRAPHS = {
+    "star7": gs.make_graph(7, [(0, v) for v in range(1, 7)]),
+    "two_node": gs.make_graph(2, [(0, 1)]),
+    "irregular6": small_graph(),
+}
+
+
+def block_edge_checkpoints(k):
+    """Checkpoint sets around the k-step blocks that start at s = 1."""
+    return {
+        "on_boundaries": (1 + k, 1 + 2 * k, 1 + 4 * k),
+        "inside_then_boundary": (1 + k // 2, 2 + k, 2 + 3 * k),
+        "every_step": expectation.every_checkpoints(3 * k + 2, 1),
+        "t_max_1": (1,),
+        "t_max_2": (2,),
+        "t_max_1_and_2": (1, 2),
+        "not_multiple": (5 * k + 3,),
+    }
+
+
+@pytest.mark.parametrize("g", BLOCK_GRAPHS.values(), ids=BLOCK_GRAPHS)
+@pytest.mark.parametrize("k", [None, 1, 3, 8])
+def test_async_blocks_match_step_recursion_at_block_edges(
+        g, k, monkeypatch, kernel_factory):
+    # k=None keeps the package's own block size, which is above 1 here
+    km = kernel_factory(g.n, np.random.default_rng(g.n))
+    if k is None:
+        k = expectation._block_size(g.n, 100)
+        assert k > 1
+    monkeypatch.setattr(expectation, "_block_size", lambda n, t_max: k)
+    for name, cps in block_edge_checkpoints(k).items():
+        got = gs.gosta_async_expectation(g, km, cps[-1], cps)
+        want = ref.ref_gosta_async_expectation(g, km.dense(), cps[-1],
+                                               set(cps))
+        assert sorted(got) == list(cps), name
+        for t in cps:
+            assert np.allclose(got[t], want[t], rtol=0, atol=1e-12), (name, t)
+
+
+def watts_strogatz_60():
+    return gs.make_watts_strogatz(60, 5, 0.3, np.random.default_rng(1))
+
+
+def test_async_blocks_match_step_loop_over_long_horizon(kernel_factory):
+    g = watts_strogatz_60()
+    km = kernel_factory(60, np.random.default_rng(2))
+    cps = geometric_checkpoints(20_000)
+    assert expectation._block_size(60, 20_000) > 1
+    got = gs.gosta_async_expectation(g, km, 20_000, cps)
+    want = ref.loop_gosta_async_expectation(g, km, 20_000, cps)
+    scale = max(np.abs(want[t]).max() for t in cps)
+    for t in cps:
+        assert np.abs(got[t] - want[t]).max() <= 1e-12 * scale, t
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="no extended precision on this platform")
+def test_async_blocks_do_not_drift_along_the_constant_vector():
+    # a mean far from zero makes any per-block rounding bias along the
+    # constant vector, the recursion's slowest mode, grow linearly in t
+    g = gs.make_complete(24)
+    rng = np.random.default_rng(8)
+    h = rng.uniform(size=(24, 24))
+    h = (h + h.T) / 2.0
+    np.fill_diagonal(h, 0.0)
+    km = gs.KernelMatrix.from_dense(h)
+    cps = geometric_checkpoints(20_000)
+    got = gs.gosta_async_expectation(g, km, 20_000, cps)
+    beta, v = laplacian_eigh(g)
+    lam = 1.0 - np.concatenate([[0.0], beta[1:]]) / g.num_edges
+    want = ref.extended_gosta_async_expectation(g, (h @ v) * v, lam,
+                                                20_000, set(cps))
+    for t in cps:
+        assert np.abs(got[t] - want[t]).max() <= 100 * np.finfo(float).eps, t
+
+
+def test_async_curve_to_a_million_steps(kernel_factory):
+    g = small_graph()
+    km = kernel_factory(6, np.random.default_rng(5))
+    cps = geometric_checkpoints(10**6)
+    out = gs.gosta_async_expectation(g, km, 10**6, cps)
+    assert all(np.isfinite(out[t]).all() for t in cps)
+    err = {t: np.abs(out[t] - km.u_stat).max() for t in (50_000, 10**6)}
+    assert err[10**6] < err[50_000]
+
+
+def test_async_oracle_memory_peak(kernel_factory):
+    g = watts_strogatz_60()
+    km = kernel_factory(60, np.random.default_rng(3))
+    cps = geometric_checkpoints(20_000)
+    gs.gosta_async_expectation(g, km, 2, [2])  # caches the eigenbasis
+    tracemalloc.start()
+    try:
+        gs.gosta_async_expectation(g, km, 20_000, cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_async_block_size_falls_to_single_steps_at_large_n():
+    # above n = 255 no (K+1) n^2 stack with K > 1 fits in 1 MiB
+    assert expectation._block_size(256, 20_000) == 1
+    assert expectation._block_size(300, 20_000) == 1
+    assert expectation._block_size(1599, 200) == 1
 
 
 # ------------------------------------------------------------ u1 / u2
