@@ -50,6 +50,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise ValueError("runs must be >= 1")
     g = _load_graph(args.graph, args.seed)
     km, x = _load_kernel(args)
     lines = ["run,t,comm_units,err_mean,err_std"]

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, adjacency, warn_if_unsuitable
+from .graph import Graph, laplacian, warn_if_unsuitable
 from .kernels import KernelMatrix
-from .spectral import laplacian_eigh, w_alpha
+from .spectral import laplacian_eigh
 
 __all__ = ["divided_difference", "geometric_checkpoints", "every_checkpoints",
            "gosta_sync_expectation", "gosta_async_expectation",
@@ -234,7 +234,9 @@ def gosta_async_expectation(g: Graph, km: KernelMatrix, t_max: int,
     ``diag(H W1^{t-1})/t``. Converges to the pair average; see the module
     docstring for the approximation caveat.
 
-    With ``X = W2``, ``Y = -(I + D^{-1} A)/2``, ``P = (H V) o V`` and
+    With ``X = W2 = I - L/(2m)``, ``Y = -(I + D^{-1} A)/2 = L/(2D) - I``
+    (both from one dense Laplacian, bit for bit the same as through
+    ``D^{-1} A``: halving is exact), ``P = (H V) o V`` and
     ``e_s = lambda^s`` the step reads ``t z_t = (t X + Y) z_{t-1} +
     P e_{t-1}``, so K steps from s are a fixed matrix polynomial in s
     (:func:`_block_operator`) applied to ``(z_s, e_s)``. Each block is one
@@ -245,8 +247,9 @@ def gosta_async_expectation(g: Graph, km: KernelMatrix, t_max: int,
                            "gosta_async_expectation")
     n = g.n
     p = (km.dense() @ v) * v
-    x = w_alpha(g, 2.0)
-    y = -(np.eye(n) + adjacency(g) / g.degrees[:, None]) / 2.0
+    lap = laplacian(g)
+    x = np.eye(n) - lap / (2.0 * g.num_edges)
+    y = lap / (2.0 * g.degrees[:, None]) - np.eye(n)
     k = _block_size(n, cps[-1])
     ops = {size: _block_operator(x, y, p, 1.0 - dl, size)
            for size in {1, k}}

@@ -10,7 +10,7 @@ computes them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +26,20 @@ __all__ = [
     "make_watts_strogatz",
     "diagnose",
     "laplacian",
-    "adjacency",
     "read_graph_file",
     "write_graph_file",
 ]
 
 logger = logging.getLogger("gosta_sim.graph")
 
-# Rows per slice of the order and duplicate check in Graph.__post_init__.
+# Rows per slice of the order and duplicate check in Graph.__post_init__
+# and of each pass of the diagnose sweep over the edges.
 _CHECK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph.
+    """Simple undirected graph, given by ``n`` and its edge array.
 
     Attributes
     ----------
@@ -49,12 +49,13 @@ class Graph:
         Unordered edges stored canonically as (i, j) with i < j, sorted
         lexicographically, no duplicates, no self-loops.
     degrees : np.ndarray, shape (n,), int64
-        Number of incident edges per vertex.
+        Number of incident edges per vertex, derived from ``edges`` at
+        construction (not a constructor argument).
     """
 
     n: int
     edges: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -77,11 +78,9 @@ class Graph:
                 if (np.diff(keys) <= 0).any():
                     raise ValueError("edges must be sorted and free of "
                                      "duplicates")
-        deg = np.bincount(e.ravel(), minlength=self.n)
-        if not np.array_equal(deg, self.degrees):
-            raise ValueError("degrees inconsistent with edge list")
-        e.flags.writeable = False
-        self.degrees.flags.writeable = False
+        deg = np.bincount(e.ravel(), minlength=self.n).astype(np.int64)
+        e.flags.writeable = deg.flags.writeable = False
+        object.__setattr__(self, "degrees", deg)
 
     @property
     def num_edges(self) -> int:
@@ -104,8 +103,7 @@ def make_graph(n: int, edges) -> Graph:
     if e.shape[0] > 0:
         order = np.lexsort((e[:, 1], e[:, 0]))
         e = e[order]
-    deg = np.bincount(e.ravel(), minlength=n) if n > 0 else np.zeros(0, np.int64)
-    return Graph(n=n, edges=e, degrees=deg.astype(np.int64))
+    return Graph(n=n, edges=e)
 
 
 def make_complete(n: int) -> Graph:
@@ -114,10 +112,9 @@ def make_complete(n: int) -> Graph:
     The edges, in ``np.triu_indices`` order, are written row by row into one
     preallocated (m, 2) int64 array: the build holds that one 16 m-byte
     array (19.5 MiB at n = 1599), and its other buffers are O(n) or, in the
-    :class:`Graph` checks, an m-byte mask or one bounded slice. Its
-    :func:`diagnose` result is set here, with no sweep of the edges: K_n is
-    connected, and bipartite only for n = 2 (any three vertices form a
-    triangle).
+    :class:`Graph` checks, an m-byte mask or one bounded slice. No
+    diagnostics are set here: :func:`diagnose` sweeps its edges like any
+    other graph's.
     """
     e = np.empty((complete_num_edges(n), 2), dtype=np.int64)
     vertices = np.arange(n, dtype=np.int64)
@@ -127,11 +124,7 @@ def make_complete(n: int) -> Graph:
         e[start:stop, 0] = i
         e[start:stop, 1] = vertices[i + 1:]
         start = stop
-    deg = np.full(n, n - 1, dtype=np.int64)
-    g = Graph(n=n, edges=e, degrees=deg)
-    object.__setattr__(g, "_diagnostics",
-                       GraphDiagnostics(connected=True, bipartite=n == 2))
-    return g
+    return Graph(n=n, edges=e)
 
 
 def complete_num_edges(n: int) -> int:
@@ -241,69 +234,64 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
     )
 
 
-def _adjacency_lists(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in zip(*g.edges.T.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
 def diagnose(g: Graph) -> GraphDiagnostics:
-    """Connectivity and bipartiteness via a single BFS 2-coloring sweep.
+    """Connectivity and bipartiteness from the edge array alone.
+
+    A breadth-first sweep grows one level per pass over the edges, in
+    slices of ``_CHECK_ROWS`` rows, and restarts at the lowest unseen vertex
+    for each further component; the graph is bipartite when no edge joins
+    two vertices of the same level, which one last pass checks. It holds an
+    int32 level per vertex and one slice's temporaries, whatever m, and
+    costs one pass over the edges per level of each component: O(diameter
+    m) on a connected graph.
 
     The result is cached on the graph, which is immutable, so each graph is
-    swept once however many runs and oracles use it (a graph from
-    :func:`make_complete` is never swept: the build sets the result).
+    swept once however many runs and oracles use it.
     """
     diag = g.__dict__.get("_diagnostics")
-    if diag is None:
-        # Built once the sweep has freed its adjacency lists, so that the
-        # cached object does not keep their allocator arena resident.
-        diag = GraphDiagnostics(*_sweep(g))
-        object.__setattr__(g, "_diagnostics", diag)
-    return diag
-
-
-def _sweep(g: Graph) -> tuple[bool, bool]:
-    """(connected, bipartite). Plain Python lists throughout: indexing a
-    numpy array element by element costs several times more."""
-    adj = _adjacency_lists(g)
-    color = [-1] * g.n
-    bipartite = True
+    if diag is not None:
+        return diag
+    level = np.full(g.n, -1, dtype=np.int32)
+    slices = [g.edges[s:s + _CHECK_ROWS]
+              for s in range(0, g.num_edges, _CHECK_ROWS)]
     components = 0
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
+    unseen = np.zeros(1, dtype=np.int64)  # vertex 0 starts the first sweep
+    while unseen.size:
         components += 1
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in adj[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    bipartite = False
-    return components == 1, bipartite
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    """Dense adjacency matrix as float64."""
-    a = np.zeros((g.n, g.n))
-    a[g.edges[:, 0], g.edges[:, 1]] = 1.0
-    a[g.edges[:, 1], g.edges[:, 0]] = 1.0
-    return a
+        depth = 0
+        level[unseen[0]] = 0
+        grew = True
+        while grew:
+            grew = False
+            for block in slices:
+                a, b = block[:, 0], block[:, 1]
+                la, lb = level[a], level[b]
+                ahead = np.concatenate([b[(la == depth) & (lb < 0)],
+                                        a[(lb == depth) & (la < 0)]])
+                level[ahead] = depth + 1
+                grew = grew or ahead.size > 0
+            depth += 1
+        unseen = np.flatnonzero(level < 0)
+    # BFS levels of adjacent vertices differ by at most one, so an edge
+    # inside one level is the only odd-cycle witness.
+    bipartite = not any((level[block[:, 0]] == level[block[:, 1]]).any()
+                        for block in slices)
+    diag = GraphDiagnostics(connected=components == 1, bipartite=bipartite)
+    object.__setattr__(g, "_diagnostics", diag)
+    return diag
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian (degree matrix minus adjacency).
 
-    Built from integer counts, so it is exactly symmetric and its rows sum
-    to exactly zero in float64.
+    Filled from the edges and the integer degrees, so it is exactly
+    symmetric and its rows sum to exactly zero in float64. Its other
+    entries are -0.0, the zeros of a negated adjacency matrix: LAPACK's
+    Householder steps read the sign of zero, and ``eigh``'s bits with it.
     """
-    lap = -adjacency(g)
+    lap = np.full((g.n, g.n), -0.0)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    lap[u, v] = lap[v, u] = -1.0
     lap[np.arange(g.n), np.arange(g.n)] = g.degrees.astype(np.float64)
     return lap
 

@@ -296,6 +296,9 @@ def parse_graph_spec_string(text: str) -> dict:
             key, _, val = item.partition("=")
             if not val:
                 raise ValueError(f"bad graph spec item '{item}' in '{text}'")
+            if key in out:
+                raise ValueError(f"repeated key '{key}' in graph spec "
+                                 f"'{text}'")
             out[key] = float(val) if key == "p" else int(val)
     _check_graph_spec(out)
     return out

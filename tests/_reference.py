@@ -28,9 +28,9 @@ def bfs_connected(n, edges):
 
 
 def ref_sweep(g):
-    """(connected, bipartite) by a 2-colouring sweep over numpy rows and an
-    int8 colour array, as ``graph._sweep`` was written before it moved to
-    plain lists."""
+    """(connected, bipartite) by a depth-first 2-colouring over Python
+    adjacency lists and an int8 colour array: the vertex-by-vertex
+    counterpart of ``graph.diagnose``'s level passes over the edge array."""
     adj = [[] for _ in range(g.n)]
     for a, b in g.edges:
         adj[int(a)].append(int(b))
@@ -291,6 +291,12 @@ def ref_gosta_sync_expectation(g, h, t_max, checkpoints):
 
 
 def ref_gosta_async_expectation(g, h, t_max, checkpoints):
+    """The asynchronous mean-field recursion, one step per iteration in
+    float64. It drifts linearly in t along the constant vector, because the
+    rounded rows of W2 and D^{-1} A do not sum exactly to 1 and 2: 1.5e-13
+    at T = 2 10^4 on complete n=24. So it is a 1e-12 reference only up to
+    about 10^5 steps; ``extended_gosta_async_expectation`` is the
+    long-horizon reference."""
     w2 = brute_force_w_alpha(g, 2.0)
     w1 = brute_force_w_alpha(g, 1.0)
     z = np.zeros(g.n)
@@ -305,16 +311,19 @@ def ref_gosta_async_expectation(g, h, t_max, checkpoints):
 
 
 # The asynchronous oracle's former production loop, one interpreted step
-# per iteration, kept verbatim as the long-horizon reference for the
-# K-step blocks: ref_gosta_async_expectation above carries the n x n matrix
-# H W1^t and is too slow at n=60 and t=20000. Unlike the rest of this file
-# it runs on the package's eigenbasis set-up and power helper.
+# per iteration, kept as a reference for the K-step blocks at n=60 and
+# t=20000, where ref_gosta_async_expectation above, which carries the n x n
+# matrix H W1^t, is too slow. Unlike the rest of this file it runs on the
+# package's eigenbasis set-up, power helper and w_alpha.
 _LOOP_CHUNK_ELEMENTS = 8192
 
 
 def loop_gosta_async_expectation(g, km, t_max, checkpoints):
+    """The per-step loop. Like ``ref_gosta_async_expectation`` it drifts
+    linearly in t along the constant vector (1.5e-13 at T = 2 10^4 on
+    complete n=24), so it is a 1e-12 reference only up to about 10^5 steps;
+    ``extended_gosta_async_expectation`` is the long-horizon reference."""
     from gosta_sim.expectation import _power, _setup
-    from gosta_sim.graph import adjacency
     from gosta_sim.spectral import w_alpha
 
     cps, v, dl, _ = _setup(g, km.n, t_max, checkpoints,
@@ -322,7 +331,8 @@ def loop_gosta_async_expectation(g, km, t_max, checkpoints):
     p = (km.dense() @ v) * v
     n = g.n
     step = np.vstack([w_alpha(g, 2.0),
-                      -(np.eye(n) + adjacency(g) / g.degrees[:, None]) / 2.0])
+                      -(np.eye(n) + _ref_adjacency(g) / g.degrees[:, None])
+                      / 2.0])
     # lambda^k for the k-th step of a chunk; a chunk starting at step s
     # scales P by lambda^(s-1), so one product gives all its drive terms
     powers = _power(dl, np.arange(max(1, _LOOP_CHUNK_ELEMENTS // n))[:, None])

@@ -59,6 +59,21 @@ def test_simulate_to_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 4  # 2 runs x 4 checkpoints
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_simulate_rejects_runs_below_one(tmp_path, capsys, runs):
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",
+            "--out", str(data))
+    out = tmp_path / "sim.csv"
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "boyd",
+                           "--graph", "complete:n=8", "--kernel", "variance",
+                           "--data", str(data), "--iters", "10",
+                           "--runs", runs, "--out", str(out))
+    assert code == 1
+    assert err == "gosta-sim: error: runs must be >= 1\n"
+    assert not out.exists()
+
+
 def test_simulate_per_node(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",
@@ -174,6 +189,12 @@ def test_cli_rejects_graph_spec_missing_keys(tmp_path, capsys):
     assert code == 1
     assert err.startswith("gosta-sim: error: missing key(s) ['k', 'p'] in "
                           "graph spec 'watts_strogatz'")
+
+
+def test_table1_rejects_repeated_spec_key(capsys):
+    code, out, err = run_cli(capsys, "table1", "--graph", "complete:n=5,n=7")
+    assert code == 1 and out == ""
+    assert err.startswith("gosta-sim: error: repeated key 'n' in graph spec")
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 import gosta_sim as gs
 from gosta_sim import graph
-from gosta_sim.graph import adjacency, warn_if_unsuitable
+from gosta_sim.graph import warn_if_unsuitable
 
-from _reference import bfs_connected, ref_make_watts_strogatz, ref_sweep
+from _reference import (_ref_adjacency, bfs_connected,
+                        ref_make_watts_strogatz, ref_sweep)
 
 
 def test_complete_small():
@@ -49,7 +50,7 @@ def test_complete_build_holds_one_edge_array():
 
 def _graph_error(n, edges):
     with pytest.raises(ValueError) as err:
-        gs.Graph(n=n, edges=edges, degrees=np.full(n, n - 1, dtype=np.int64))
+        gs.Graph(n=n, edges=edges)
     return str(err.value)
 
 
@@ -225,36 +226,36 @@ def test_diagnose_disjoint_edges():
     assert not d.connected and d.bipartite
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 40])
-def test_complete_diagnostics_set_at_build(n, monkeypatch):
-    g = gs.make_complete(n)
-    cached = g.__dict__["_diagnostics"]
-    assert (cached.connected, cached.bipartite) == graph._sweep(g)
-
-    def no_sweep(g):
-        raise AssertionError("complete graph swept")
-
-    monkeypatch.setattr(graph, "_sweep", no_sweep)
-    assert gs.diagnose(g) is cached
-
-
 def test_diagnose_complete_1599_holds_no_adjacency_lists():
-    g = gs.make_complete(1599)
-    tracemalloc.start()
-    try:
-        d = gs.diagnose(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.connected and not d.bipartite
-    assert peak < 10 * 2**20
+    # the same K_1599 from make_complete and from a generic edge array:
+    # neither is diagnosed at build, and both take the edge-list sweep
+    built = gs.make_complete(1599)
+    for g in (built, gs.make_graph(1599, built.edges)):
+        assert "_diagnostics" not in g.__dict__
+        tracemalloc.start()
+        try:
+            d = gs.diagnose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.connected and not d.bipartite
+        assert peak < 10 * 2**20
+
+
+def _shuffled_path(n, seed):
+    order = np.random.default_rng(seed).permutation(n)
+    return np.column_stack([order[:-1], order[1:]])
+
+
+def _cycle(n, offset=0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
 
 
 def _sweep_graphs():
     path = [(i, i + 1) for i in range(9)]
     yield "path", gs.make_graph(10, path)
-    yield "odd cycle", gs.make_graph(9, [(i, (i + 1) % 9) for i in range(9)])
-    yield "even cycle", gs.make_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    yield "odd cycle", gs.make_graph(9, _cycle(9))
+    yield "even cycle", gs.make_graph(8, _cycle(8))
     yield "grid", gs.make_grid2d(4, 5)
     yield "star", gs.make_graph(7, [(0, i) for i in range(1, 7)])
     yield "complete", gs.make_complete(12)
@@ -263,12 +264,35 @@ def _sweep_graphs():
     yield "disjoint edges", gs.make_graph(6, [(0, 1), (2, 3), (4, 5)])
     yield "triangle plus isolated vertex", gs.make_graph(
         4, [(0, 1), (1, 2), (0, 2)])
+    # a second component found only by the restart, labels interleaved
+    yield "two shuffled paths", gs.make_graph(
+        600, np.vstack([2 * _shuffled_path(300, 1),
+                        2 * _shuffled_path(300, 2) + 1]))
+    # the odd cycle in the second component must still clear bipartite
+    yield "even cycle beside odd cycle", gs.make_graph(
+        15, _cycle(8) + _cycle(7, offset=8))
+    yield "even cycle plus isolated vertices", gs.make_graph(
+        9, _cycle(6, offset=2))
+    yield "one vertex, no edges", gs.make_graph(1, [])
+    yield "shuffled path 1000", gs.make_graph(1000, _shuffled_path(1000, 1000))
+    # 65,703 edges: one level spans two _CHECK_ROWS slices
+    yield "complete 363", gs.make_complete(363)
+    # the level passes must read past the first slice: the path hangs off
+    # vertex 362, whose edges sort into the second
+    yield "complete 363 with a pendant path", gs.make_graph(
+        366, np.vstack([gs.make_complete(363).edges,
+                        [(362, 363), (363, 364), (364, 365)]]))
+    # 65,793 edges: the one edge inside a side, and with it the only odd
+    # cycle, sorts into the second slice
+    yield "complete bipartite 256 x 257 plus one edge", gs.make_graph(
+        513, [(i, j) for i in range(256) for j in range(256, 513)]
+        + [(511, 512)])
 
 
 @pytest.mark.parametrize("name, g", list(_sweep_graphs()))
 def test_sweep_matches_reference(name, g):
-    from gosta_sim.graph import _sweep
-    assert _sweep(g) == ref_sweep(g)
+    d = gs.diagnose(g)
+    assert (d.connected, d.bipartite) == ref_sweep(g)
 
 
 def test_laplacian_single_edge():
@@ -344,8 +368,20 @@ def test_warn_if_unsuitable(caplog):
     assert any("bipartite" in rec.message for rec in caplog.records)
 
 
-def test_adjacency_matches_edges():
-    g = gs.make_graph(4, [(0, 1), (1, 2), (2, 3)])
-    a = adjacency(g)
-    assert a.sum() == 2 * g.num_edges
-    assert np.array_equal(a, a.T)
+@pytest.mark.parametrize("name, g", list(_sweep_graphs()))
+def test_laplacian_bits_match_reference(name, g):
+    # -A with A's row sums on the diagonal: its zeros are -0.0, whose sign
+    # LAPACK's Householder steps read
+    a = _ref_adjacency(g)
+    ref = -a
+    ref[np.arange(g.n), np.arange(g.n)] = a.sum(axis=1)
+    assert gs.laplacian(g).tobytes() == ref.tobytes()
+
+
+def test_degrees_derived_from_edges():
+    g = gs.Graph(n=5, edges=np.array([[0, 1], [0, 4], [1, 4]]))
+    assert g.degrees.dtype == np.int64
+    assert g.degrees.tolist() == [2, 2, 0, 0, 2]
+    assert gs.make_graph(1, []).degrees.tolist() == [0]
+    with pytest.raises(TypeError):
+        gs.Graph(n=2, edges=np.array([[0, 1]]), degrees=np.ones(2, np.int64))

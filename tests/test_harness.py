@@ -162,6 +162,17 @@ def test_parse_graph_spec_rejects_missing_keys(text, missing):
         parse_graph_spec_string(text)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("complete:n=5,n=7", "n"),
+    ("watts_strogatz:n=20,k=4,p=0.3,k=6", "k"),
+    ("grid2d:rows=3,cols=4,rows=3", "rows"),
+])
+def test_parse_graph_spec_rejects_repeated_keys(text, key):
+    with pytest.raises(ValueError, match=re.escape(
+            f"repeated key '{key}' in graph spec '{text}'")):
+        parse_graph_spec_string(text)
+
+
 def test_load_config_missing_graph_key_rejected(tmp_path):
     path = minimal_config(tmp_path, graph={"family": "watts_strogatz",
                                            "n": 20})
