@@ -11,9 +11,10 @@ from .engines import (EngineConfig, Trace,
                       relative_error, run_boyd,
                       run_flooding, run_gosta_async, run_gosta_sync,
                       run_master_node, run_protocol, run_u1, run_u2)
-from .expectation import (boyd_expectation, geometric_checkpoints,
-                          gosta_async_expectation, gosta_sync_expectation,
-                          u1_expectation, u2_expectation)
+from .expectation import (boyd_expectation, every_checkpoints,
+                          geometric_checkpoints, gosta_async_expectation,
+                          gosta_sync_expectation, u1_expectation,
+                          u2_expectation)
 from .graph import (Graph, GraphDiagnostics, diagnose, laplacian,
                     make_complete, make_graph, make_grid2d,
                     make_watts_strogatz, read_graph_file, write_graph_file)

@@ -18,7 +18,7 @@ from . import engines, expectation, harness, kernels
 from .bounds import bound_report
 from .engines import PROTOCOLS, EngineConfig, node_errors, relative_error
 from .graph import read_graph_file, write_graph_file
-from .spectral import SpectralSummary, beta_second_smallest
+from .spectral import spectral_summary
 
 
 def _load_graph(spec_text: str, seed: int):
@@ -36,7 +36,7 @@ def _load_kernel(args):
 
 def _cmd_spectrum(args) -> int:
     g = read_graph_file(args.graphfile)
-    s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
+    s = spectral_summary(g)
     payload = {
         "n": g.n,
         "m": g.num_edges,
@@ -52,14 +52,17 @@ def _cmd_spectrum(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
+    if not 1 <= args.record_every <= args.iters:
+        raise ValueError("--record-every must satisfy 1 <= k <= --iters")
     g = _load_graph(args.graph, args.seed)
     km, x = _load_kernel(args)
     lines = ["run,t,comm_units,err_mean,err_std"]
     per_node_lines = ["run,t,node,estimate,error"]
     for run in range(args.runs):
         cfg = EngineConfig(protocol=args.protocol, max_iters=args.iters,
-                           record_every=args.record_every,
-                           seed=engines.derive_seed(args.seed, 0, run))
+                           seed=engines.derive_seed(args.seed, 0, run),
+                           checkpoints=expectation.every_checkpoints(
+                               args.iters, args.record_every))
         trace = engines.run_protocol(cfg, g=g, km=km, x=x)
         err = relative_error(trace)
         nodes_err = node_errors(trace)[0] if args.per_node else None

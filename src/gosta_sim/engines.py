@@ -50,9 +50,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import sync_error_bound, u2_error_bound
-from .expectation import (boyd_expectation, every_checkpoints,
-                          gosta_async_expectation, gosta_sync_expectation,
-                          u1_expectation, u2_expectation)
+from .expectation import (boyd_expectation, gosta_async_expectation,
+                          gosta_sync_expectation, u1_expectation,
+                          u2_expectation)
 from .graph import Graph, warn_if_unsuitable
 from .kernels import KernelMatrix
 
@@ -66,15 +66,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Run parameters for one protocol execution.
-
-    Snapshots are taken at multiples of ``record_every`` (plus the final
-    iteration), or at the explicit ``checkpoints`` when given.
+    """Run parameters for one protocol execution. Snapshots are taken at
+    the ``checkpoints``, strictly increasing iterations in [0, max_iters]:
+    every iteration by default, ``every_checkpoints(max_iters, k)`` for
+    every k-th and the last.
     """
 
     protocol: str
     max_iters: int
-    record_every: int = 1
     seed: int = 0
     checkpoints: tuple[int, ...] | None = None
 
@@ -84,24 +83,16 @@ class EngineConfig:
                              f"expected one of {tuple(PROTOCOLS)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.checkpoints is None:
-            if not 1 <= self.record_every <= self.max_iters:
-                raise ValueError("record_every must satisfy "
-                                 "1 <= record_every <= max_iters")
-        else:
-            cps = tuple(int(t) for t in self.checkpoints)
-            if not cps:
-                raise ValueError("checkpoints must be nonempty")
-            if any(t < 0 or t > self.max_iters for t in cps):
-                raise ValueError("checkpoints must lie in [0, max_iters]")
-            if any(b <= a for a, b in zip(cps, cps[1:])):
-                raise ValueError("checkpoints must be strictly increasing")
-            object.__setattr__(self, "checkpoints", cps)
-
-    def checkpoint_iters(self) -> tuple[int, ...]:
-        if self.checkpoints is not None:
-            return self.checkpoints
-        return every_checkpoints(self.max_iters, self.record_every)
+        cps = tuple(int(t) for t in (
+            range(1, self.max_iters + 1) if self.checkpoints is None
+            else self.checkpoints))
+        if not cps:
+            raise ValueError("checkpoints must be nonempty")
+        if any(t < 0 or t > self.max_iters for t in cps):
+            raise ValueError("checkpoints must lie in [0, max_iters]")
+        if any(b <= a for a, b in zip(cps, cps[1:])):
+            raise ValueError("checkpoints must be strictly increasing")
+        object.__setattr__(self, "checkpoints", cps)
 
 
 @dataclass
@@ -186,7 +177,7 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
     n, w = g.n, 4 if pairs else 2
     eidx = rng.integers(0, g.num_edges,
                         size=(cfg.max_iters, 2) if pairs else cfg.max_iters)
-    ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
+    ts = np.array(cfg.checkpoints, dtype=np.int64)
     est = np.empty((len(ts), n))
     # array buffers take single-node writes at list speed, and numpy views
     # of them copy whole rows; a long segment refreshes whole lists
@@ -363,7 +354,7 @@ def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     z = [0.0] * km.n
     y = list(range(km.n))
     activations = [0] * km.n
-    msnap = np.empty((len(cfg.checkpoint_iters()), km.n))
+    msnap = np.empty((len(cfg.checkpoints), km.n))
     done = 0
 
     def step(events, t):
@@ -496,7 +487,7 @@ def run_master_node(km: KernelMatrix, cfg: EngineConfig) -> Trace:
         return np.divide(h[:, :b].sum(axis=1), counts, out=np.zeros(n),
                          where=counts > 0)
 
-    ts = np.array(cfg.checkpoint_iters(), dtype=np.int64)
+    ts = np.array(cfg.checkpoints, dtype=np.int64)
     received = np.minimum(ts, n)
     # every checkpoint from t = n on shares b = n
     by_count = {b: estimate(b) for b in set(received.tolist())}

@@ -34,8 +34,8 @@ from .graph import (Graph, complete_num_edges, grid2d_num_edges,
                     make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
 from .kernels import DesignMatrix, LabeledDataset, Partition
-from .spectral import (SpectralSummary, beta_second_smallest, complete_beta,
-                       grid2d_beta)
+from .spectral import (SpectralSummary, complete_beta, grid2d_beta,
+                       spectral_summary)
 
 __all__ = [
     "ExperimentSpec",
@@ -143,6 +143,13 @@ def _check_graph_spec(spec: dict) -> str:
     return family
 
 
+def _whole(value, key: str) -> int:
+    """``value`` as an int, if it is a whole number (``1e6``, not ``10.7``)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Parse and validate a JSON experiment config.
 
@@ -182,6 +189,10 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
                          f"got {kind!r}")
     _check_keys(set(data), _DATA_KEYS[kind],
                 _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS, f"data spec '{kind}'")
+    for where, spec in (("graph", graph), ("data", data)):
+        for key in ("n", "k", "rows", "cols", "d", "clusters", "cell_column"):
+            if key in spec:
+                _whole(spec[key], f"{where} {key}")
     data["kind"] = kind
     if kind == "csv":
         dpath = Path(data["path"])
@@ -195,13 +206,13 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         if proto not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{proto}'")
 
-    iters = int(raw["iters"])
+    iters = _whole(raw["iters"], "iters")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    runs = int(raw.get("runs", 1))
+    runs = _whole(raw.get("runs", 1), "runs")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seed = int(raw.get("seed", 0))
+    seed = _whole(raw.get("seed", 0), "seed")
 
     cp = dict(raw.get("checkpoints", {}))
     _reject_unknown(cp, {"policy", "step", "max_points"}, "checkpoints spec")
@@ -209,10 +220,10 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if policy not in _CHECKPOINT_POLICIES:
         raise ValueError(f"checkpoint policy must be one of "
                          f"{_CHECKPOINT_POLICIES}")
-    step = int(cp.get("step", 1))
+    step = _whole(cp.get("step", 1), "checkpoint step")
     if policy == "every" and not 1 <= step <= iters:
         raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
-    max_points = int(cp.get("max_points", 200))
+    max_points = _whole(cp.get("max_points", 200), "checkpoint max_points")
     if max_points < 1:
         raise ValueError("checkpoint max_points must be >= 1")
 
@@ -513,31 +524,27 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     """Averaging-gap table rows for a list of graph specs.
 
     Each row reports the family label, the vertex count n, the edge count
-    m and the gap ``c = beta_{n-1} / (2 m)``. Complete and 2-D grid specs
-    are answered from the spec alone, with no graph built: m and the
-    builder's argument check from ``complete_num_edges`` or
-    ``grid2d_num_edges``, beta_{n-1} from ``complete_beta`` or
-    ``grid2d_beta``, the same bits as :func:`beta_second_smallest` and so
-    ``spectral.spectral_summary`` give on the built graph. Watts-Strogatz and
-    file specs build their graph and call :func:`beta_second_smallest`.
+    m and the gap ``c = beta_{n-1} / (2 m)``. Watts-Strogatz and file specs
+    build their graph and read its :func:`spectral_summary`, like
+    ``spectrum`` and the bounds. Complete and 2-D grid specs are answered
+    from the spec alone, with no graph built: m and the builder's argument
+    check from ``complete_num_edges`` or ``grid2d_num_edges``, beta_{n-1}
+    from ``complete_beta`` or ``grid2d_beta``, the same bits as
+    :func:`spectral_summary` gives on the built graph.
     """
     table = []
     for spec in graph_specs:
         family = _check_graph_spec(spec)
         if family == "complete":
             n = int(spec["n"])
-            m, beta = complete_num_edges(n), complete_beta(n)
+            m = complete_num_edges(n)
+            gap = SpectralSummary.from_beta(complete_beta(n), m).gap_c
         elif family == "grid2d":
             rows, cols = int(spec["rows"]), int(spec["cols"])
             n, m = rows * cols, grid2d_num_edges(rows, cols)
-            beta = grid2d_beta(rows, cols)
+            gap = SpectralSummary.from_beta(grid2d_beta(rows, cols), m).gap_c
         else:
             g = build_graph_from_spec(spec, seed)
-            n, m, beta = g.n, g.num_edges, beta_second_smallest(g)
-        table.append({
-            "family": family,
-            "n": n,
-            "m": m,
-            "gap": SpectralSummary.from_beta(beta, m).gap_c,
-        })
+            n, m, gap = g.n, g.num_edges, spectral_summary(g).gap_c
+        table.append({"family": family, "n": n, "m": m, "gap": gap})
     return table

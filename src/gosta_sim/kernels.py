@@ -361,9 +361,10 @@ class KernelMatrix:
                       dim: int) -> "KernelMatrix":
         n = h.shape[0]
         row_sums = slots.sum(axis=0)
-        h.flags.writeable = False
+        row_means = row_sums / n
+        h.flags.writeable = row_means.flags.writeable = False
         return cls(n=n, dim=dim, u_stat=float(row_sums.sum() / n**2),
-                   row_means=row_sums / n, H=h)
+                   row_means=row_means, H=h)
 
 
 def build_kernel_matrix(kernel, data,
@@ -446,7 +447,8 @@ def _sniff_header(first_row: list[str]) -> bool:
         return True
 
 
-def _read_csv_rows(path: str | Path) -> list[list[str]]:
+def _read_csv(path: str | Path) -> np.ndarray:
+    """The rows of a float CSV, without its header if it has one."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
@@ -458,38 +460,43 @@ def _read_csv_rows(path: str | Path) -> list[list[str]]:
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{p}: no data rows")
-    return rows
+    return np.array([[float(v) for v in r] for r in rows])
+
+
+def _split_column(path, col: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The other columns of a float CSV, and its column ``col`` (negative:
+    from the end) as int64, if all its values are whole numbers."""
+    arr = _read_csv(path)
+    ncols = arr.shape[1]
+    if ncols < 2:
+        raise ValueError(f"{path}: needs a {name} column and another one")
+    c = col if col >= 0 else ncols + col
+    if not 0 <= c < ncols:
+        raise ValueError(f"{path}: {name} column {col} out of range")
+    v = arr[:, c]
+    bad = v[~(np.isfinite(v) & (v == np.round(v)))]
+    if bad.size:
+        raise ValueError(f"{path}: {name} column {c} must hold whole "
+                         f"numbers, got {float(bad[0])!r}")
+    return np.delete(arr, c, axis=1), v.astype(np.int64)
 
 
 def load_design_csv(path: str | Path) -> DesignMatrix:
     """Plain float CSV, one observation per row; optional header."""
-    rows = _read_csv_rows(path)
-    return DesignMatrix(np.array([[float(v) for v in r] for r in rows]))
+    return DesignMatrix(_read_csv(path))
 
 
 def load_labeled_csv(path: str | Path) -> LabeledDataset:
     """Float CSV whose final column is the label (-1/+1)."""
-    rows = _read_csv_rows(path)
-    arr = np.array([[float(v) for v in r] for r in rows])
-    if arr.shape[1] < 2:
-        raise ValueError(f"{path}: labeled data needs at least 2 columns")
-    return LabeledDataset(DesignMatrix(arr[:, :-1]),
-                          arr[:, -1].astype(np.int64))
+    feat, labels = _split_column(path, -1, "label")
+    return LabeledDataset(DesignMatrix(feat), labels)
 
 
 def load_partitioned_csv(path: str | Path,
                          cell_column: int = -1) -> tuple[DesignMatrix, Partition]:
     """Float CSV with one integer cell-id column (default: the last)."""
-    rows = _read_csv_rows(path)
-    arr = np.array([[float(v) for v in r] for r in rows])
-    ncols = arr.shape[1]
-    if ncols < 2:
-        raise ValueError(f"{path}: partitioned data needs at least 2 columns")
-    col = cell_column if cell_column >= 0 else ncols + cell_column
-    if not 0 <= col < ncols:
-        raise ValueError(f"{path}: cell column {cell_column} out of range")
-    feat = np.delete(arr, col, axis=1)
-    return DesignMatrix(feat), Partition(arr[:, col].astype(np.int64))
+    feat, cells = _split_column(path, cell_column, "cell")
+    return DesignMatrix(feat), Partition(cells)
 
 
 def write_design_csv(path: str | Path, x: np.ndarray,

@@ -27,8 +27,8 @@ alone. It applies the Laplacian through the edge list, keeps its iterates
 off the all-ones null vector by subtracting their mean, stops on the
 relative residual ``||L x - beta x|| <= tol * beta`` and falls back to the
 dense spectrum (n <= 4000) or raises if it does not converge. All of this is
-:func:`beta_second_smallest`, the one source of beta_{n-1}: a graph has one
-gap in :func:`spectral_summary`, the bounds, ``spectrum`` and ``table1``.
+:func:`beta_second_smallest`, the one source of beta_{n-1}; a graph's gap
+is its :func:`spectral_summary` (0.0 when disconnected) wherever it is read.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class SpectralSummary:
 
     @classmethod
     def from_beta(cls, beta: float, m: int) -> "SpectralSummary":
-        if m == 0:
-            raise ValueError("spectral constants are undefined on a graph "
-                             "with no edges")
         return cls(lambda2_of_w2=1.0 - beta / (2.0 * m),
                    lambda2_of_w1=1.0 - beta / m, gap_c=beta / (2.0 * m),
                    beta_second_smallest=beta)
@@ -274,20 +271,13 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    """Spectral constants controlling the convergence bounds, from
-    :func:`beta_second_smallest` at every size, cached on the immutable
-    graph. Raises on a graph with no edges, and on a disconnected one,
-    where the gap is zero and every bound is vacuous.
+    """The graph's :class:`SpectralSummary` from :func:`beta_second_smallest`
+    at every size, cached on the immutable graph, with no check of its own:
+    :func:`beta_second_smallest` raises on an edgeless graph, and the gap
+    of a disconnected one, 0.0, is refused by the bounds and the oracles.
     """
     s = g.__dict__.get("_spectral_summary")
     if s is None:
-        if g.num_edges == 0:
-            raise ValueError("spectral summary is undefined on a graph with "
-                             "no edges")
-        if not diagnose(g).connected:
-            raise ValueError("spectral summary requires a connected graph "
-                             "(the averaging gap of a disconnected graph is "
-                             "zero)")
         s = SpectralSummary.from_beta(beta_second_smallest(g), g.num_edges)
         object.__setattr__(g, "_spectral_summary", s)
     return s

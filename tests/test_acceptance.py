@@ -24,7 +24,7 @@ import gosta_sim as gs
 from gosta_sim.bounds import (async_constants, fit_rate, sync_error_bound,
                               u2_error_bound)
 from gosta_sim.engines import EngineConfig, derive_seed
-from gosta_sim.expectation import geometric_checkpoints
+from gosta_sim.expectation import every_checkpoints, geometric_checkpoints
 from gosta_sim.harness import (load_experiment, run_experiment,
                                synth_gaussian_mixture, table1)
 from gosta_sim.spectral import spectral_summary
@@ -281,8 +281,9 @@ def test_09_property_suite(tmp_path):
     # conservation of the estimate sum under plain averaging
     g = gs.make_complete(8)
     x = rng.normal(size=8)
-    tr = gs.run_boyd(g, x, EngineConfig(protocol="boyd", max_iters=10_000,
-                                        record_every=500, seed=5))
+    tr = gs.run_boyd(g, x, EngineConfig(
+        protocol="boyd", max_iters=10_000, seed=5,
+        checkpoints=every_checkpoints(10_000, 500)))
     conserved = all(abs(s.sum() - x.sum()) <= 1e-12 * abs(x.sum())
                     for s in tr.estimates)
 
@@ -292,8 +293,8 @@ def test_09_property_suite(tmp_path):
                            (1, 4)])
     km = random_kernel(6, rng)
     for proto in ("u1", "u2", "gosta_sync", "gosta_async"):
-        cfg = EngineConfig(protocol=proto, max_iters=300, record_every=1,
-                           seed=9)
+        cfg = EngineConfig(protocol=proto, max_iters=300, seed=9,
+                           checkpoints=every_checkpoints(300, 1))
         gs.run_protocol(cfg, g=g6, km=km)
 
     # determinism: byte-identical CSV outputs on seed replay

@@ -74,6 +74,41 @@ def test_simulate_rejects_runs_below_one(tmp_path, capsys, runs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("every", ["0", "11"])
+def test_simulate_rejects_record_every_outside_iters(tmp_path, capsys, every):
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",
+            "--out", str(data))
+    out = tmp_path / "sim.csv"
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "boyd",
+                           "--graph", "complete:n=8", "--kernel", "variance",
+                           "--data", str(data), "--iters", "10",
+                           "--record-every", every, "--out", str(out))
+    assert code == 1
+    assert err == ("gosta-sim: error: --record-every must satisfy "
+                   "1 <= k <= --iters\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel,bad", [("auc", "1.5"), ("auc", "-1.9"),
+                                        ("scatter", "2.7")])
+def test_simulate_rejects_fractional_label_or_cell(tmp_path, capsys, kernel,
+                                                   bad):
+    data = tmp_path / "d.csv"
+    values = ["1", "-1"] * 4
+    values[3] = bad
+    data.write_text("".join(f"{i}.25,{i % 3}.5,{v}\n"
+                            for i, v in enumerate(values)))
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "gosta_sync",
+                           "--graph", "complete:n=8", "--kernel", kernel,
+                           "--data", str(data), "--iters", "10",
+                           "--out", str(tmp_path / "sim.csv"))
+    assert code == 1
+    assert err.startswith(f"gosta-sim: error: {data}: ")
+    assert "column 2 must hold whole numbers" in err
+    assert f"got {bad}" in err
+
+
 def test_simulate_per_node(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",
@@ -159,6 +194,25 @@ def test_experiment_cli(tmp_path, capsys):
     summary = json.loads(stdout)
     assert set(summary) == {"gosta_sync", "u2"}
     assert (tmp_path / "out" / "comparison.csv").exists()
+
+
+def test_experiment_rejects_fractional_int_fields(tmp_path, capsys):
+    cfg = {
+        "graph": {"family": "complete", "n": 6},
+        "kernel": {"name": "variance"},
+        "data": {"kind": "gaussian_mixture", "n": 6.9, "d": 2.5,
+                 "clusters": 1, "separation": 0.0},
+        "protocols": ["gosta_sync"],
+        "iters": 10.7, "runs": 1.9, "seed": 3.3,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = run_cli(capsys, "experiment", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert err == "gosta-sim: error: data n must be a whole number, got 6.9\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_table1_cli(tmp_path, capsys):
@@ -318,8 +372,8 @@ def test_one_graph_one_gap(tmp_path, capsys, kernel_factory, spec):
     assert report.constants["gap_c"] == gap
 
 
-def test_spectrum_and_table1_print_zero_gap_when_disconnected(tmp_path,
-                                                              capsys):
+def test_spectrum_and_table1_print_zero_gap_when_disconnected(
+        tmp_path, capsys, kernel_factory):
     half = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
     gpath = tmp_path / "g.txt"
     gs.write_graph_file(gs.make_graph(
@@ -331,3 +385,11 @@ def test_spectrum_and_table1_print_zero_gap_when_disconnected(tmp_path,
     code, out, _ = run_cli(capsys, "table1", "--graph", str(gpath))
     assert code == 0
     assert out.splitlines()[1] == "file,120,240,0"
+    # the summary gives the same gap; the bounds still refuse the graph
+    g = gs.read_graph_file(gpath)
+    assert gs.spectral_summary(g).gap_c == 0.0
+    km = kernel_factory(g.n, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        gs.bound_report(g, km, "gosta_sync", [1, 10])
+    with pytest.raises(ValueError):
+        gs.sync_error_bound(g, km, 10.0)

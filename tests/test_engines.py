@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ import gosta_sim as gs
 from gosta_sim.engines import (EngineConfig, InvariantError,
                                _check_permutation, _uniform_below,
                                derive_seed, relative_error)
+from gosta_sim.expectation import every_checkpoints
 
 import _reference as ref
 
@@ -18,12 +20,10 @@ def small_graph():
                              (0, 3), (1, 4)])
 
 
-def cfg_for(protocol, iters, seed, cps=None, record_every=None):
+def cfg_for(protocol, iters, seed, cps=None):
     kwargs = {"protocol": protocol, "max_iters": iters, "seed": seed}
     if cps is not None:
         kwargs["checkpoints"] = tuple(cps)
-    if record_every is not None:
-        kwargs["record_every"] = record_every
     return EngineConfig(**kwargs)
 
 
@@ -36,11 +36,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(protocol="boyd", max_iters=0)
     with pytest.raises(ValueError):
-        EngineConfig(protocol="boyd", max_iters=10, record_every=11)
-    with pytest.raises(ValueError):
         EngineConfig(protocol="boyd", max_iters=10, checkpoints=(5, 3))
-    cfg = EngineConfig(protocol="boyd", max_iters=10, record_every=4)
-    assert cfg.checkpoint_iters() == (4, 8, 10)
+    with pytest.raises(ValueError):
+        EngineConfig(protocol="boyd", max_iters=10, checkpoints=(4, 11))
+    with pytest.raises(ValueError):
+        EngineConfig(protocol="boyd", max_iters=10, checkpoints=())
+    cfg = EngineConfig(protocol="boyd", max_iters=10,
+                       checkpoints=every_checkpoints(10, 4))
+    assert cfg.checkpoints == (4, 8, 10)
+
+
+def test_config_schedule_is_its_checkpoints():
+    # one schedule field, every iteration by default; no second route
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "protocol", "max_iters", "seed", "checkpoints"]
+    cfg = EngineConfig(protocol="boyd", max_iters=5)
+    assert cfg.checkpoints == (1, 2, 3, 4, 5)
+    assert cfg.checkpoints == every_checkpoints(5, 1)
+    assert EngineConfig(protocol="boyd", max_iters=100,
+                        checkpoints=[50]).checkpoints == (50,)
+    with pytest.raises(TypeError):
+        EngineConfig(protocol="boyd", max_iters=100, record_every=7,
+                     checkpoints=(50,))
+    assert not hasattr(cfg, "checkpoint_iters")
 
 
 # ---------------------------------------------------------------- boyd
@@ -61,7 +79,8 @@ def test_boyd_single_edge_one_step():
 def test_boyd_conservation_over_long_run(rng):
     g = gs.make_complete(8)
     x = rng.normal(size=8)
-    tr = gs.run_boyd(g, x, cfg_for("boyd", 10_000, 5, record_every=1000))
+    cfg = cfg_for("boyd", 10_000, 5, cps=every_checkpoints(10_000, 1000))
+    tr = gs.run_boyd(g, x, cfg)
     total = x.sum()
     for snap in tr.estimates:
         assert abs(snap.sum() - total) <= 1e-12 * abs(total)
@@ -435,7 +454,7 @@ def test_determinism_bit_for_bit(rng, kernel_factory):
     g = small_graph()
     km = kernel_factory(6, rng)
     for proto in ("gosta_sync", "gosta_async", "u1", "u2", "flooding"):
-        cfg = cfg_for(proto, 80, 17, record_every=7)
+        cfg = cfg_for(proto, 80, 17, cps=every_checkpoints(80, 7))
         tr1 = gs.run_protocol(cfg, g=g, km=km)
         tr2 = gs.run_protocol(cfg, g=g, km=km)
         assert np.array_equal(tr1.estimates, tr2.estimates)

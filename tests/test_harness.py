@@ -58,6 +58,58 @@ def test_load_config_zero_runs_rejected(tmp_path):
         load_experiment(minimal_config(tmp_path, runs=0))
 
 
+@pytest.mark.parametrize("key,value", [("iters", 10.7), ("runs", 1.9),
+                                       ("seed", 3.3)])
+def test_load_config_rejects_fractional_top_level_int(tmp_path, key, value):
+    with pytest.raises(ValueError) as info:
+        load_experiment(minimal_config(tmp_path, **{key: value}))
+    assert str(info.value) == f"{key} must be a whole number, got {value!r}"
+
+
+@pytest.mark.parametrize("key,value", [("step", 2.5), ("max_points", 9.5)])
+def test_load_config_rejects_fractional_checkpoint_int(tmp_path, key, value):
+    cp = {"policy": "every" if key == "step" else "geometric", key: value}
+    with pytest.raises(ValueError) as info:
+        load_experiment(minimal_config(tmp_path, checkpoints=cp))
+    assert str(info.value) == (f"checkpoint {key} must be a whole number, "
+                               f"got {value!r}")
+
+
+@pytest.mark.parametrize("key", ["n", "d", "clusters"])
+def test_load_config_rejects_fractional_data_int(tmp_path, key):
+    data = {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
+            "separation": 0.0, key: 6.9}
+    with pytest.raises(ValueError) as info:
+        load_experiment(minimal_config(tmp_path, data=data))
+    assert str(info.value) == f"data {key} must be a whole number, got 6.9"
+
+
+@pytest.mark.parametrize("graph,key", [
+    ({"family": "complete", "n": 12.5}, "n"),
+    ({"family": "watts_strogatz", "n": 12, "k": 4.2, "p": 0.3}, "k"),
+    ({"family": "grid2d", "rows": 3, "cols": 4.5}, "cols"),
+    ({"family": "grid2d", "rows": float("nan"), "cols": 4}, "rows"),
+])
+def test_load_config_rejects_fractional_graph_int(tmp_path, graph, key):
+    with pytest.raises(ValueError) as info:
+        load_experiment(minimal_config(tmp_path, graph=graph))
+    assert str(info.value) == (f"graph {key} must be a whole number, "
+                               f"got {graph[key]!r}")
+
+
+def test_load_config_accepts_whole_floats(tmp_path):
+    spec = load_experiment(minimal_config(
+        tmp_path, iters=1e6, runs=2.0, seed=3.0,
+        checkpoints={"policy": "every", "step": 1e3},
+        graph={"family": "grid2d", "rows": 3.0, "cols": 4},
+        data={"kind": "gaussian_mixture", "n": 12.0, "d": 2.0,
+              "clusters": 1.0, "separation": 0.0}))
+    assert (spec.iters, spec.runs, spec.seed, spec.checkpoint_step) == (
+        1_000_000, 2, 3, 1000)
+    assert all(type(v) is int for v in (spec.iters, spec.runs, spec.seed,
+                                        spec.checkpoint_step))
+
+
 def test_load_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="frobnicate"):
         load_experiment(minimal_config(tmp_path, frobnicate=1))

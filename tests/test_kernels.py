@@ -234,6 +234,65 @@ def test_csv_header_sniffing(tmp_path):
     assert np.array_equal(ds.labels, [1, -1])
 
 
+def test_csv_integer_columns_accept_whole_floats(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("0.5,1\n1.5,-1.0\n2.5,1.0\n3.5,-1\n")
+    assert np.array_equal(load_labeled_csv(path).labels, [1, -1, 1, -1])
+    path.write_text("7,0.5\n-2.0,1.5\n7.0,2.5\n")
+    _, part = load_partitioned_csv(path, cell_column=0)
+    assert np.array_equal(part.assignment, [7, -2, 7])
+
+
+@pytest.mark.parametrize("bad", ["1.5", "-1.9", "nan", "inf"])
+def test_labeled_csv_rejects_fractional_label(tmp_path, bad):
+    path = tmp_path / "d.csv"
+    path.write_text(f"0.5,2.0,1\n1.5,3.0,{bad}\n2.5,4.0,-1\n")
+    with pytest.raises(ValueError) as info:
+        load_labeled_csv(path)
+    assert str(info.value) == (f"{path}: label column 2 must hold whole "
+                               f"numbers, got {float(bad)!r}")
+
+
+@pytest.mark.parametrize("col", [0, -1])
+def test_partitioned_csv_rejects_fractional_cell_id(tmp_path, col):
+    # 1.5 and 2.7 would otherwise be merged into cells 1 and 2
+    rows = [[0.5, 1.0], [1.5, 1.5], [2.5, 2.0], [3.5, 2.7]]
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{a},{b}\n" for a, b in
+                            (r[::-1] if col == 0 else r for r in rows)))
+    with pytest.raises(ValueError) as info:
+        load_partitioned_csv(path, cell_column=col)
+    assert str(info.value) == (f"{path}: cell column {col % 2} must hold "
+                               "whole numbers, got 1.5")
+
+
+def test_split_column_loaders_check_the_column(tmp_path):
+    one = tmp_path / "one.csv"
+    one.write_text("1\n-1\n")
+    with pytest.raises(ValueError) as info:
+        load_labeled_csv(one)
+    assert str(info.value) == f"{one}: needs a label column and another one"
+    with pytest.raises(ValueError) as info:
+        load_partitioned_csv(one)
+    assert str(info.value) == f"{one}: needs a cell column and another one"
+    two = tmp_path / "two.csv"
+    two.write_text("0.5,1\n1.5,2\n")
+    for col in (2, -3):
+        with pytest.raises(ValueError) as info:
+            load_partitioned_csv(two, cell_column=col)
+        assert str(info.value) == f"{two}: cell column {col} out of range"
+
+
+def test_row_means_read_only(rng, kernel_factory):
+    for km in (kernel_factory(5, rng),
+               build_kernel_matrix("variance", DesignMatrix(
+                   rng.normal(size=(5, 2))))):
+        with pytest.raises(ValueError, match="read-only"):
+            km.row_means[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            km.H[0, 1] = 1.0
+
+
 def test_csv_missing_file():
     with pytest.raises(FileNotFoundError):
         load_design_csv("/nonexistent/file.csv")

@@ -134,9 +134,22 @@ def test_summary_identities(rng):
         assert s.beta_second_smallest == pytest.approx(beta[1], rel=1e-12)
 
 
-def test_summary_rejects_disconnected():
-    with pytest.raises(ValueError):
-        gs.spectral_summary(gs.make_graph(4, [(0, 1), (2, 3)]))
+def test_bounds_reject_disconnected(kernel_factory):
+    # the summary makes no check of its own: a disconnected graph has the
+    # gap 0.0, and the bounds refuse it
+    g = gs.make_graph(4, [(0, 1), (2, 3)])
+    s = gs.spectral_summary(g)
+    assert s.gap_c == s.beta_second_smallest == 0.0
+    km = kernel_factory(4, np.random.default_rng(0))
+    for bound in (gs.sync_error_bound, gs.u2_error_bound):
+        with pytest.raises(ValueError, match="require a connected graph"):
+            bound(g, km, 10.0)
+        with pytest.raises(ValueError, match="require a connected graph"):
+            bound(g, km, 10.0, s)
+    with pytest.raises(ValueError, match="require a connected graph"):
+        gs.async_constants(g)
+    with pytest.raises(ValueError, match="disconnected"):
+        gs.bound_report(g, km, "gosta_sync", [1, 10])
 
 
 def test_iterative_beta_matches_dense(rng):
