@@ -25,7 +25,6 @@ from .kernels import (DesignMatrix, KernelMatrix, KernelSpec, LabeledDataset,
                       Partition, auc_kernel, auc_value, build_kernel_matrix,
                       scatter_kernel, variance_kernel)
 from .spectral import (SpectralSummary, beta_second_smallest,
-                       laplacian_eigh, laplacian_spectrum, spectral_summary,
-                       w_alpha, w_alpha_eigs_from_laplacian)
+                       laplacian_eigh, spectral_summary)
 
 __version__ = "0.1.0"

@@ -54,7 +54,7 @@ from .expectation import (boyd_expectation, gosta_async_expectation,
                           gosta_sync_expectation, u1_expectation,
                           u2_expectation)
 from .graph import Graph, warn_if_unsuitable
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, whole
 
 __all__ = [
     "PROTOCOLS", "Protocol", "EngineConfig", "Trace", "RelativeError",
@@ -83,9 +83,8 @@ class EngineConfig:
                              f"expected one of {tuple(PROTOCOLS)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        cps = tuple(int(t) for t in (
-            range(1, self.max_iters + 1) if self.checkpoints is None
-            else self.checkpoints))
+        cps = tuple(range(1, self.max_iters + 1) if self.checkpoints is None
+                    else whole(self.checkpoints, "checkpoints").tolist())
         if not cps:
             raise ValueError("checkpoints must be nonempty")
         if any(t < 0 or t > self.max_iters for t in cps):

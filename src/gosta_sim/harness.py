@@ -33,7 +33,7 @@ from .expectation import every_checkpoints, geometric_checkpoints
 from .graph import (Graph, complete_num_edges, grid2d_num_edges,
                     make_complete, make_grid2d, make_watts_strogatz,
                     read_graph_file, warn_if_unsuitable)
-from .kernels import DesignMatrix, LabeledDataset, Partition
+from .kernels import DesignMatrix, LabeledDataset, Partition, whole
 from .spectral import (SpectralSummary, complete_beta, grid2d_beta,
                        spectral_summary)
 
@@ -131,23 +131,19 @@ def _check_keys(keys: set[str], allowed: set[str], required: set[str],
                          f"required: {sorted(required)}")
 
 
-def _check_graph_spec(spec: dict) -> str:
-    """The family of a graph spec dict, once it names a known family with
-    exactly that family's keys; raises ValueError otherwise."""
+def _check_graph_spec(spec: dict) -> dict:
+    """A graph spec dict with its sizes (n, k, rows, cols) as ints, once it
+    names a known family with exactly that family's keys and its sizes are
+    whole numbers; raises ValueError otherwise."""
     family = spec.get("family")
     if family not in _GRAPH_KEYS:
         raise ValueError(f"graph family must be one of "
                          f"{sorted(_GRAPH_KEYS)}, got {family!r}")
     _check_keys(set(spec) - {"family"}, _GRAPH_KEYS[family],
                 _GRAPH_KEYS[family], f"graph spec '{family}'")
-    return family
-
-
-def _whole(value, key: str) -> int:
-    """``value`` as an int, if it is a whole number (``1e6``, not ``10.7``)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+    sizes = {key: whole(spec[key], f"graph {key}")
+             for key in ("n", "k", "rows", "cols") if key in spec}
+    return {**spec, **sizes}
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -171,8 +167,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         if req not in raw:
             raise ValueError(f"{p}: missing required key '{req}'")
 
-    graph = dict(raw["graph"])
-    if _check_graph_spec(graph) == "file":
+    graph = _check_graph_spec(dict(raw["graph"]))
+    if graph["family"] == "file":
         gpath = Path(graph["path"])
         if not gpath.exists():
             raise FileNotFoundError(f"graph file not found: {gpath}")
@@ -189,10 +185,9 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
                          f"got {kind!r}")
     _check_keys(set(data), _DATA_KEYS[kind],
                 _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS, f"data spec '{kind}'")
-    for where, spec in (("graph", graph), ("data", data)):
-        for key in ("n", "k", "rows", "cols", "d", "clusters", "cell_column"):
-            if key in spec:
-                _whole(spec[key], f"{where} {key}")
+    for key in ("n", "d", "clusters", "cell_column"):
+        if key in data:
+            whole(data[key], f"data {key}")
     data["kind"] = kind
     if kind == "csv":
         dpath = Path(data["path"])
@@ -206,13 +201,13 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         if proto not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{proto}'")
 
-    iters = _whole(raw["iters"], "iters")
+    iters = whole(raw["iters"], "iters")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    runs = _whole(raw.get("runs", 1), "runs")
+    runs = whole(raw.get("runs", 1), "runs")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seed = _whole(raw.get("seed", 0), "seed")
+    seed = whole(raw.get("seed", 0), "seed")
 
     cp = dict(raw.get("checkpoints", {}))
     _reject_unknown(cp, {"policy", "step", "max_points"}, "checkpoints spec")
@@ -220,10 +215,10 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     if policy not in _CHECKPOINT_POLICIES:
         raise ValueError(f"checkpoint policy must be one of "
                          f"{_CHECKPOINT_POLICIES}")
-    step = _whole(cp.get("step", 1), "checkpoint step")
+    step = whole(cp.get("step", 1), "checkpoint step")
     if policy == "every" and not 1 <= step <= iters:
         raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
-    max_points = _whole(cp.get("max_points", 200), "checkpoint max_points")
+    max_points = whole(cp.get("max_points", 200), "checkpoint max_points")
     if max_points < 1:
         raise ValueError("checkpoint max_points must be >= 1")
 
@@ -310,23 +305,23 @@ def parse_graph_spec_string(text: str) -> dict:
             if key in out:
                 raise ValueError(f"repeated key '{key}' in graph spec "
                                  f"'{text}'")
-            out[key] = float(val) if key == "p" else int(val)
-    _check_graph_spec(out)
-    return out
+            out[key] = float(val)
+    return _check_graph_spec(out)
 
 
 def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     """Materialize a graph spec dict; generator randomness derives from
     ``seed`` through the fixed splitting function."""
-    family = _check_graph_spec(spec)
+    spec = _check_graph_spec(spec)
+    family = spec["family"]
     if family == "complete":
-        return make_complete(int(spec["n"]))
+        return make_complete(spec["n"])
     if family == "grid2d":
-        return make_grid2d(int(spec["rows"]), int(spec["cols"]))
+        return make_grid2d(spec["rows"], spec["cols"])
     if family == "watts_strogatz":
         rng = np.random.default_rng(derive_seed(seed, 101))
-        return make_watts_strogatz(int(spec["n"]), int(spec["k"]),
-                                   float(spec["p"]), rng)
+        return make_watts_strogatz(spec["n"], spec["k"], float(spec["p"]),
+                                   rng)
     return read_graph_file(spec["path"])
 
 
@@ -534,13 +529,14 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     """
     table = []
     for spec in graph_specs:
-        family = _check_graph_spec(spec)
+        spec = _check_graph_spec(spec)
+        family = spec["family"]
         if family == "complete":
-            n = int(spec["n"])
+            n = spec["n"]
             m = complete_num_edges(n)
             gap = SpectralSummary.from_beta(complete_beta(n), m).gap_c
         elif family == "grid2d":
-            rows, cols = int(spec["rows"]), int(spec["cols"])
+            rows, cols = spec["rows"], spec["cols"]
             n, m = rows * cols, grid2d_num_edges(rows, cols)
             gap = SpectralSummary.from_beta(grid2d_beta(rows, cols), m).gap_c
         else:

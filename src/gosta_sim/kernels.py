@@ -73,6 +73,19 @@ DENSE_KERNEL_LIMIT = 4000
 KERNEL_NAMES = ("variance", "scatter", "auc")
 
 
+def whole(values, what: str):
+    """``values`` as int64 (an int if a scalar) when each is a whole number:
+    ``1e6`` passes; ``12.7``, nan and inf raise ValueError naming ``what``.
+    The one whole-number rule of the CSV columns, constructors and specs."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        bad = a[~(np.isfinite(a) & (a == np.round(a)))]
+        if bad.size:
+            rule = "be a whole number" if a.ndim == 0 else "hold whole numbers"
+            raise ValueError(f"{what} must {rule}, got {float(bad[0])!r}")
+    return int(values) if a.ndim == 0 else a.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """n observation vectors of identical dimension d, all entries finite."""
@@ -109,8 +122,8 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if lab.shape != (self.design.n,):
+        lab = whole(self.labels, "labels")
+        if np.shape(lab) != (self.design.n,):
             raise ValueError("labels must be one value per observation")
         if not np.isin(lab, (-1, 1)).all():
             raise ValueError("labels must be -1 or +1")
@@ -133,8 +146,8 @@ class Partition:
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if a.ndim != 1:
+        a = whole(self.assignment, "partition assignment")
+        if np.ndim(a) != 1:
             raise ValueError("partition assignment must be one id per row")
         object.__setattr__(self, "assignment", a)
         a.flags.writeable = False
@@ -473,12 +486,8 @@ def _split_column(path, col: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     c = col if col >= 0 else ncols + col
     if not 0 <= c < ncols:
         raise ValueError(f"{path}: {name} column {col} out of range")
-    v = arr[:, c]
-    bad = v[~(np.isfinite(v) & (v == np.round(v)))]
-    if bad.size:
-        raise ValueError(f"{path}: {name} column {c} must hold whole "
-                         f"numbers, got {float(bad[0])!r}")
-    return np.delete(arr, c, axis=1), v.astype(np.int64)
+    return (np.delete(arr, c, axis=1),
+            whole(arr[:, c], f"{path}: {name} column {c}"))
 
 
 def load_design_csv(path: str | Path) -> DesignMatrix:

@@ -21,19 +21,16 @@ Theory*, 1997), each written once: :func:`complete_beta` and
 recognises by their edges, and ``harness.table1`` to complete and grid specs,
 with no graph built, so both give the same bits.
 
-Other graphs get beta_{n-1} = 0 exactly when disconnected, the dense spectrum
-for n <= 32 and otherwise a block-size-1 LOBPCG iteration written in numpy
-alone. It applies the Laplacian through the edge list, keeps its iterates
-off the all-ones null vector by subtracting their mean, stops on the
-relative residual ``||L x - beta x|| <= tol * beta`` and falls back to the
-dense spectrum (n <= 4000) or raises if it does not converge. All of this is
+Other graphs get beta_{n-1} = 0 exactly when disconnected and otherwise
+one route at every size, a LOBPCG iteration in numpy alone preconditioned
+by a spanning tree, which raises if it does not converge. All of this is
 :func:`beta_second_smallest`, the one source of beta_{n-1}; a graph's gap
-is its :func:`spectral_summary` (0.0 when disconnected) wherever it is read.
+is its :func:`spectral_summary` (0.0 when disconnected) wherever it is
+read. The oracles' full eigenbasis is :func:`laplacian_eigh`.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -43,17 +40,12 @@ from .graph import Graph, diagnose, laplacian, make_grid2d
 
 __all__ = [
     "SpectralSummary",
-    "w_alpha",
-    "laplacian_spectrum",
     "laplacian_eigh",
-    "w_alpha_eigs_from_laplacian",
     "spectral_summary",
     "beta_second_smallest",
     "complete_beta",
     "grid2d_beta",
 ]
-
-logger = logging.getLogger("gosta_sim.spectral")
 
 
 @dataclass(frozen=True)
@@ -76,29 +68,6 @@ class SpectralSummary:
                    beta_second_smallest=beta)
 
 
-def w_alpha(g: Graph, alpha: float) -> np.ndarray:
-    """Expected one-event transition matrix with averaging weight 1/alpha.
-
-    Symmetric and doubly stochastic; equals ``I - L/(alpha*m)``.
-    """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("w_alpha is undefined on a graph with no edges")
-    return np.eye(g.n) - laplacian(g) / (alpha * m)
-
-
-def laplacian_spectrum(g: Graph) -> np.ndarray:
-    """Real Laplacian eigenvalues sorted in decreasing order.
-
-    The multiplicity of the eigenvalue 0 equals the number of connected
-    components.
-    """
-    eigs = np.linalg.eigvalsh(laplacian(g))
-    return eigs[::-1].copy()
-
-
 def laplacian_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``(beta, V)`` from ``np.linalg.eigh(laplacian(g))``: eigenvalues in
     increasing order and orthonormal eigenvectors as columns.
@@ -113,21 +82,6 @@ def laplacian_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         basis = (beta, v)
         object.__setattr__(g, "_laplacian_eigh", basis)
     return basis
-
-
-def w_alpha_eigs_from_laplacian(g: Graph, alpha: float) -> np.ndarray:
-    """Eigenvalues of ``w_alpha`` derived from the Laplacian spectrum.
-
-    Returns ``1 - beta_{n-i+1} / (alpha * m)`` in decreasing order; agrees
-    with a direct eigendecomposition of :func:`w_alpha` to 1e-9.
-    """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("eigenvalues undefined on a graph with no edges")
-    beta = laplacian_spectrum(g)
-    return 1.0 - beta[::-1] / (alpha * m)
 
 
 def complete_beta(n: int) -> float:
@@ -170,80 +124,130 @@ def _grid_shape(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def _lobpcg_beta(g: Graph, tol: float, maxiter: int) -> float | None:
-    """Smallest Laplacian eigenvalue off the all-ones vector by a
-    block-size-1 LOBPCG iteration, or None if it does not converge within
-    ``maxiter`` steps or its Rayleigh quotient stops being positive. See
-    :func:`beta_second_smallest`."""
+# beta_second_smallest's rule ||L x - beta x|| <= _TOL beta, in _MAXITER steps
+_TOL = 1e-8
+_MAXITER = 20000
+
+
+def _tree_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, end)`` for a breadth-first spanning tree of the connected
+    graph ``g``, rooted at its lowest-indexed vertex of largest degree:
+    ``order`` lists the vertices in depth-first preorder, so each subtree
+    is one run ``order[i:end[i]]``."""
+    ends = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    nbrs = np.concatenate([g.edges[:, 1], g.edges[:, 0]])[
+        np.argsort(ends, kind="stable")].tolist()
+    ptr = [0, *np.cumsum(g.degrees).tolist()]
+    root = int(np.argmax(g.degrees))
+    seen, queue = {root}, [root]
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v in queue:
+        children[v] = [w for w in nbrs[ptr[v]:ptr[v + 1]] if w not in seen]
+        seen.update(children[v])
+        queue += children[v]
+    order, end, stack = [], [0] * g.n, [root]
+    while stack:  # ~v marks the end of v's subtree
+        v = stack.pop()
+        if v < 0:
+            end[~v] = len(order)
+        else:
+            order.append(v)
+            stack += [~v, *children[v]]
+    return np.array(order), np.array(end)[order]
+
+
+def _lobpcg_beta(g: Graph) -> float:
+    """beta_{n-1} of the connected graph ``g`` by the tree-preconditioned
+    LOBPCG iteration of :func:`beta_second_smallest`, or RuntimeError."""
     n = g.n
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    deg = g.degrees.astype(np.float64)
+    order, end = _tree_order(g)
+    # The iteration runs on the graph relabelled in the tree's preorder, so
+    # that each subtree is one slice.
+    rank = np.argsort(order)
+    u, v = rank[g.edges[:, 0]], rank[g.edges[:, 1]]
+    ends, nbrs = np.concatenate([u, v]), np.concatenate([v, u])
+    deg = g.degrees[order].astype(np.float64)
+    prefix = np.zeros(n + 1)
 
-    def lap(y: np.ndarray) -> np.ndarray:
-        return deg * y - np.bincount(u, y[v], n) - np.bincount(v, y[u], n)
+    def lap(y: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(deg * y, np.bincount(ends, y[nbrs], n), out=out)
 
-    x = np.random.default_rng(0).standard_normal(n)
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-    lx = lap(x)
-    p = lp = None
-    for _ in range(maxiter):
-        lam = (x @ lx) / (x @ x)
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        # einsum, unlike BLAS ddot, sums in one order for any thread count
+        return float(np.einsum("i,i", a, b))
+
+    # rows: the iterate x, the residual r, T^-1 r and the direction p, then
+    # L applied to each
+    sl = np.zeros((8, n))
+    x, r, w, _, lx, lr, lw, _ = sl
+    x[:] = np.random.default_rng(0).standard_normal(n)[order]
+    x -= x.sum() / n
+    x /= math.sqrt(dot(x, x))
+    lap(x, lx)
+    k = 3
+    for _ in range(_MAXITER):
+        lam = dot(x, lx) / dot(x, x)
         if not lam > 0:
-            return None
-        r = lx - lam * x
-        if np.linalg.norm(r) <= tol * lam:
-            return float(lam)
-        r -= r.mean()
-        basis, images = [x, r], [lx, lap(r)]
-        if p is not None:
-            basis.append(p)
-            images.append(lp)
-        q, rt = np.linalg.qr(np.stack(basis).T)
-        # rows of Q^T and of (L Q)^T = R^-T (L S)^T
-        q, lq = q.T, np.linalg.inv(rt).T @ np.stack(images)
-        gram = q @ lq.T
-        c = np.linalg.eigh(gram + gram.T)[1][:, 0]
-        p, lp = c[1:] @ q[1:], c[1:] @ lq[1:]
-        x, lx = c @ q, c @ lq
-        x -= x.mean()  # leaves L x as it is, since L 1 = 0
-    return None
+            break
+        np.subtract(lx, lam * x, out=r)
+        if math.sqrt(dot(r, r)) <= _TOL * lam:
+            return lam
+        r -= r.sum() / n
+        # T w = r on the tree: w[i] - w[parent of i] is the sum of r over
+        # i's subtree, and w[i] the sum of those on the path from the root
+        np.cumsum(r, out=prefix[1:])
+        sub = prefix[end] - prefix[:-1]
+        sub -= np.bincount(end, sub, n + 1)[:n]
+        np.cumsum(sub, out=w)
+        w -= w.sum() / n
+        lap(r, lr)
+        lap(w, lw)
+        # Rayleigh-Ritz on the first k rows, each scaled to unit norm and
+        # whitened by the eigenbasis of their Gram matrix, which drops the
+        # directions it finds dependent
+        prods = sl[:k] @ sl.T
+        scale = 1.0 / np.sqrt(np.diagonal(prods))
+        d, q = np.linalg.eigh(prods[:, :k] * scale * scale[:, None])
+        keep = d > 1e-10 * d[-1]
+        q = scale[:, None] * q[:, keep] / np.sqrt(d[keep])
+        a = q.T @ prods[:, 4:4 + k] @ q
+        c = q @ np.linalg.eigh(a + a.T)[1][:, 0]
+        sl[3], sl[7] = c[1:] @ sl[1:k], c[1:] @ sl[5:4 + k]  # p and L p
+        sl[0::4] *= c[0]
+        sl[0::4] += sl[3::4]
+        x -= x.sum() / n  # leaves L x as it is, since L 1 = 0
+        k = 4
+    raise RuntimeError(f"second eigenvalue iteration did not converge for "
+                       f"n={n}")
 
 
-def beta_second_smallest(g: Graph, tol: float = 1e-8,
-                         maxiter: int = 20000) -> float:
-    """Second-smallest Laplacian eigenvalue via a constrained iterative solve.
+def beta_second_smallest(g: Graph) -> float:
+    """Second-smallest Laplacian eigenvalue beta_{n-1}, by one route.
 
-    Two families are answered in closed form, without a solve:
-    - a simple graph with n(n-1)/2 edges is complete:
-      :func:`complete_beta`;
-    - a graph with exactly the edges of ``make_grid2d(rows, cols)``:
-      :func:`grid2d_beta`.
-    A disconnected graph gets exactly 0.0, its beta_{n-1}, with no solve.
-    Other graphs with n <= 32 use the dense spectrum. Larger ones use a
-    block-size-1 LOBPCG iteration in numpy alone (A. Knyazev, "Toward the
-    optimal preconditioned eigensolver: LOBPCG", SIAM J. Sci. Comput. 2001):
-    - operator: ``L x = deg * x - bincount(u, x[v]) - bincount(v, x[u])``
-      over the edge list (u, v), with no dense or sparse matrix;
-    - deflation: the all-ones null vector is projected out by subtracting
-      the mean from the seeded start (``default_rng(0)``), from every
-      residual and from every new iterate;
-    - step: Rayleigh-Ritz on span{x, r, p}, orthonormalised by a QR; L x and
-      L p follow from the same linear combinations, so a step costs one
-      Laplacian product, L r;
-    - stopping rule: ``||L x - beta x|| <= tol * beta``, with the carried
-      L x. ``tol`` bounds the residual relative to beta, not in absolute
-      terms; the smaller the gap, the more steps this takes (about
-      ``sqrt(max degree / beta)`` per factor e), so path-like graphs need
-      more than the default ``maxiter`` from about a thousand nodes on.
-      The rounding error of the residual, about 2e-16 times the largest
-      degree, reaches ``tol * beta`` only for beta below about 2e-8 times
-      it, as on a path of some 16000 nodes, far past where ``maxiter``
-      runs out;
-    - fallback: if that is not reached in ``maxiter`` steps, or the
-      Rayleigh quotient stops being positive, the dense spectrum with a
-      logged warning for n <= 4000, else RuntimeError.
-    The result is a deterministic function of the graph. Raises ValueError
+    A simple graph with n(n-1)/2 edges is complete and gets
+    :func:`complete_beta`, a graph with exactly the edges of
+    ``make_grid2d(rows, cols)`` gets :func:`grid2d_beta`, and a disconnected
+    graph exactly 0.0. Every other graph, at any size, takes a block-size-1
+    LOBPCG iteration in numpy alone (A. Knyazev, SIAM J. Sci. Comput. 2001),
+    preconditioned by a spanning tree (D. Spielman and S.-H. Teng, SIAM J.
+    Matrix Anal. Appl. 2014):
+    - L x is ``deg * x - bincount(u, x[v])`` over the doubled edge list.
+      T^-1, for T the Laplacian of a breadth-first spanning tree rooted at
+      the lowest-indexed vertex of largest degree, is two prefix sums over
+      the tree's depth-first preorder: a dozen numpy calls at any depth;
+    - the start (``default_rng(0)``), each residual r, each T^-1 r and each
+      iterate have their mean subtracted, off the all-ones null vector;
+    - a step is Rayleigh-Ritz on span{x, r, T^-1 r, p}, scaled to unit
+      norms and whitened by the eigenbasis of their Gram matrix, which
+      drops directions below 1e-10 of its largest eigenvalue as dependent
+      (at n = 4 and 5 the four span n - 1 dimensions or more). L x and L p
+      follow from the combinations, so a step costs L r and L T^-1 r;
+    - it stops when ``||L x - beta x|| <= 1e-8 beta`` and raises
+      RuntimeError naming n if that takes over 20000 steps or the Rayleigh
+      quotient stops being positive.
+    The long sums are einsum, bincount, cumsum and products of matrices
+    with at most eight rows, which BLAS does not split over threads, so the
+    result has the same bits for any BLAS thread count. Raises ValueError
     on a graph with no edges.
     """
     n = g.n
@@ -257,17 +261,7 @@ def beta_second_smallest(g: Graph, tol: float = 1e-8,
         return grid2d_beta(*shape)
     if not diagnose(g).connected:
         return 0.0
-    if n <= 32:
-        return float(laplacian_spectrum(g)[-2])
-    beta = _lobpcg_beta(g, tol, maxiter)
-    if beta is not None:
-        return beta
-    if n <= 4000:
-        logger.warning("iterative eigenvalue solve did not converge, using "
-                       "dense fallback (n=%d)", n)
-        return float(laplacian_spectrum(g)[-2])
-    raise RuntimeError(f"second eigenvalue iteration did not converge for "
-                       f"n={n}")
+    return _lobpcg_beta(g)
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:

@@ -2,13 +2,16 @@
 
 Everything here is written scalar-first and straight from the protocol
 definitions, deliberately sharing no code with the package internals; the
-one exception, ``loop_gosta_async_expectation``, says why.
+exceptions, ``loop_gosta_async_expectation`` and the dense spectra after
+``brute_force_w_alpha``, say why.
 The reference engines consume the random stream in the same order as the
 production engines (one block of edge draws up front), so traces can be
 compared run-for-run.
 """
 
 import numpy as np
+
+from gosta_sim.graph import laplacian
 
 
 def bfs_connected(n, edges):
@@ -66,6 +69,47 @@ def brute_force_w_alpha(g, alpha):
         event -= np.outer(v, v) / alpha
         acc += event
     return acc / g.num_edges
+
+
+# Dense spectra through the package's Laplacian, which the package itself
+# no longer reads: its beta_{n-1} comes from one iterative solve.
+
+def w_alpha(g, alpha):
+    """Expected one-event transition matrix with averaging weight 1/alpha.
+
+    Symmetric and doubly stochastic; equals ``I - L/(alpha*m)``.
+    """
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    m = g.num_edges
+    if m == 0:
+        raise ValueError("w_alpha is undefined on a graph with no edges")
+    return np.eye(g.n) - laplacian(g) / (alpha * m)
+
+
+def laplacian_spectrum(g):
+    """Real Laplacian eigenvalues sorted in decreasing order.
+
+    The multiplicity of the eigenvalue 0 equals the number of connected
+    components.
+    """
+    eigs = np.linalg.eigvalsh(laplacian(g))
+    return eigs[::-1].copy()
+
+
+def w_alpha_eigs_from_laplacian(g, alpha):
+    """Eigenvalues of ``w_alpha`` derived from the Laplacian spectrum.
+
+    Returns ``1 - beta_{n-i+1} / (alpha * m)`` in decreasing order; agrees
+    with a direct eigendecomposition of :func:`w_alpha` to 1e-9.
+    """
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    m = g.num_edges
+    if m == 0:
+        raise ValueError("eigenvalues undefined on a graph with no edges")
+    beta = laplacian_spectrum(g)
+    return 1.0 - beta[::-1] / (alpha * m)
 
 
 def brute_force_propagation(g):
@@ -313,8 +357,8 @@ def ref_gosta_async_expectation(g, h, t_max, checkpoints):
 # The asynchronous oracle's former production loop, one interpreted step
 # per iteration, kept as a reference for the K-step blocks at n=60 and
 # t=20000, where ref_gosta_async_expectation above, which carries the n x n
-# matrix H W1^t, is too slow. Unlike the rest of this file it runs on the
-# package's eigenbasis set-up, power helper and w_alpha.
+# matrix H W1^t, is too slow. Like the dense spectra above, it runs on
+# package code: the eigenbasis set-up and power helper.
 _LOOP_CHUNK_ELEMENTS = 8192
 
 
@@ -324,7 +368,6 @@ def loop_gosta_async_expectation(g, km, t_max, checkpoints):
     complete n=24), so it is a 1e-12 reference only up to about 10^5 steps;
     ``extended_gosta_async_expectation`` is the long-horizon reference."""
     from gosta_sim.expectation import _power, _setup
-    from gosta_sim.spectral import w_alpha
 
     cps, v, dl, _ = _setup(g, km.n, t_max, checkpoints,
                            "gosta_async_expectation")

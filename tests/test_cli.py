@@ -225,6 +225,16 @@ def test_table1_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_cli_graph_spec_names_a_fractional_key(capsys):
+    code, stdout, err = run_cli(capsys, "table1", "--graph",
+                                "complete:n=12.5")
+    assert (code, stdout) == (1, "")
+    assert err == "gosta-sim: error: graph n must be a whole number, got 12.5\n"
+    code, stdout, _ = run_cli(capsys, "table1", "--graph", "complete:n=1e1")
+    assert code == 0
+    assert stdout.splitlines()[1].startswith("complete,10,45,")
+
+
 def test_cli_rejects_graph_spec_missing_keys(tmp_path, capsys):
     for spec, missing in (("grid2d:rows=5", "['cols']"),
                           ("complete:", "['n']")):

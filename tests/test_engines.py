@@ -46,6 +46,16 @@ def test_config_validation():
     assert cfg.checkpoints == (4, 8, 10)
 
 
+def test_config_rejects_fractional_checkpoints():
+    # whole-valued floats pass as ints; others are not truncated
+    with pytest.raises(ValueError) as info:
+        EngineConfig(protocol="boyd", max_iters=100, checkpoints=(50.5, 99.9))
+    assert str(info.value) == "checkpoints must hold whole numbers, got 50.5"
+    cfg = EngineConfig(protocol="boyd", max_iters=100, checkpoints=(50.0, 1e2))
+    assert cfg.checkpoints == (50, 100)
+    assert all(type(t) is int for t in cfg.checkpoints)
+
+
 def test_config_schedule_is_its_checkpoints():
     # one schedule field, every iteration by default; no second route
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [

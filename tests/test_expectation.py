@@ -11,9 +11,9 @@ from gosta_sim import expectation
 from gosta_sim.engines import EngineConfig, derive_seed
 from gosta_sim.engines import PROTOCOLS
 from gosta_sim.expectation import divided_difference, geometric_checkpoints
-from gosta_sim.spectral import laplacian_eigh, w_alpha
+from gosta_sim.spectral import laplacian_eigh
 
-from _reference import _async_m1, brute_force_propagation
+from _reference import _async_m1, brute_force_propagation, w_alpha
 
 
 def small_graph():

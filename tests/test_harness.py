@@ -416,6 +416,25 @@ def test_table1_rejects_bad_specs_as_the_builders_do(spec, message):
     assert str(answered.value) == str(built.value) == message
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "complete", "n": 12.7}, "n"),
+    ({"family": "grid2d", "rows": 3, "cols": 4.5}, "cols"),
+    ({"family": "watts_strogatz", "n": 20.9, "k": 4, "p": 0.3}, "n"),
+    ({"family": "watts_strogatz", "n": 20, "k": 4.5, "p": 0.3}, "k"),
+])
+def test_graph_spec_dicts_reject_fractional_ints(spec, key):
+    # a library caller's dict spec is not truncated: the builder and
+    # table1 name the key, as load_experiment does
+    message = f"graph {key} must be a whole number, got {spec[key]!r}"
+    with pytest.raises(ValueError) as built:
+        build_graph_from_spec(spec)
+    with pytest.raises(ValueError) as answered:
+        table1([spec])
+    assert str(answered.value) == str(built.value) == message
+    fixed = {**spec, key: int(spec[key])}
+    assert table1([{**fixed, key: float(fixed[key])}]) == table1([fixed])
+
+
 def test_boyd_in_experiment(tmp_path):
     cfgpath = minimal_config(tmp_path, protocols=["boyd"], iters=100,
                              output_dir=str(tmp_path / "b"))

@@ -266,6 +266,23 @@ def test_partitioned_csv_rejects_fractional_cell_id(tmp_path, col):
                                "whole numbers, got 1.5")
 
 
+def test_labels_and_cells_reject_fractional_values():
+    # the constructors apply the CSV loaders' rule: 1.5 and -1.9 are not
+    # truncated to 1 and -1, while whole-valued floats pass as int64
+    design = DesignMatrix(np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ValueError) as info:
+        LabeledDataset(design, [1.5, -1.9, 1, -1])
+    assert str(info.value) == "labels must hold whole numbers, got 1.5"
+    with pytest.raises(ValueError) as info:
+        Partition([1.5, 2.7, 1, 2])
+    assert str(info.value) == ("partition assignment must hold whole "
+                               "numbers, got 1.5")
+    ds = LabeledDataset(design, [1.0, -1.0, 1.0, -1.0])
+    assert ds.labels.dtype == np.int64
+    assert np.array_equal(ds.labels, [1, -1, 1, -1])
+    assert np.array_equal(Partition([7.0, -2.0, 7]).assignment, [7, -2, 7])
+
+
 def test_split_column_loaders_check_the_column(tmp_path):
     one = tmp_path / "one.csv"
     one.write_text("1\n-1\n")
@@ -515,10 +532,13 @@ from gosta_sim import harness, parallel
 def digest(data):
     return hashlib.sha256(data).hexdigest()
 
+# above n = 10000, where BLAS splits a dot product over its threads
+big = gs.make_watts_strogatz(12000, 4, 0.3, np.random.default_rng(12000))
+big_beta = repr(gs.beta_second_smallest(big))
 out = {}
 for cpus in (1, 2):
     parallel.available_cpus = lambda: cpus
-    got = {}
+    got = {"beta n=12000": big_beta}
     for n, d in ((300, 11), (1599, 11), (3000, 5)):
         design, part = harness.synth_gaussian_mixture(
             n, d, 3, 3.0, np.random.default_rng(1))
@@ -565,9 +585,9 @@ json.dump(out, sys.stdout)
 
 def test_outputs_do_not_depend_on_blas_threads_or_cpus():
     # H, its statistics, the spectral constants and the sync and u2 bounds
-    # of two Watts-Strogatz graphs, and an experiment's CSVs, from fresh
-    # interpreters with one and two BLAS threads and the CPU helper at 1
-    # and at 2
+    # of two Watts-Strogatz graphs, the gap of a third with 12000 nodes,
+    # and an experiment's CSVs, from fresh interpreters with one and two
+    # BLAS threads and the CPU helper at 1 and at 2
     src = os.path.dirname(os.path.dirname(gs.__file__))
     runs = {}
     for blas in ("1", "2"):

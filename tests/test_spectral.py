@@ -10,9 +10,11 @@ import pytest
 import gosta_sim as gs
 from gosta_sim import harness
 from gosta_sim.engines import PROTOCOLS
-from gosta_sim.spectral import _lobpcg_beta, beta_second_smallest
+from gosta_sim.spectral import (_grid_shape, _lobpcg_beta,
+                                beta_second_smallest, grid2d_beta)
 
-from _reference import brute_force_w_alpha
+from _reference import (brute_force_w_alpha, laplacian_spectrum, w_alpha,
+                        w_alpha_eigs_from_laplacian)
 
 
 def random_connected_graph(rng, max_n=30):
@@ -35,16 +37,16 @@ def random_connected_graph(rng, max_n=30):
 def test_w_alpha_single_edge_hand_value():
     # One averaging event on the only edge moves both nodes to the midpoint.
     g = gs.make_graph(2, [(0, 1)])
-    w = gs.w_alpha(g, 2.0)
+    w = w_alpha(g, 2.0)
     assert np.allclose(w, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
     assert np.allclose(w, brute_force_w_alpha(g, 2.0), atol=1e-15)
 
 
 def test_w_alpha_large_alpha_approaches_identity():
     g = gs.make_complete(5)
-    prev = np.abs(gs.w_alpha(g, 2.0) - np.eye(5)).max()
+    prev = np.abs(w_alpha(g, 2.0) - np.eye(5)).max()
     for alpha in (10.0, 100.0, 1000.0):
-        cur = np.abs(gs.w_alpha(g, alpha) - np.eye(5)).max()
+        cur = np.abs(w_alpha(g, alpha) - np.eye(5)).max()
         assert cur < prev
         prev = cur
 
@@ -53,7 +55,7 @@ def test_w_alpha_large_alpha_approaches_identity():
 def test_w_alpha_doubly_stochastic(alpha, rng):
     for _ in range(10):
         g = random_connected_graph(rng)
-        w = gs.w_alpha(g, alpha)
+        w = w_alpha(g, alpha)
         assert np.abs(w.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
         assert np.array_equal(w, w.T)
@@ -61,24 +63,24 @@ def test_w_alpha_doubly_stochastic(alpha, rng):
 
 def test_w_alpha_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        gs.w_alpha(gs.make_complete(3), 0.5)
+        w_alpha(gs.make_complete(3), 0.5)
     with pytest.raises(ValueError):
-        gs.w_alpha(gs.make_graph(3, []), 2.0)
+        w_alpha(gs.make_graph(3, []), 2.0)
 
 
 def test_laplacian_spectrum_complete3():
-    eigs = gs.laplacian_spectrum(gs.make_complete(3))
+    eigs = laplacian_spectrum(gs.make_complete(3))
     assert np.allclose(eigs, [3.0, 3.0, 0.0], atol=1e-12)
 
 
 def test_laplacian_spectrum_single_edge():
-    eigs = gs.laplacian_spectrum(gs.make_graph(2, [(0, 1)]))
+    eigs = laplacian_spectrum(gs.make_graph(2, [(0, 1)]))
     assert np.allclose(eigs, [2.0, 0.0], atol=1e-12)
 
 
 def test_laplacian_spectrum_disconnected_null_multiplicity():
     g = gs.make_graph(4, [(0, 1), (2, 3)])
-    eigs = gs.laplacian_spectrum(g)
+    eigs = laplacian_spectrum(g)
     assert (np.abs(eigs) < 1e-9).sum() == 2
 
 
@@ -90,17 +92,17 @@ def test_eigenvalue_identity_against_brute_force(alpha):
     for _ in range(50):
         g = random_connected_graph(rng)
         direct = np.sort(np.linalg.eigvalsh(brute_force_w_alpha(g, alpha)))[::-1]
-        from_laplacian = gs.w_alpha_eigs_from_laplacian(g, alpha)
+        from_laplacian = w_alpha_eigs_from_laplacian(g, alpha)
         assert np.abs(direct - from_laplacian).max() < 1e-9
         # and against the package's own w_alpha construction
-        own = np.sort(np.linalg.eigvalsh(gs.w_alpha(g, alpha)))[::-1]
+        own = np.sort(np.linalg.eigvalsh(w_alpha(g, alpha)))[::-1]
         assert np.abs(own - from_laplacian).max() < 1e-9
 
 
 def test_top_eigenvalue_is_one(rng):
     for _ in range(5):
         g = random_connected_graph(rng)
-        assert gs.w_alpha_eigs_from_laplacian(g, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert w_alpha_eigs_from_laplacian(g, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_strict_gap_on_connected_non_bipartite(rng):
@@ -110,7 +112,7 @@ def test_strict_gap_on_connected_non_bipartite(rng):
         if not d.connected or d.bipartite:
             continue
         for alpha in (1.0, 2.0, 3.0):
-            eigs = gs.w_alpha_eigs_from_laplacian(g, alpha)
+            eigs = w_alpha_eigs_from_laplacian(g, alpha)
             assert eigs[0] - eigs[1] > 1e-12
 
 
@@ -155,7 +157,7 @@ def test_bounds_reject_disconnected(kernel_factory):
 def test_iterative_beta_matches_dense(rng):
     for _ in range(5):
         g = random_connected_graph(rng, max_n=120)
-        dense = gs.laplacian_spectrum(g)[-2]
+        dense = laplacian_spectrum(g)[-2]
         assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
 
 
@@ -176,7 +178,7 @@ def test_summary_large_graph_skips_dense_spectrum():
 def test_one_eigendecomposition_per_graph(monkeypatch, kernel_factory):
     # The summary, the three bound reports and two oracles on one graph
     # share one cached n x n eigh and run no eigvalsh; the summary's
-    # LOBPCG solve, whose Rayleigh-Ritz steps call eigh on 3 x 3
+    # LOBPCG solve, whose Rayleigh-Ritz steps call eigh on 3 x 3 and 4 x 4
     # matrices, runs once.
     import gosta_sim.spectral as spectral
     rng = np.random.default_rng(60)
@@ -246,14 +248,14 @@ def test_beta_complete_closed_form_without_solver(monkeypatch):
         g = gs.make_complete(n)
         assert beta_second_smallest(g) == float(n)
         assert beta_second_smallest(g) == pytest.approx(
-            gs.laplacian_spectrum(g)[-2], rel=1e-12)
+            laplacian_spectrum(g)[-2], rel=1e-12)
 
 
 def test_beta_near_complete_graph_still_solved():
     # One edge short of complete: beta_{n-1} = n - 2, found by the solver.
     n = 40
     g = gs.make_graph(n, gs.make_complete(n).edges[1:])
-    dense = gs.laplacian_spectrum(g)[-2]
+    dense = laplacian_spectrum(g)[-2]
     assert dense == pytest.approx(n - 2, rel=1e-12)
     assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
 
@@ -271,7 +273,7 @@ def test_beta_grid_closed_form_without_solver(monkeypatch, rows, cols):
     monkeypatch.setattr(spectral, "_lobpcg_beta", no_solver)
     g = gs.make_grid2d(rows, cols)
     beta = beta_second_smallest(g)
-    assert beta == pytest.approx(gs.laplacian_spectrum(g)[-2], rel=1e-10)
+    assert beta == pytest.approx(laplacian_spectrum(g)[-2], rel=1e-10)
     assert beta == pytest.approx(2.0 - 2.0 * np.cos(np.pi / max(rows, cols)),
                                  rel=1e-12)
     [row] = gs.table1([{"family": "grid2d", "rows": rows, "cols": cols}])
@@ -284,7 +286,7 @@ def test_beta_near_grid_graph_still_solved():
     grid = gs.make_grid2d(6, 7)
     g = gs.make_graph(grid.n, [*grid.edges[1:], (0, 8)])
     assert g.num_edges == grid.num_edges
-    dense = gs.laplacian_spectrum(g)[-2]
+    dense = laplacian_spectrum(g)[-2]
     assert dense != pytest.approx(beta_second_smallest(grid), rel=1e-3)
     assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
 
@@ -306,7 +308,11 @@ SOLVER_GRAPHS = {
     **{f"ws-n{n}-p{p}": (lambda n=n, p=p: gs.make_watts_strogatz(
         n, 5, p, np.random.default_rng(n)))
        for n in (100, 500, 1599) for p in (0.3, 0.05, 0.01)},
+    "ws-n1599-k2-p0.01": lambda: gs.make_watts_strogatz(
+        1599, 2, 0.01, np.random.default_rng(1)),
     "path-300": lambda: _shuffled_path(300),
+    "path-1000": lambda: _shuffled_path(1000),
+    "path-2000": lambda: _shuffled_path(2000),
     "star-200": lambda: gs.make_graph(200, [(0, i) for i in range(1, 200)]),
     "two-cliques-30": lambda: _two_cliques(30),
     "complete-40-minus-edge": lambda: gs.make_graph(
@@ -316,21 +322,57 @@ SOLVER_GRAPHS = {
 
 @pytest.mark.parametrize("name", SOLVER_GRAPHS)
 def test_lobpcg_beta_matches_dense(name):
-    # The iteration itself converges (no dense fallback) on small-gap and
-    # awkward graphs and agrees with the dense spectrum to 1e-9.
+    # The iteration converges within its step limit on small-gap, path-like
+    # and awkward graphs and agrees with the dense spectrum to 1e-9.
     g = SOLVER_GRAPHS[name]()
-    beta = _lobpcg_beta(g, 1e-8, 20000)
-    assert beta is not None
+    beta = _lobpcg_beta(g)
     dense = float(np.linalg.eigvalsh(gs.laplacian(g))[1])
     assert beta == pytest.approx(dense, rel=1e-9)
     assert beta_second_smallest(g) == beta
 
 
 def test_beta_small_gap_converges_above_dense_limit():
-    # Past n = 4000 there is no dense fallback: a small-gap graph (beta
-    # about 1e-4) meets the relative rule at the default tol and maxiter.
+    # Above n = 4000, past the package's dense limits, a small-gap graph
+    # (beta about 1e-4) meets the relative rule within the step limit.
     g = gs.make_watts_strogatz(4500, 5, 0.001, np.random.default_rng(4500))
     assert 0 < beta_second_smallest(g) < 1e-3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _shuffled_path(4500),
+    lambda: gs.make_watts_strogatz(4500, 2, 0.01, np.random.default_rng(1)),
+], ids=["path-4500", "ws-n4500-k2-p0.01"])
+def test_lobpcg_beta_converges_on_path_like_graphs_at_n4500(make):
+    # The tree preconditioner takes path-like graphs, whose beta is about
+    # 5e-7 and 2e-6 here, within the step limit; a path's beta is known
+    # in closed form, whatever its labels.
+    g = make()
+    beta = _lobpcg_beta(g)
+    assert 0 < beta < 1e-5
+    if g.num_edges == g.n - 1:
+        assert beta == pytest.approx(grid2d_beta(1, g.n), rel=1e-9)
+
+
+def test_lobpcg_beta_every_graph_on_4_and_5_vertices():
+    # Every connected labelled graph on 4 and 5 vertices that is neither
+    # complete nor a make_grid2d grid; there the four directions x, r,
+    # T^-1 r and p fill or exceed the n - 1 dimensions off the all-ones
+    # vector, so the Rayleigh-Ritz step must drop dependent ones.
+    solved = 0
+    for n in (4, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1, 2 ** len(pairs) - 1):
+            g = gs.make_graph(n, [e for b, e in enumerate(pairs)
+                                  if mask >> b & 1])
+            if not gs.diagnose(g).connected or _grid_shape(g) is not None:
+                continue
+            dense = np.linalg.eigvalsh(gs.laplacian(g))[1]
+            assert _lobpcg_beta(g) == pytest.approx(dense, rel=1e-12), \
+                g.edges.tolist()
+            solved += 1
+    # 38 + 728 connected graphs, less K_4, K_5 and the grids 2 x 2, 1 x 4
+    # and 1 x 5
+    assert solved == 761
 
 
 def test_beta_second_smallest_bit_identical_across_calls():
@@ -341,22 +383,10 @@ def test_beta_second_smallest_bit_identical_across_calls():
         [beta_second_smallest(g)]).tobytes()
 
 
-def test_beta_non_convergence_falls_back_to_dense(caplog):
-    g = gs.make_watts_strogatz(200, 5, 0.3, np.random.default_rng(5))
-    with caplog.at_level(logging.WARNING, logger="gosta_sim.spectral"):
-        beta = beta_second_smallest(g, maxiter=1)
-    assert beta == float(gs.laplacian_spectrum(g)[-2])
-    [record] = [r for r in caplog.records if r.name == "gosta_sim.spectral"]
-    assert record.levelno == logging.WARNING
-    assert "dense fallback" in record.getMessage()
-    assert "n=200" in record.getMessage()
-
-
 def test_beta_disconnected_graph_falls_back_to_zero(monkeypatch, caplog):
-    # beta_{n-1} = 0 exactly, with no solve, no dense spectrum and no
-    # warning: on two disjoint Watts-Strogatz copies, on three vertices with
-    # one edge, and above n = 4000, where a failed solve raises, on two
-    # disjoint 2100-node paths.
+    # beta_{n-1} = 0 exactly, with no solve and nothing logged: on two
+    # disjoint Watts-Strogatz copies, on three vertices with one edge, and
+    # on two disjoint 2100-node paths.
     import gosta_sim.spectral as spectral
 
     def no_solver(*args, **kwargs):
@@ -367,10 +397,9 @@ def test_beta_disconnected_graph_falls_back_to_zero(monkeypatch, caplog):
                              np.vstack([half.edges, half.edges + half.n]))
 
     monkeypatch.setattr(spectral, "_lobpcg_beta", no_solver)
-    monkeypatch.setattr(spectral, "laplacian_spectrum", no_solver)
     ws = gs.make_watts_strogatz(60, 4, 0.3, np.random.default_rng(1))
     path = gs.make_graph(2100, [(i, i + 1) for i in range(2099)])
-    with caplog.at_level(logging.DEBUG, logger="gosta_sim.spectral"):
+    with caplog.at_level(logging.DEBUG):
         for g in (two_copies(ws), gs.make_graph(3, [(0, 1)]),
                   two_copies(path)):
             beta = beta_second_smallest(g)
@@ -378,10 +407,15 @@ def test_beta_disconnected_graph_falls_back_to_zero(monkeypatch, caplog):
     assert not caplog.records
 
 
-def test_beta_non_convergence_raises_above_dense_limit():
-    # No dense fallback above n = 4000: the error names the size.
-    with pytest.raises(RuntimeError, match="n=4500"):
-        beta_second_smallest(_shuffled_path(4500), maxiter=1)
+def test_beta_non_convergence_raises_naming_n(monkeypatch):
+    # A solve that does not converge raises at every size, with no dense
+    # fallback: the error names the size.
+    import gosta_sim.spectral as spectral
+    monkeypatch.setattr(spectral, "_MAXITER", 1)
+    for g in (gs.make_watts_strogatz(60, 5, 0.3, np.random.default_rng(5)),
+              _shuffled_path(4500)):
+        with pytest.raises(RuntimeError, match=f"n={g.n}"):
+            beta_second_smallest(g)
 
 
 def test_package_imports_and_solves_without_scipy():
