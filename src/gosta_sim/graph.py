@@ -89,8 +89,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphDiagnostics:
+    """:func:`diagnose`'s findings. ``parent``, read-only, is its forest:
+    v's lowest-indexed neighbour a level nearer the root, or n at a root."""
+
     connected: bool
     bipartite: bool
+    parent: np.ndarray = field(compare=False, repr=False)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -235,27 +239,27 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
 
 
 def diagnose(g: Graph) -> GraphDiagnostics:
-    """Connectivity and bipartiteness from the edge array alone.
+    """Connectivity, bipartiteness and a spanning forest from the edges.
 
-    A breadth-first sweep grows one level per pass over the edges, in
-    slices of ``_CHECK_ROWS`` rows, and restarts at the lowest unseen vertex
-    for each further component; the graph is bipartite when no edge joins
-    two vertices of the same level, which one last pass checks. It holds an
-    int32 level per vertex and one slice's temporaries, whatever m, and
-    costs one pass over the edges per level of each component: O(diameter
-    m) on a connected graph.
+    One breadth-first sweep grows a level per pass over the edges, in
+    slices of ``_CHECK_ROWS`` rows, from the lowest-indexed vertex of
+    largest degree, then from the lowest unseen vertex of each further
+    component. A last pass finds the graph bipartite unless an edge joins
+    two vertices of one level, and each vertex's parent. It holds O(n)
+    arrays and one slice's temporaries, whatever m, and costs a pass over
+    the edges per level of each component: O(diameter m) when connected.
 
     The result is cached on the graph, which is immutable, so each graph is
-    swept once however many runs and oracles use it.
+    swept once however many runs, oracles and solves use it.
     """
     diag = g.__dict__.get("_diagnostics")
     if diag is not None:
         return diag
     level = np.full(g.n, -1, dtype=np.int32)
-    slices = [g.edges[s:s + _CHECK_ROWS]
+    slices = [g.edges[s:s + _CHECK_ROWS].T
               for s in range(0, g.num_edges, _CHECK_ROWS)]
     components = 0
-    unseen = np.zeros(1, dtype=np.int64)  # vertex 0 starts the first sweep
+    unseen = np.argmax(g.degrees).reshape(1)
     while unseen.size:
         components += 1
         depth = 0
@@ -263,8 +267,7 @@ def diagnose(g: Graph) -> GraphDiagnostics:
         grew = True
         while grew:
             grew = False
-            for block in slices:
-                a, b = block[:, 0], block[:, 1]
+            for a, b in slices:
                 la, lb = level[a], level[b]
                 ahead = np.concatenate([b[(la == depth) & (lb < 0)],
                                         a[(lb == depth) & (la < 0)]])
@@ -272,11 +275,17 @@ def diagnose(g: Graph) -> GraphDiagnostics:
                 grew = grew or ahead.size > 0
             depth += 1
         unseen = np.flatnonzero(level < 0)
-    # BFS levels of adjacent vertices differ by at most one, so an edge
-    # inside one level is the only odd-cycle witness.
-    bipartite = not any((level[block[:, 0]] == level[block[:, 1]]).any()
-                        for block in slices)
-    diag = GraphDiagnostics(connected=components == 1, bipartite=bipartite)
+    # BFS levels of adjacent vertices differ by at most one: an edge inside
+    # one level is the only odd-cycle witness, any other a parent candidate.
+    parent, bipartite = np.full(g.n, g.n, dtype=np.int64), True
+    for a, b in slices:
+        la, lb = level[a], level[b]
+        cross = np.flatnonzero(la != lb)
+        bipartite = bipartite and cross.size == a.size
+        a, b, down = a[cross], b[cross], la[cross] < lb[cross]
+        np.minimum.at(parent, np.where(down, b, a), np.where(down, a, b))
+    parent.flags.writeable = False
+    diag = GraphDiagnostics(components == 1, bipartite, parent)
     object.__setattr__(g, "_diagnostics", diag)
     return diag
 

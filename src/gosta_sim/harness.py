@@ -65,6 +65,7 @@ _DATA_KEYS = {
     "two_class": {"n", "d", "margin"},
 }
 _OPTIONAL_DATA_KEYS = {"cell_column"}
+_WHOLE_DATA_KEYS = ("n", "d", "clusters", "cell_column")
 _CHECKPOINT_POLICIES = ("geometric", "every")
 
 
@@ -185,7 +186,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
                          f"got {kind!r}")
     _check_keys(set(data), _DATA_KEYS[kind],
                 _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS, f"data spec '{kind}'")
-    for key in ("n", "d", "clusters", "cell_column"):
+    for key in _WHOLE_DATA_KEYS:
         if key in data:
             whole(data[key], f"data {key}")
     data["kind"] = kind
@@ -345,20 +346,19 @@ def node_values(data) -> np.ndarray:
 
 def _materialize_data(spec: ExperimentSpec):
     """Return (data, partition) for kernel construction."""
-    data = spec.data
+    data = {key: whole(value, f"data {key}") if key in _WHOLE_DATA_KEYS
+            else value for key, value in spec.data.items()}
     kind = data["kind"]
     if kind == "csv":
         return load_csv_data(data["path"], spec.kernel["name"],
-                             int(data.get("cell_column", -1)))
+                             data.get("cell_column", -1))
     rng = np.random.default_rng(derive_seed(spec.seed, 202))
     if kind == "gaussian_mixture":
-        design, part = synth_gaussian_mixture(
-            int(data["n"]), int(data["d"]), int(data["clusters"]),
-            float(data["separation"]), rng)
-        return design, part
+        return synth_gaussian_mixture(data["n"], data["d"], data["clusters"],
+                                      float(data["separation"]), rng)
     if kind == "two_class":
-        return synth_two_class(int(data["n"]), int(data["d"]),
-                               float(data["margin"]), rng), None
+        return synth_two_class(data["n"], data["d"], float(data["margin"]),
+                               rng), None
     raise ValueError(f"unknown data kind '{kind}'")
 
 

@@ -21,12 +21,12 @@ Theory*, 1997), each written once: :func:`complete_beta` and
 recognises by their edges, and ``harness.table1`` to complete and grid specs,
 with no graph built, so both give the same bits.
 
-Other graphs get beta_{n-1} = 0 exactly when disconnected and otherwise
-one route at every size, a LOBPCG iteration in numpy alone preconditioned
-by a spanning tree, which raises if it does not converge. All of this is
-:func:`beta_second_smallest`, the one source of beta_{n-1}; a graph's gap
-is its :func:`spectral_summary` (0.0 when disconnected) wherever it is
-read. The oracles' full eigenbasis is :func:`laplacian_eigh`.
+Other graphs get beta_{n-1} = 0 exactly when disconnected and otherwise,
+at every size, a LOBPCG iteration in numpy alone preconditioned by the
+tree of :func:`graph.diagnose`'s sweep; it raises if it does not converge.
+:func:`beta_second_smallest` is the one source of beta_{n-1}, and a graph's
+gap is its :func:`spectral_summary` (0.0 when disconnected) wherever read.
+The oracles' full eigenbasis is :func:`laplacian_eigh`.
 """
 
 from __future__ import annotations
@@ -130,29 +130,20 @@ _MAXITER = 20000
 
 
 def _tree_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, end)`` for a breadth-first spanning tree of the connected
-    graph ``g``, rooted at its lowest-indexed vertex of largest degree:
-    ``order`` lists the vertices in depth-first preorder, so each subtree
-    is one run ``order[i:end[i]]``."""
-    ends = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    nbrs = np.concatenate([g.edges[:, 1], g.edges[:, 0]])[
-        np.argsort(ends, kind="stable")].tolist()
-    ptr = [0, *np.cumsum(g.degrees).tolist()]
-    root = int(np.argmax(g.degrees))
-    seen, queue = {root}, [root]
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in queue:
-        children[v] = [w for w in nbrs[ptr[v]:ptr[v + 1]] if w not in seen]
-        seen.update(children[v])
-        queue += children[v]
-    order, end, stack = [], [0] * g.n, [root]
+    """``(order, end)``: the depth-first preorder of :func:`diagnose`'s tree
+    of the connected graph ``g``, each subtree a run ``order[i:end[i]]``."""
+    parent = diagnose(g).parent
+    # v's children are kids[ptr[v]:ptr[v + 1]]; the root (parent n) is last
+    kids = np.argsort(parent, kind="stable").tolist()
+    ptr = [0, *np.cumsum(np.bincount(parent)).tolist()]
+    order, end, stack = [], [0] * g.n, [kids[-1]]
     while stack:  # ~v marks the end of v's subtree
         v = stack.pop()
         if v < 0:
             end[~v] = len(order)
         else:
             order.append(v)
-            stack += [~v, *children[v]]
+            stack += [~v, *kids[ptr[v]:ptr[v + 1]]]
     return np.array(order), np.array(end)[order]
 
 
@@ -232,9 +223,9 @@ def beta_second_smallest(g: Graph) -> float:
     preconditioned by a spanning tree (D. Spielman and S.-H. Teng, SIAM J.
     Matrix Anal. Appl. 2014):
     - L x is ``deg * x - bincount(u, x[v])`` over the doubled edge list.
-      T^-1, for T the Laplacian of a breadth-first spanning tree rooted at
-      the lowest-indexed vertex of largest degree, is two prefix sums over
-      the tree's depth-first preorder: a dozen numpy calls at any depth;
+      T^-1, for T the Laplacian of the breadth-first tree that
+      :func:`diagnose` records, is two prefix sums over the tree's
+      depth-first preorder: a dozen numpy calls at any depth;
     - the start (``default_rng(0)``), each residual r, each T^-1 r and each
       iterate have their mean subtracted, off the all-ones null vector;
     - a step is Rayleigh-Ritz on span{x, r, T^-1 r, p}, scaled to unit

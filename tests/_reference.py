@@ -58,6 +58,29 @@ def ref_sweep(g):
     return components == 1, bipartite
 
 
+def ref_levels(g):
+    """(level, adjacency) by a queue over Python adjacency sets: each
+    vertex's breadth-first distance from its component's root, the first
+    root the lowest-indexed vertex of largest degree and each later one the
+    lowest unseen vertex, the roots ``graph.diagnose`` sweeps from."""
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges.tolist():
+        adj[a].add(b)
+        adj[b].add(a)
+    level = [-1] * g.n
+    for root in [max(range(g.n), key=lambda v: len(adj[v])), *range(g.n)]:
+        if level[root] >= 0:
+            continue
+        level[root] = 0
+        queue = [root]
+        for v in queue:
+            for u in adj[v]:
+                if level[u] < 0:
+                    level[u] = level[v] + 1
+                    queue.append(u)
+    return level, adj
+
+
 def brute_force_w_alpha(g, alpha):
     """Edge-average of the per-edge pairwise averaging matrices."""
     n = g.n

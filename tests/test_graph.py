@@ -8,7 +8,7 @@ import gosta_sim as gs
 from gosta_sim import graph
 from gosta_sim.graph import warn_if_unsuitable
 
-from _reference import (_ref_adjacency, bfs_connected,
+from _reference import (_ref_adjacency, bfs_connected, ref_levels,
                         ref_make_watts_strogatz, ref_sweep)
 
 
@@ -293,6 +293,18 @@ def _sweep_graphs():
 def test_sweep_matches_reference(name, g):
     d = gs.diagnose(g)
     assert (d.connected, d.bipartite) == ref_sweep(g)
+    # the forest: parent n exactly at the roots, and at every other vertex
+    # its lowest-indexed neighbour one level nearer the root
+    assert not d.parent.flags.writeable
+    level, adj = ref_levels(g)
+    parent = d.parent.tolist()
+    for v in range(g.n):
+        if level[v] == 0:
+            assert parent[v] == g.n
+            continue
+        p = parent[v]
+        assert p in adj[v] and level[p] == level[v] - 1
+        assert p == min(u for u in adj[v] if level[u] == level[v] - 1)
 
 
 def test_laplacian_single_edge():

@@ -84,6 +84,24 @@ def test_load_config_rejects_fractional_data_int(tmp_path, key):
     assert str(info.value) == f"data {key} must be a whole number, got 6.9"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", 12.7), ("d", 2.9), ("clusters", 1.5), ("cell_column", -1.5)])
+def test_materialized_data_rejects_fractional_int(key, value):
+    # a spec built directly, not by load_experiment, is not truncated
+    data = ({"kind": "csv", "path": "data/sample_scatter.csv"}
+            if key == "cell_column" else
+            {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
+             "separation": 0.0})
+    spec = harness.ExperimentSpec(
+        graph={"family": "complete", "n": 12}, kernel={"name": "scatter"},
+        data={**data, key: value}, protocols=("gosta_sync",), iters=50,
+        runs=1, seed=0)
+    with pytest.raises(ValueError) as info:
+        harness._materialize_data(spec)
+    assert str(info.value) == (f"data {key} must be a whole number, "
+                               f"got {value!r}")
+
+
 @pytest.mark.parametrize("graph,key", [
     ({"family": "complete", "n": 12.5}, "n"),
     ({"family": "watts_strogatz", "n": 12, "k": 4.2, "p": 0.3}, "k"),

@@ -3,6 +3,7 @@ import logging
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import gosta_sim as gs
 from gosta_sim import harness
 from gosta_sim.engines import PROTOCOLS
-from gosta_sim.spectral import (_grid_shape, _lobpcg_beta,
+from gosta_sim.spectral import (_grid_shape, _lobpcg_beta, _tree_order,
                                 beta_second_smallest, grid2d_beta)
 
 from _reference import (brute_force_w_alpha, laplacian_spectrum, w_alpha,
@@ -258,6 +259,22 @@ def test_beta_near_complete_graph_still_solved():
     dense = laplacian_spectrum(g)[-2]
     assert dense == pytest.approx(n - 2, rel=1e-12)
     assert beta_second_smallest(g) == pytest.approx(dense, rel=1e-6)
+
+
+def test_beta_complete_1599_minus_edge_reads_the_swept_tree():
+    # K_1599 less the edge (0, 1): beta_{n-1} = n - 2, and the tree order
+    # reads diagnose's forest, building no adjacency lists of its own
+    n = 1599
+    g = gs.Graph(n=n, edges=gs.make_complete(n).edges[1:])
+    gs.diagnose(g)
+    tracemalloc.start()
+    try:
+        _tree_order(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert beta_second_smallest(g) == pytest.approx(n - 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 7), (1, 40), (6, 6), (5, 3),
