@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, whole
 from .spectral import SpectralSummary, spectral_summary
 
 __all__ = [
@@ -199,7 +199,7 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
     reported alongside the spectral constants.
     """
     from .engines import PROTOCOLS  # engines imports this module
-    t_grid = sorted({int(t) for t in t_grid})
+    t_grid = sorted(set(whole(list(t_grid), "t_grid").tolist()))
     if not t_grid or t_grid[0] < 1:
         raise ValueError("t_grid must contain iterations >= 1")
     proto = PROTOCOLS.get(protocol)

@@ -81,6 +81,8 @@ class EngineConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{self.protocol}'; "
                              f"expected one of {tuple(PROTOCOLS)}")
+        object.__setattr__(self, "max_iters",
+                           whole(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         cps = tuple(range(1, self.max_iters + 1) if self.checkpoints is None

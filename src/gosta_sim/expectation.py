@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, laplacian, warn_if_unsuitable
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, whole
 from .spectral import laplacian_eigh
 
 __all__ = ["divided_difference", "geometric_checkpoints", "every_checkpoints",
@@ -120,7 +120,7 @@ def _setup(g: Graph, n: int, t_max: int, checkpoints, context: str):
         raise ValueError(f"graph size {g.n} does not match sample size {n}")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    cps = sorted({int(t) for t in checkpoints})
+    cps = sorted(set(whole(list(checkpoints), "checkpoints").tolist()))
     if not cps or cps[0] < 1 or cps[-1] > t_max:
         raise ValueError("checkpoints must be nonempty and lie in [1, t_max]")
     warn_if_unsuitable(g, context)

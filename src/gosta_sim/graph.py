@@ -33,7 +33,7 @@ __all__ = [
 logger = logging.getLogger("gosta_sim.graph")
 
 # Rows per slice of the order and duplicate check in Graph.__post_init__
-# and of each pass of the diagnose sweep over the edges.
+# and of edge_slices, which every pass over the edges reads.
 _CHECK_ROWS = 1 << 16
 
 
@@ -166,23 +166,25 @@ def grid2d_num_edges(rows: int, cols: int) -> int:
     return rows * (cols - 1) + cols * (rows - 1)
 
 
-def _ws_base_ring(n: int, k: int) -> set[tuple[int, int]]:
-    # Ring lattice with floor(k/2) neighbors per side. For odd k, one extra
-    # ring edge is added from every second vertex at offset floor(k/2)+1,
-    # raising the average degree from k-1 to k.
+def _ws_base_ring(n: int, k: int) -> list[set[int]]:
+    # Neighbour sets of the ring lattice with floor(k/2) neighbors per side.
+    # For odd k, one extra ring edge is added from every second vertex at
+    # offset floor(k/2)+1, raising the average degree from k-1 to k.
     half = k // 2
-    edges: set[tuple[int, int]] = set()
+    adj: list[set[int]] = [set() for _ in range(n)]
     for v in range(n):
         for off in range(1, half + 1):
             u = (v + off) % n
-            edges.add((min(v, u), max(v, u)))
+            adj[v].add(u)
+            adj[u].add(v)
     if k % 2 == 1:
         off = half + 1
         for v in range(0, n, 2):
             u = (v + off) % n
             if u != v:
-                edges.add((min(v, u), max(v, u)))
-    return edges
+                adj[v].add(u)
+                adj[u].add(v)
+    return adj
 
 
 def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
@@ -207,29 +209,24 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must be in [0, 1], got {p}")
     for _ in range(max_retries):
-        edge_set = _ws_base_ring(n, k)
-        adjacency_sets: dict[int, set[int]] = {v: set() for v in range(n)}
-        for a, b in edge_set:
-            adjacency_sets[a].add(b)
-            adjacency_sets[b].add(a)
-        for a, b in sorted(edge_set):
+        adj = _ws_base_ring(n, k)
+        for a, b in [(a, b) for a in range(n) for b in sorted(adj[a])
+                     if a < b]:
             if rng.random() >= p:
                 continue
-            count = n - 1 - len(adjacency_sets[a])
+            count = n - 1 - len(adj[a])
             if count == 0:
                 continue
             w = int(rng.integers(0, count))
-            for excluded in sorted(adjacency_sets[a] | {a}):
+            for excluded in sorted(adj[a] | {a}):
                 if excluded > w:
                     break
                 w += 1
-            edge_set.discard((a, b))
-            adjacency_sets[a].discard(b)
-            adjacency_sets[b].discard(a)
-            edge_set.add((min(a, w), max(a, w)))
-            adjacency_sets[a].add(w)
-            adjacency_sets[w].add(a)
-        g = make_graph(n, sorted(edge_set))
+            adj[a].discard(b)
+            adj[b].discard(a)
+            adj[a].add(w)
+            adj[w].add(a)
+        g = make_graph(n, [(a, b) for a in range(n) for b in adj[a] if a < b])
         if diagnose(g).connected:
             return g
     raise ValueError(
@@ -238,16 +235,21 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
     )
 
 
+def edge_slices(g: Graph) -> list[np.ndarray]:
+    """``g.edges`` as contiguous views of at most ``_CHECK_ROWS`` rows."""
+    return np.split(g.edges, range(_CHECK_ROWS, g.num_edges, _CHECK_ROWS))
+
+
 def diagnose(g: Graph) -> GraphDiagnostics:
     """Connectivity, bipartiteness and a spanning forest from the edges.
 
-    One breadth-first sweep grows a level per pass over the edges, in
-    slices of ``_CHECK_ROWS`` rows, from the lowest-indexed vertex of
-    largest degree, then from the lowest unseen vertex of each further
-    component. A last pass finds the graph bipartite unless an edge joins
-    two vertices of one level, and each vertex's parent. It holds O(n)
-    arrays and one slice's temporaries, whatever m, and costs a pass over
-    the edges per level of each component: O(diameter m) when connected.
+    Isolated vertices are components and roots of their own. One
+    breadth-first sweep grows a level per pass over :func:`edge_slices`,
+    from the lowest-indexed vertex of largest degree, then from the lowest
+    unseen vertex of each further component. A last pass finds the graph
+    bipartite unless an edge joins two vertices of one level, and each
+    vertex's parent. It holds O(n) arrays and one slice's temporaries, and
+    costs a pass per level of each other component: O(diameter m) if connected.
 
     The result is cached on the graph, which is immutable, so each graph is
     swept once however many runs, oracles and solves use it.
@@ -255,15 +257,15 @@ def diagnose(g: Graph) -> GraphDiagnostics:
     diag = g.__dict__.get("_diagnostics")
     if diag is not None:
         return diag
-    level = np.full(g.n, -1, dtype=np.int32)
-    slices = [g.edges[s:s + _CHECK_ROWS].T
-              for s in range(0, g.num_edges, _CHECK_ROWS)]
-    components = 0
-    unseen = np.argmax(g.degrees).reshape(1)
-    while unseen.size:
+    isolated = g.degrees == 0
+    level = np.where(isolated, 0, -1).astype(np.int32)
+    components = int(np.count_nonzero(isolated))
+    slices = [rows.T for rows in edge_slices(g)]
+    root = np.argmax(g.degrees)
+    while level[root] < 0:
         components += 1
         depth = 0
-        level[unseen[0]] = 0
+        level[root] = 0
         grew = True
         while grew:
             grew = False
@@ -274,7 +276,7 @@ def diagnose(g: Graph) -> GraphDiagnostics:
                 level[ahead] = depth + 1
                 grew = grew or ahead.size > 0
             depth += 1
-        unseen = np.flatnonzero(level < 0)
+        root = np.argmin(level)  # the lowest unseen vertex, if any
     # BFS levels of adjacent vertices differ by at most one: an edge inside
     # one level is the only odd-cycle witness, any other a parent candidate.
     parent, bipartite = np.full(g.n, g.n, dtype=np.int64), True

@@ -195,12 +195,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         if not dpath.exists():
             raise FileNotFoundError(f"dataset file not found: {dpath}")
 
-    protocols = tuple(raw["protocols"])
-    if not protocols:
-        raise ValueError("protocols list must be nonempty")
-    for proto in protocols:
-        if proto not in PROTOCOLS:
-            raise ValueError(f"unknown protocol '{proto}'")
+    protocols = _check_protocols(raw["protocols"])
 
     iters = whole(raw["iters"], "iters")
     if iters < 1:
@@ -229,6 +224,19 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
                           checkpoint_step=step,
                           checkpoint_max_points=max_points,
                           output_dir=str(raw.get("output_dir", ".")))
+
+
+def _check_protocols(protocols) -> tuple[str, ...]:
+    """``protocols`` as a tuple, nonempty, each known and listed once."""
+    protocols = tuple(protocols)
+    if not protocols:
+        raise ValueError("protocols list must be nonempty")
+    for i, proto in enumerate(protocols):
+        if proto not in PROTOCOLS:
+            raise ValueError(f"unknown protocol '{proto}'")
+        if proto in protocols[:i]:
+            raise ValueError(f"protocol '{proto}' is listed more than once")
+    return protocols
 
 
 def synth_gaussian_mixture(n: int, d: int, clusters: int, separation: float,
@@ -424,6 +432,7 @@ def run_experiment(spec: ExperimentSpec,
     across runs. Deterministic given the spec seed, and the same whether
     the runs share one process or spread over several.
     """
+    _check_protocols(spec.protocols)
     graph = build_graph_from_spec(spec.graph, spec.seed)
     data, partition = _materialize_data(spec)
     km = kernels.build_kernel_matrix(spec.kernel["name"], data, partition)

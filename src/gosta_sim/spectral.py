@@ -22,8 +22,9 @@ recognises by their edges, and ``harness.table1`` to complete and grid specs,
 with no graph built, so both give the same bits.
 
 Other graphs get beta_{n-1} = 0 exactly when disconnected and otherwise,
-at every size, a LOBPCG iteration in numpy alone preconditioned by the
-tree of :func:`graph.diagnose`'s sweep; it raises if it does not converge.
+at every size, a LOBPCG iteration in numpy alone, its Laplacian products
+read from the stored edge array and its preconditioner the tree of
+:func:`graph.diagnose`'s sweep; it raises if it does not converge.
 :func:`beta_second_smallest` is the one source of beta_{n-1}, and a graph's
 gap is its :func:`spectral_summary` (0.0 when disconnected) wherever read.
 The oracles' full eigenbasis is :func:`laplacian_eigh`.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, diagnose, laplacian, make_grid2d
+from .graph import Graph, diagnose, edge_slices, laplacian, make_grid2d
 
 __all__ = [
     "SpectralSummary",
@@ -152,16 +153,14 @@ def _lobpcg_beta(g: Graph) -> float:
     LOBPCG iteration of :func:`beta_second_smallest`, or RuntimeError."""
     n = g.n
     order, end = _tree_order(g)
-    # The iteration runs on the graph relabelled in the tree's preorder, so
-    # that each subtree is one slice.
-    rank = np.argsort(order)
-    u, v = rank[g.edges[:, 0]], rank[g.edges[:, 1]]
-    ends, nbrs = np.concatenate([u, v]), np.concatenate([v, u])
-    deg = g.degrees[order].astype(np.float64)
+    slices = [rows.T for rows in edge_slices(g)]
     prefix = np.zeros(n + 1)
 
     def lap(y: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(deg * y, np.bincount(ends, y[nbrs], n), out=out)
+        np.multiply(g.degrees, y, out=out)
+        for a, b in slices:
+            np.subtract.at(out, a, y[b])
+            np.subtract.at(out, b, y[a])
 
     def dot(a: np.ndarray, b: np.ndarray) -> float:
         # einsum, unlike BLAS ddot, sums in one order for any thread count
@@ -171,7 +170,7 @@ def _lobpcg_beta(g: Graph) -> float:
     # L applied to each
     sl = np.zeros((8, n))
     x, r, w, _, lx, lr, lw, _ = sl
-    x[:] = np.random.default_rng(0).standard_normal(n)[order]
+    x[:] = np.random.default_rng(0).standard_normal(n)
     x -= x.sum() / n
     x /= math.sqrt(dot(x, x))
     lap(x, lx)
@@ -186,10 +185,10 @@ def _lobpcg_beta(g: Graph) -> float:
         r -= r.sum() / n
         # T w = r on the tree: w[i] - w[parent of i] is the sum of r over
         # i's subtree, and w[i] the sum of those on the path from the root
-        np.cumsum(r, out=prefix[1:])
+        np.cumsum(r[order], out=prefix[1:])
         sub = prefix[end] - prefix[:-1]
         sub -= np.bincount(end, sub, n + 1)[:n]
-        np.cumsum(sub, out=w)
+        w[order] = np.cumsum(sub)
         w -= w.sum() / n
         lap(r, lr)
         lap(w, lw)
@@ -222,10 +221,10 @@ def beta_second_smallest(g: Graph) -> float:
     LOBPCG iteration in numpy alone (A. Knyazev, SIAM J. Sci. Comput. 2001),
     preconditioned by a spanning tree (D. Spielman and S.-H. Teng, SIAM J.
     Matrix Anal. Appl. 2014):
-    - L x is ``deg * x - bincount(u, x[v])`` over the doubled edge list.
-      T^-1, for T the Laplacian of the breadth-first tree that
-      :func:`diagnose` records, is two prefix sums over the tree's
-      depth-first preorder: a dozen numpy calls at any depth;
+    - L x is ``deg * x`` less ``subtract.at`` of x[b] at a and x[a] at b
+      over each row slice (a, b) of :func:`edge_slices`. T^-1, for T the
+      Laplacian of :func:`diagnose`'s breadth-first tree, is two prefix
+      sums over its depth-first preorder: a dozen numpy calls at any depth;
     - the start (``default_rng(0)``), each residual r, each T^-1 r and each
       iterate have their mean subtracted, off the all-ones null vector;
     - a step is Rayleigh-Ritz on span{x, r, T^-1 r, p}, scaled to unit
@@ -236,10 +235,10 @@ def beta_second_smallest(g: Graph) -> float:
     - it stops when ``||L x - beta x|| <= 1e-8 beta`` and raises
       RuntimeError naming n if that takes over 20000 steps or the Rayleigh
       quotient stops being positive.
-    The long sums are einsum, bincount, cumsum and products of matrices
-    with at most eight rows, which BLAS does not split over threads, so the
-    result has the same bits for any BLAS thread count. Raises ValueError
-    on a graph with no edges.
+    The long sums are einsum, bincount, subtract.at, cumsum and products of
+    matrices with at most eight rows, which BLAS does not split over threads,
+    so the result has the same bits for any BLAS thread count. Raises
+    ValueError on a graph with no edges.
     """
     n = g.n
     if g.num_edges == 0:

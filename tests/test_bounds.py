@@ -77,6 +77,16 @@ def test_bounds_reject_bad_t(rng, kernel_factory):
         sync_error_bound(small_graph(), kernel_factory(6, rng), 0.5)
 
 
+def test_bound_report_rejects_fractional_t_grid(rng, kernel_factory):
+    # t_grid takes the whole-number rule: 12.7 is not truncated to 12
+    g, km = small_graph(), kernel_factory(6, rng)
+    with pytest.raises(ValueError) as info:
+        bound_report(g, km, "gosta_sync", [1, 12.7])
+    assert str(info.value) == "t_grid must hold whole numbers, got 12.7"
+    rep = bound_report(g, km, "gosta_sync", [1e1, 1.0])
+    assert rep.t_grid.tolist() == [1, 10]
+
+
 # ------------------------------------------------------------- dominance
 
 

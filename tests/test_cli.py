@@ -255,6 +255,22 @@ def test_cli_rejects_graph_spec_missing_keys(tmp_path, capsys):
                           "graph spec 'watts_strogatz'")
 
 
+def test_cli_experiment_rejects_repeated_protocol(tmp_path, capsys):
+    cfg = {"graph": {"family": "complete", "n": 12},
+           "kernel": {"name": "variance"},
+           "data": {"kind": "gaussian_mixture", "n": 12, "d": 2,
+                    "clusters": 1, "separation": 0.0},
+           "protocols": ["gosta_sync", "gosta_sync"], "iters": 10,
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("gosta-sim: error: protocol 'gosta_sync' is listed "
+                          "more than once")
+    assert not (tmp_path / "out").exists()
+
+
 def test_table1_rejects_repeated_spec_key(capsys):
     code, out, err = run_cli(capsys, "table1", "--graph", "complete:n=5,n=7")
     assert code == 1 and out == ""

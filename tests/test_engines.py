@@ -56,6 +56,17 @@ def test_config_rejects_fractional_checkpoints():
     assert all(type(t) is int for t in cfg.checkpoints)
 
 
+def test_config_rejects_fractional_max_iters():
+    # max_iters takes the checkpoints' whole-number rule: 100.7 is not
+    # truncated, and 1e2 runs as 100
+    with pytest.raises(ValueError) as info:
+        EngineConfig(protocol="boyd", max_iters=100.7)
+    assert str(info.value) == "max_iters must be a whole number, got 100.7"
+    cfg = EngineConfig(protocol="boyd", max_iters=1e2)
+    assert cfg.max_iters == 100 and type(cfg.max_iters) is int
+    assert cfg.checkpoints == tuple(range(1, 101))
+
+
 def test_config_schedule_is_its_checkpoints():
     # one schedule field, every iteration by default; no second route
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [

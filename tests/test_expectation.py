@@ -429,6 +429,20 @@ def test_oracles_reject_disconnected(kernel_factory):
         gs.gosta_sync_expectation(g, km, 5, [5])
 
 
+def test_oracles_reject_fractional_checkpoints(kernel_factory):
+    # 2.5 and 7.9 are not truncated to 2 and 7; whole-valued floats pass
+    g, km = small_graph(), kernel_factory(6, np.random.default_rng(0))
+    for name in ("gosta_sync", "gosta_async", "u1", "u2"):
+        with pytest.raises(ValueError) as info:
+            PROTOCOLS[name].oracle(g, km, 10, [2.5, 7.9])
+        assert str(info.value) == ("checkpoints must hold whole numbers, "
+                                   "got 2.5")
+    out = gs.gosta_sync_expectation(g, km, 10, [1e1, 2.0])
+    assert list(out) == [2, 10]
+    assert np.array_equal(out[10], gs.gosta_sync_expectation(g, km, 10,
+                                                             [10])[10])
+
+
 # ------------------------------------------- eigenbasis vs step recursions
 
 

@@ -287,6 +287,14 @@ def _sweep_graphs():
     yield "complete bipartite 256 x 257 plus one edge", gs.make_graph(
         513, [(i, j) for i in range(256) for j in range(256, 513)]
         + [(511, 512)])
+    # isolated vertices are components and roots of their own, with no
+    # sweep: an edgeless graph is connected only at n = 1
+    yield "three vertices, no edges", gs.make_graph(3, [])
+    yield "one edge among isolated vertices", gs.make_graph(2000, [(5, 1717)])
+    yield "isolated vertices below the first root", gs.make_graph(
+        8, [(3, 4), (4, 5), (3, 5), (6, 7)])
+    yield "path among isolated vertices", gs.make_graph(
+        12, [(1, 4), (4, 7), (7, 10)])
 
 
 @pytest.mark.parametrize("name, g", list(_sweep_graphs()))

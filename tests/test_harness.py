@@ -149,6 +149,27 @@ def test_load_config_unknown_protocol(tmp_path):
         load_experiment(minimal_config(tmp_path, protocols=["warp_drive"]))
 
 
+def test_load_config_repeated_protocol_rejected(tmp_path):
+    # a second copy would run again and replace the first one's aggregate
+    path = minimal_config(tmp_path, protocols=["u2", "gosta_sync", "u2"])
+    with pytest.raises(ValueError) as info:
+        load_experiment(path)
+    assert str(info.value) == "protocol 'u2' is listed more than once"
+
+
+def test_run_experiment_rejects_repeated_protocol(tmp_path):
+    # a spec built directly, not by load_experiment, is checked too
+    spec = harness.ExperimentSpec(
+        graph={"family": "complete", "n": 12}, kernel={"name": "variance"},
+        data={"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
+              "separation": 0.0},
+        protocols=("gosta_sync", "gosta_sync"), iters=50, runs=1, seed=0,
+        output_dir=str(tmp_path))
+    with pytest.raises(ValueError) as info:
+        run_experiment(spec, write_csvs=False)
+    assert str(info.value) == "protocol 'gosta_sync' is listed more than once"
+
+
 # ------------------------------------------------------------- generators
 
 

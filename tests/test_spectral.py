@@ -277,6 +277,24 @@ def test_beta_complete_1599_minus_edge_reads_the_swept_tree():
     assert beta_second_smallest(g) == pytest.approx(n - 2, rel=1e-12)
 
 
+def test_lobpcg_beta_complete_1599_minus_edge_reads_the_stored_edges():
+    # The solve reads the Laplacian from g.edges one row slice at a time
+    # in the graph's own labels, so with diagnose cached it holds O(n)
+    # arrays and one slice's temporaries, with no relabelled or doubled
+    # copy of the 1.28 million edges
+    n = 1599
+    g = gs.Graph(n=n, edges=gs.make_complete(n).edges[1:])
+    gs.diagnose(g)
+    tracemalloc.start()
+    try:
+        beta = _lobpcg_beta(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert beta == pytest.approx(n - 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("rows, cols", [(1, 7), (1, 40), (6, 6), (5, 3),
                                         (39, 41)])
 def test_beta_grid_closed_form_without_solver(monkeypatch, rows, cols):
