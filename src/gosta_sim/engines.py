@@ -138,8 +138,13 @@ class RelativeError:
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
-    """Fixed splitting function mapping (base_seed, run indices) to a seed."""
-    ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
+    """Fixed splitting function mapping (base_seed, run indices) to a seed;
+    all are whole numbers, and the base seed is >= 0."""
+    base_seed = whole(base_seed, "seed")
+    if base_seed < 0:
+        raise ValueError("seed must be >= 0")
+    ss = np.random.SeedSequence(
+        [base_seed, *(whole(i, "seed index") for i in indices)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -51,9 +51,12 @@ _CHUNK_ELEMENTS = 32768
 
 
 def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
-    """1-2-5 geometric grid up to and including t_max, capped in length."""
+    """1-2-5 geometric grid up to and including t_max, capped at
+    ``max_points >= 1`` points."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if max_points < 1:
+        raise ValueError("max_points must be >= 1")
     pts = []
     decade = 1
     while decade <= t_max:
@@ -66,13 +69,16 @@ def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
         pts.append(t_max)
     if len(pts) > max_points:
         # linspace gives only the first index for one point: close on t_max
-        keep = np.unique(np.linspace(0, len(pts) - 1, max_points).astype(int))
+        keep = sorted(set(
+            np.linspace(0, len(pts) - 1, max_points).astype(int).tolist()))
         pts = [pts[i] for i in keep[:-1]] + [t_max]
     return tuple(pts)
 
 
 def every_checkpoints(t_max: int, step: int) -> tuple[int, ...]:
     """Every ``step``-th iteration before t_max, then t_max itself."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
     return (*range(step, t_max, step), t_max)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,9 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
             adj[b].discard(a)
             adj[a].add(w)
             adj[w].add(a)
-        g = make_graph(n, [(a, b) for a in range(n) for b in adj[a] if a < b])
+        starts = np.repeat(np.arange(n), [len(nbrs) for nbrs in adj])
+        ends = np.fromiter(chain.from_iterable(adj), np.int64, starts.size)
+        g = make_graph(n, np.column_stack([starts, ends])[starts < ends])
         if diagnose(g).connected:
             return g
     raise ValueError(

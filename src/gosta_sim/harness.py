@@ -71,7 +71,10 @@ _CHECKPOINT_POLICIES = ("geometric", "every")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated experiment description, ready to run."""
+    """An experiment description, checked when it is made, in code or by
+    :func:`load_experiment`. A broken rule raises ValueError, or
+    FileNotFoundError for a missing graph file or dataset, naming its key.
+    The whole-number fields and spec sizes are stored as ints."""
 
     graph: dict
     kernel: dict
@@ -84,6 +87,43 @@ class ExperimentSpec:
     checkpoint_step: int = 1
     checkpoint_max_points: int = 200
     output_dir: str = "."
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "graph", _check_graph_spec(self.graph))
+        kernel = dict(self.kernel)
+        _check_keys(kernel, {"name"}, "kernel spec")
+        if kernel.get("name") not in kernels.KERNEL_NAMES:
+            raise ValueError(f"kernel name must be one of "
+                             f"{kernels.KERNEL_NAMES}")
+        data = dict(self.data)
+        kind = data.pop("kind", None)
+        if kind not in _DATA_KEYS:
+            raise ValueError(f"data kind must be one of "
+                             f"{sorted(_DATA_KEYS)}, got {kind!r}")
+        _check_keys(data, _DATA_KEYS[kind], f"data spec '{kind}'",
+                    _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS)
+        data = {key: whole(value, f"data {key}") if key in _WHOLE_DATA_KEYS
+                else value for key, value in data.items()}
+        object.__setattr__(self, "data", {**data, "kind": kind})
+        for what, path in (("graph", self.graph.get("path")),
+                           ("dataset", self.data.get("path"))):
+            if path is not None and not Path(path).exists():
+                raise FileNotFoundError(f"{what} file not found: {Path(path)}")
+        object.__setattr__(self, "protocols", _check_protocols(self.protocols))
+        for name, least in (("iters", 1), ("runs", 1), ("seed", 0),
+                            ("checkpoint_max_points", 1)):
+            label = name.replace("_", " ", 1)
+            object.__setattr__(self, name, whole(getattr(self, name), label))
+            if getattr(self, name) < least:
+                raise ValueError(f"{label} must be >= {least}")
+        if self.checkpoint_policy not in _CHECKPOINT_POLICIES:
+            raise ValueError(f"checkpoint policy must be one of "
+                             f"{_CHECKPOINT_POLICIES}")
+        object.__setattr__(self, "checkpoint_step",
+                           whole(self.checkpoint_step, "checkpoint step"))
+        if (self.checkpoint_policy == "every"
+                and not 1 <= self.checkpoint_step <= self.iters):
+            raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
 
 
 @dataclass
@@ -114,19 +154,15 @@ class AggregateResult:
     runs: int
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(keys, allowed: set[str], where: str,
+                required=frozenset()) -> None:
+    """Raise ValueError on a key outside ``allowed`` or one of ``required``
+    missing from ``keys``."""
+    unknown = set(keys) - allowed
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {where}; "
                          f"allowed: {sorted(allowed)}")
-
-
-def _check_keys(keys: set[str], allowed: set[str], required: set[str],
-                where: str) -> None:
-    """Raise ValueError on a key outside ``allowed`` or one of ``required``
-    missing from ``keys``."""
-    _reject_unknown(keys, allowed, where)
-    missing = required - keys
+    missing = required - set(keys)
     if missing:
         raise ValueError(f"missing key(s) {sorted(missing)} in {where}; "
                          f"required: {sorted(required)}")
@@ -141,18 +177,19 @@ def _check_graph_spec(spec: dict) -> dict:
         raise ValueError(f"graph family must be one of "
                          f"{sorted(_GRAPH_KEYS)}, got {family!r}")
     _check_keys(set(spec) - {"family"}, _GRAPH_KEYS[family],
-                _GRAPH_KEYS[family], f"graph spec '{family}'")
+                f"graph spec '{family}'", _GRAPH_KEYS[family])
     sizes = {key: whole(spec[key], f"graph {key}")
              for key in ("n", "k", "rows", "cols") if key in spec}
     return {**spec, **sizes}
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
-    """Parse and validate a JSON experiment config.
+    """Read a JSON experiment config into an :class:`ExperimentSpec`.
 
-    Unknown keys are rejected at every level; referenced files must exist.
-    Defaults: checkpoints policy "geometric" capped at 200 points,
-    output_dir ".", seed 0, runs 1.
+    Only the JSON's shape is checked here: unknown keys at the top level and
+    in ``checkpoints``, and missing required keys. The spec checks the
+    values. Defaults: runs 1, seed 0, checkpoints policy "geometric" capped
+    at 200 points, output_dir ".".
     """
     p = Path(path)
     if not p.exists():
@@ -161,69 +198,19 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{p}: invalid JSON ({exc})") from exc
-    top_allowed = {"graph", "kernel", "data", "protocols", "iters", "runs",
-                   "seed", "checkpoints", "output_dir"}
-    _reject_unknown(raw, top_allowed, "experiment config")
+    _check_keys(raw, {"graph", "kernel", "data", "protocols", "iters", "runs",
+                      "seed", "checkpoints", "output_dir"},
+                "experiment config")
     for req in ("graph", "kernel", "data", "protocols", "iters"):
         if req not in raw:
             raise ValueError(f"{p}: missing required key '{req}'")
-
-    graph = _check_graph_spec(dict(raw["graph"]))
-    if graph["family"] == "file":
-        gpath = Path(graph["path"])
-        if not gpath.exists():
-            raise FileNotFoundError(f"graph file not found: {gpath}")
-
-    kernel = dict(raw["kernel"])
-    _reject_unknown(kernel, {"name"}, "kernel spec")
-    if kernel.get("name") not in kernels.KERNEL_NAMES:
-        raise ValueError(f"kernel name must be one of {kernels.KERNEL_NAMES}")
-
-    data = dict(raw["data"])
-    kind = data.pop("kind", None)
-    if kind not in _DATA_KEYS:
-        raise ValueError(f"data kind must be one of {sorted(_DATA_KEYS)}, "
-                         f"got {kind!r}")
-    _check_keys(set(data), _DATA_KEYS[kind],
-                _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS, f"data spec '{kind}'")
-    for key in _WHOLE_DATA_KEYS:
-        if key in data:
-            whole(data[key], f"data {key}")
-    data["kind"] = kind
-    if kind == "csv":
-        dpath = Path(data["path"])
-        if not dpath.exists():
-            raise FileNotFoundError(f"dataset file not found: {dpath}")
-
-    protocols = _check_protocols(raw["protocols"])
-
-    iters = whole(raw["iters"], "iters")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    runs = whole(raw.get("runs", 1), "runs")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    seed = whole(raw.get("seed", 0), "seed")
-
-    cp = dict(raw.get("checkpoints", {}))
-    _reject_unknown(cp, {"policy", "step", "max_points"}, "checkpoints spec")
-    policy = cp.get("policy", "geometric")
-    if policy not in _CHECKPOINT_POLICIES:
-        raise ValueError(f"checkpoint policy must be one of "
-                         f"{_CHECKPOINT_POLICIES}")
-    step = whole(cp.get("step", 1), "checkpoint step")
-    if policy == "every" and not 1 <= step <= iters:
-        raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
-    max_points = whole(cp.get("max_points", 200), "checkpoint max_points")
-    if max_points < 1:
-        raise ValueError("checkpoint max_points must be >= 1")
-
-    return ExperimentSpec(graph=graph, kernel=kernel, data=data,
-                          protocols=protocols, iters=iters, runs=runs,
-                          seed=seed, checkpoint_policy=policy,
-                          checkpoint_step=step,
-                          checkpoint_max_points=max_points,
-                          output_dir=str(raw.get("output_dir", ".")))
+    checkpoints = dict(raw.pop("checkpoints", {}))
+    _check_keys(checkpoints, {"policy", "step", "max_points"},
+                "checkpoints spec")
+    return ExperimentSpec(
+        **{"runs": 1, "seed": 0, **raw,
+           "output_dir": str(raw.get("output_dir", "."))},
+        **{f"checkpoint_{key}": value for key, value in checkpoints.items()})
 
 
 def _check_protocols(protocols) -> tuple[str, ...]:
@@ -354,8 +341,7 @@ def node_values(data) -> np.ndarray:
 
 def _materialize_data(spec: ExperimentSpec):
     """Return (data, partition) for kernel construction."""
-    data = {key: whole(value, f"data {key}") if key in _WHOLE_DATA_KEYS
-            else value for key, value in spec.data.items()}
+    data = spec.data
     kind = data["kind"]
     if kind == "csv":
         return load_csv_data(data["path"], spec.kernel["name"],
@@ -364,10 +350,8 @@ def _materialize_data(spec: ExperimentSpec):
     if kind == "gaussian_mixture":
         return synth_gaussian_mixture(data["n"], data["d"], data["clusters"],
                                       float(data["separation"]), rng)
-    if kind == "two_class":
-        return synth_two_class(data["n"], data["d"], float(data["margin"]),
-                               rng), None
-    raise ValueError(f"unknown data kind '{kind}'")
+    return synth_two_class(data["n"], data["d"], float(data["margin"]),
+                           rng), None
 
 
 def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
@@ -432,7 +416,6 @@ def run_experiment(spec: ExperimentSpec,
     across runs. Deterministic given the spec seed, and the same whether
     the runs share one process or spread over several.
     """
-    _check_protocols(spec.protocols)
     graph = build_graph_from_spec(spec.graph, spec.seed)
     data, partition = _materialize_data(spec)
     km = kernels.build_kernel_matrix(spec.kernel["name"], data, partition)

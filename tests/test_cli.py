@@ -74,6 +74,20 @@ def test_simulate_rejects_runs_below_one(tmp_path, capsys, runs):
     assert not out.exists()
 
 
+def test_simulate_names_a_negative_seed(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",
+            "--out", str(data))
+    out = tmp_path / "sim.csv"
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "boyd",
+                           "--graph", "complete:n=8", "--kernel", "variance",
+                           "--data", str(data), "--iters", "10",
+                           "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert err == "gosta-sim: error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("every", ["0", "11"])
 def test_simulate_rejects_record_every_outside_iters(tmp_path, capsys, every):
     data = tmp_path / "d.csv"

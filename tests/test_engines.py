@@ -485,6 +485,18 @@ def test_determinism_bit_for_bit(rng, kernel_factory):
 def test_derive_seed_is_stable():
     assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
     assert derive_seed(42, 1, 2) != derive_seed(42, 2, 1)
+    assert derive_seed(42.0, 1.0, 2) == derive_seed(42, 1, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.5, 0, 0), "seed must be a whole number, got 1.5"),
+    ((-1,), "seed must be >= 0"),
+    ((1, 0.5), "seed index must be a whole number, got 0.5"),
+], ids=["fractional", "negative", "fractional_index"])
+def test_derive_seed_rejects_bad_seeds(args, message):
+    with pytest.raises(ValueError) as info:
+        derive_seed(*args)
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------- communication

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -10,7 +13,8 @@ import _reference as ref
 from gosta_sim import expectation
 from gosta_sim.engines import EngineConfig, derive_seed
 from gosta_sim.engines import PROTOCOLS
-from gosta_sim.expectation import divided_difference, geometric_checkpoints
+from gosta_sim.expectation import (divided_difference, every_checkpoints,
+                                   geometric_checkpoints)
 from gosta_sim.spectral import laplacian_eigh
 
 from _reference import _async_m1, brute_force_propagation, w_alpha
@@ -49,6 +53,34 @@ def test_geometric_checkpoints_cap_keeps_t_max():
     for points in range(1, 14):
         cps = geometric_checkpoints(20000, max_points=points)
         assert len(cps) <= points and cps[-1] == 20000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: geometric_checkpoints(100, max_points=0),
+     "max_points must be >= 1"),
+    (lambda: geometric_checkpoints(100, max_points=-1),
+     "max_points must be >= 1"),
+    (lambda: every_checkpoints(100, 0), "step must be >= 1"),
+    (lambda: every_checkpoints(100, -3), "step must be >= 1"),
+], ids=["max_points_0", "max_points_-1", "step_0", "step_-3"])
+def test_checkpoint_grids_reject_bad_sizes(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_capped_grid_loads_no_masked_arrays():
+    # np.unique would import numpy.ma on its first call
+    code = ("import sys; from gosta_sim.expectation import "
+            "geometric_checkpoints; geometric_checkpoints(10**6, 10); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ sync oracle

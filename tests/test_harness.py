@@ -92,12 +92,11 @@ def test_materialized_data_rejects_fractional_int(key, value):
             if key == "cell_column" else
             {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
              "separation": 0.0})
-    spec = harness.ExperimentSpec(
-        graph={"family": "complete", "n": 12}, kernel={"name": "scatter"},
-        data={**data, key: value}, protocols=("gosta_sync",), iters=50,
-        runs=1, seed=0)
     with pytest.raises(ValueError) as info:
-        harness._materialize_data(spec)
+        harness.ExperimentSpec(
+            graph={"family": "complete", "n": 12},
+            kernel={"name": "scatter"}, data={**data, key: value},
+            protocols=("gosta_sync",), iters=50, runs=1, seed=0)
     assert str(info.value) == (f"data {key} must be a whole number, "
                                f"got {value!r}")
 
@@ -158,16 +157,120 @@ def test_load_config_repeated_protocol_rejected(tmp_path):
 
 
 def test_run_experiment_rejects_repeated_protocol(tmp_path):
-    # a spec built directly, not by load_experiment, is checked too
-    spec = harness.ExperimentSpec(
-        graph={"family": "complete", "n": 12}, kernel={"name": "variance"},
-        data={"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
-              "separation": 0.0},
-        protocols=("gosta_sync", "gosta_sync"), iters=50, runs=1, seed=0,
-        output_dir=str(tmp_path))
+    # a spec built directly, not by load_experiment, is checked when made
     with pytest.raises(ValueError) as info:
-        run_experiment(spec, write_csvs=False)
+        harness.ExperimentSpec(
+            graph={"family": "complete", "n": 12},
+            kernel={"name": "variance"},
+            data={"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
+                  "separation": 0.0},
+            protocols=("gosta_sync", "gosta_sync"), iters=50, runs=1, seed=0,
+            output_dir=str(tmp_path))
     assert str(info.value) == "protocol 'gosta_sync' is listed more than once"
+
+
+MIXTURE = {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
+           "separation": 0.0}
+
+# Each case overrides ExperimentSpec fields of a good spec; both routes must
+# raise the expected text in full.
+BAD_SPECS = {
+    "runs_zero": ({"runs": 0}, ValueError, "runs must be >= 1"),
+    "runs_fraction": ({"runs": 1.5}, ValueError,
+                      "runs must be a whole number, got 1.5"),
+    "seed_fraction": ({"seed": 1.5}, ValueError,
+                      "seed must be a whole number, got 1.5"),
+    "seed_negative": ({"seed": -1}, ValueError, "seed must be >= 0"),
+    "iters_zero": ({"iters": 0}, ValueError, "iters must be >= 1"),
+    "iters_fraction": ({"iters": 10.7}, ValueError,
+                       "iters must be a whole number, got 10.7"),
+    "policy_unknown": ({"checkpoint_policy": "bogus"}, ValueError,
+                       "checkpoint policy must be one of "
+                       "('geometric', 'every')"),
+    "step_zero": ({"checkpoint_policy": "every", "checkpoint_step": 0},
+                  ValueError,
+                  "checkpoint step must satisfy 1 <= step <= iters"),
+    "step_above_iters": ({"checkpoint_policy": "every",
+                          "checkpoint_step": 100}, ValueError,
+                         "checkpoint step must satisfy 1 <= step <= iters"),
+    "step_fraction": ({"checkpoint_policy": "every",
+                       "checkpoint_step": 2.5}, ValueError,
+                      "checkpoint step must be a whole number, got 2.5"),
+    "max_points_zero": ({"checkpoint_max_points": 0}, ValueError,
+                        "checkpoint max_points must be >= 1"),
+    "max_points_fraction": ({"checkpoint_max_points": 9.5}, ValueError,
+                            "checkpoint max_points must be a whole number, "
+                            "got 9.5"),
+    "kernel_extra_key": ({"kernel": {"name": "variance", "x": 1}},
+                         ValueError, "unknown key(s) ['x'] in kernel spec; "
+                         "allowed: ['name']"),
+    "kernel_unknown": ({"kernel": {"name": "cosine"}}, ValueError,
+                       "kernel name must be one of ('variance', 'scatter', "
+                       "'auc')"),
+    "data_extra_key": ({"data": {**MIXTURE, "extra": 1}}, ValueError,
+                       "unknown key(s) ['extra'] in data spec "
+                       "'gaussian_mixture'; allowed: ['clusters', 'd', 'n', "
+                       "'separation']"),
+    "data_missing_d": ({"data": {k: v for k, v in MIXTURE.items()
+                                 if k != "d"}}, ValueError,
+                       "missing key(s) ['d'] in data spec 'gaussian_mixture';"
+                       " required: ['clusters', 'd', 'n', 'separation']"),
+    "data_kind_unknown": ({"data": {"kind": "spiral", "n": 12}}, ValueError,
+                          "data kind must be one of ['csv', "
+                          "'gaussian_mixture', 'two_class'], got 'spiral'"),
+    "data_fraction": ({"data": {**MIXTURE, "clusters": 1.5}}, ValueError,
+                      "data clusters must be a whole number, got 1.5"),
+    "data_csv_missing": ({"data": {"kind": "csv",
+                                   "path": "does_not_exist.csv"}},
+                         FileNotFoundError,
+                         "dataset file not found: does_not_exist.csv"),
+    "graph_family_unknown": ({"graph": {"family": "torus", "n": 12}},
+                             ValueError, "graph family must be one of "
+                             "['complete', 'file', 'grid2d', "
+                             "'watts_strogatz'], got 'torus'"),
+    "graph_missing_key": ({"graph": {"family": "watts_strogatz", "n": 20}},
+                          ValueError, "missing key(s) ['k', 'p'] in graph "
+                          "spec 'watts_strogatz'; required: ['k', 'n', 'p']"),
+    "graph_extra_key": ({"graph": {"family": "complete", "n": 5, "extra": 2}},
+                        ValueError, "unknown key(s) ['extra'] in graph spec "
+                        "'complete'; allowed: ['n']"),
+    "graph_fraction": ({"graph": {"family": "complete", "n": 12.5}},
+                       ValueError, "graph n must be a whole number, got 12.5"),
+    "graph_file_missing": ({"graph": {"family": "file",
+                                      "path": "does_not_exist.txt"}},
+                           FileNotFoundError,
+                           "graph file not found: does_not_exist.txt"),
+    "protocols_empty": ({"protocols": []}, ValueError,
+                        "protocols list must be nonempty"),
+    "protocol_unknown": ({"protocols": ["warp_drive"]}, ValueError,
+                         "unknown protocol 'warp_drive'"),
+    "protocol_repeated": ({"protocols": ["u2", "gosta_sync", "u2"]},
+                          ValueError,
+                          "protocol 'u2' is listed more than once"),
+}
+
+
+@pytest.mark.parametrize("fields, error, message", BAD_SPECS.values(),
+                         ids=BAD_SPECS)
+def test_bad_spec_fails_alike_from_json_and_in_code(tmp_path, fields, error,
+                                                    message):
+    # load_experiment only parses: every rule is the spec's own
+    spec = {"graph": {"family": "complete", "n": 12},
+            "kernel": {"name": "variance"}, "data": MIXTURE,
+            "protocols": ["gosta_sync"], "iters": 50, "runs": 1, "seed": 0,
+            **fields}
+    config = {k: v for k, v in spec.items() if not k.startswith("checkpoint_")}
+    checkpoints = {k.removeprefix("checkpoint_"): v for k, v in spec.items()
+                   if k.startswith("checkpoint_")}
+    if checkpoints:
+        config["checkpoints"] = checkpoints
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(error) as from_json:
+        load_experiment(path)
+    with pytest.raises(error) as in_code:
+        harness.ExperimentSpec(**spec)
+    assert str(from_json.value) == str(in_code.value) == message
 
 
 # ------------------------------------------------------------- generators
