@@ -1,4 +1,5 @@
-"""Numerical evaluation of the convergence bounds and rate-shape fits.
+"""Numerical evaluation of the convergence bounds and of the log t / t
+rate fit that stands in for the asynchronous protocol's bound.
 
 The bounds are driven by the averaging gap ``c = 1 - lambda_2(2)`` of the
 expected pair-averaging matrix and by the two data-dependent dispersion
@@ -30,9 +31,6 @@ __all__ = [
     "bound_report",
 ]
 
-FIT_MODELS = ("inv_t", "logt_over_t", "exp")
-
-
 @dataclass(frozen=True)
 class AsyncConstants:
     """Constants of the asynchronous analysis.
@@ -50,19 +48,17 @@ class AsyncConstants:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Rate-model fit.
+    """Fit of err(t) ~ K log t / t.
 
     ``constant`` is the least-squares scale K; ``envelope`` is the smallest
     constant whose curve upper-bounds every fitted point (max of
-    err/model over the fit window), the empirical substitute for an
-    existential bound constant. ``rate`` is populated by the two-parameter
-    exponential model only.
+    err / (log t / t) over the fit window), the empirical substitute for an
+    existential bound constant.
     """
 
     constant: float
     residual: float
     envelope: float = 0.0
-    rate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -130,17 +126,17 @@ def async_constants(g: Graph,
 
 
 def fit_rate(ts, errs, model: str) -> FitResult:
-    """Least-squares fit of err(t) ~ K * model(t) on a checkpoint grid.
+    """Least-squares fit of err(t) ~ K * log t / t on a checkpoint grid.
 
-    Models: ``inv_t`` (1/t), ``logt_over_t`` (log t / t), ``exp``
-    (K * exp(-rate * t), a two-parameter log-linear fit returning the rate
-    as well). Only checkpoints with t >= 2 enter the fit and at least five
-    are required. When all errors are positive the squared error is
-    minimized in log space (uniform relative weighting); the residual is the
-    RMS log-space misfit. All-zero errors return K = 0.
+    ``model`` names the rate and must be ``logt_over_t``, the O(log t / t)
+    rate of the asynchronous analysis. Only checkpoints with t >= 2 enter
+    the fit and at least five are required. When all errors are positive
+    the squared error is minimized in log space (uniform relative
+    weighting); the residual is the RMS log-space misfit. All-zero errors
+    return K = 0.
     """
-    if model not in FIT_MODELS:
-        raise ValueError(f"unknown model '{model}'; expected one of {FIT_MODELS}")
+    if model != "logt_over_t":
+        raise ValueError(f"unknown model '{model}'; expected 'logt_over_t'")
     ts = np.asarray(ts, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
     if ts.shape != errs.shape:
@@ -150,22 +146,8 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     if ts.shape[0] < 5:
         raise ValueError("need at least 5 checkpoints with t >= 2")
     if (errs == 0).all():
-        return FitResult(constant=0.0, residual=0.0, envelope=0.0,
-                         rate=0.0 if model == "exp" else None)
-
-    if model == "exp":
-        if (errs <= 0).any():
-            raise ValueError("exponential fit requires positive errors")
-        logs = np.log(errs)
-        slope, intercept = np.polyfit(ts, logs, 1)
-        fitted = intercept + slope * ts
-        resid = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-        k = float(np.exp(intercept))
-        env = float(np.max(errs / np.exp(slope * ts)))
-        return FitResult(constant=k, residual=resid, envelope=env,
-                         rate=float(-slope))
-
-    basis = 1.0 / ts if model == "inv_t" else np.log(ts) / ts
+        return FitResult(constant=0.0, residual=0.0, envelope=0.0)
+    basis = np.log(ts) / ts
     env = float(np.max(errs / basis))
     if (errs > 0).all():
         logk = float(np.mean(np.log(errs) - np.log(basis)))
@@ -178,25 +160,15 @@ def fit_rate(ts, errs, model: str) -> FitResult:
     return FitResult(constant=k, residual=resid, envelope=env)
 
 
-def _fitted_curve(model: str, fit: FitResult, t: np.ndarray) -> np.ndarray:
-    """The curve of a :func:`fit_rate` model with its fitted constants."""
-    if model == "inv_t":
-        return fit.constant / t
-    if model == "exp":
-        return fit.constant * np.exp(-fit.rate * t)
-    return fit.constant * np.log(t) / t
-
-
 def bound_report(g: Graph, km: KernelMatrix, protocol: str,
                  t_grid) -> BoundReport:
     """Exact oracle error together with the matching bound on a time grid.
 
-    For a protocol whose record names a :func:`fit_rate` model instead of a
-    bound function (the asynchronous protocol, whose theory only asserts an
-    O(log t / t) rate with an unconstructed constant), ``bound_val`` is that
-    model's fitted curve (``K * log t / t``, ``K / t`` or
-    ``K * exp(-rate * t)``), infinite below t = 2, and the fit constant is
-    reported alongside the spectral constants.
+    For a protocol whose record names the :func:`fit_rate` model instead of
+    a bound function (the asynchronous protocol, whose theory only asserts
+    an O(log t / t) rate with an unconstructed constant), ``bound_val`` is
+    the fitted ``K * log t / t``, infinite below t = 2, and the fit constant
+    is reported alongside the spectral constants.
     """
     from .engines import PROTOCOLS  # engines imports this module
     t_grid = sorted(set(whole(list(t_grid), "t_grid").tolist()))
@@ -220,13 +192,9 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
         bound = np.array([proto.bound(g, km, t, s) for t in t_grid])
     else:
         ac = async_constants(g, s)
-        constants["p_bar"] = ac.p_bar
-        constants["t_c"] = ac.t_c
         fit = fit_rate(tarr, actual, proto.bound)
-        constants["fit_constant"] = fit.constant
-        constants["fit_residual"] = fit.residual
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(tarr >= 2, _fitted_curve(proto.bound, fit, tarr),
-                             np.inf)
+        constants.update(p_bar=ac.p_bar, t_c=ac.t_c, fit_constant=fit.constant,
+                         fit_residual=fit.residual)
+        bound = np.where(tarr >= 2, fit.constant * np.log(tarr) / tarr, np.inf)
     return BoundReport(protocol=protocol, t_grid=tarr, actual_err=actual,
                        bound_val=bound, constants=constants)

@@ -154,6 +154,8 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     if args.kind == "gaussian_mixture":
         design, part = harness.synth_gaussian_mixture(

@@ -509,8 +509,8 @@ class Protocol(NamedTuple):
     ``on_values``, else on the kernel matrix, and ignores g unless
     ``on_graph``. ``oracle(g, source, t_max, checkpoints)`` is its exact
     expected dynamics, converging to ``limit(source)``. ``bound`` is its
-    analytic bound ``bound(g, km, t, summary)``, or the ``fit_rate`` model
-    whose fitted curve stands in where the theory gives only a rate.
+    analytic bound ``bound(g, km, t, summary)``, or ``"logt_over_t"``, the
+    ``fit_rate`` model fitted where the theory gives only a rate.
     """
 
     runner: Callable[..., Trace]

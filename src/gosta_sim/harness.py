@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -64,9 +65,21 @@ _DATA_KEYS = {
     "gaussian_mixture": {"n", "d", "clusters", "separation"},
     "two_class": {"n", "d", "margin"},
 }
-_OPTIONAL_DATA_KEYS = {"cell_column"}
 _WHOLE_DATA_KEYS = ("n", "d", "clusters", "cell_column")
 _CHECKPOINT_POLICIES = ("geometric", "every")
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; it pickles as a copy of its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an experiment spec is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = _refuse
+    setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -74,7 +87,8 @@ class ExperimentSpec:
     """An experiment description, checked when it is made, in code or by
     :func:`load_experiment`. A broken rule raises ValueError, or
     FileNotFoundError for a missing graph file or dataset, naming its key.
-    The whole-number fields and spec sizes are stored as ints."""
+    The whole-number fields and spec sizes are stored as ints, and the four
+    mappings as read-only dicts, ``checkpoints`` with its defaults filled."""
 
     graph: dict
     kernel: dict
@@ -83,47 +97,42 @@ class ExperimentSpec:
     iters: int
     runs: int
     seed: int
-    checkpoint_policy: str = "geometric"
-    checkpoint_step: int = 1
-    checkpoint_max_points: int = 200
+    checkpoints: dict = field(default_factory=dict)
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "graph", _check_graph_spec(self.graph))
-        kernel = dict(self.kernel)
+        graph = _check_graph_spec(self.graph)
+        kernel = _mapping(self.kernel, "kernel spec")
         _check_keys(kernel, {"name"}, "kernel spec")
         if kernel.get("name") not in kernels.KERNEL_NAMES:
             raise ValueError(f"kernel name must be one of "
                              f"{kernels.KERNEL_NAMES}")
-        data = dict(self.data)
+        data = _mapping(self.data, "data spec")
         kind = data.pop("kind", None)
         if kind not in _DATA_KEYS:
             raise ValueError(f"data kind must be one of "
                              f"{sorted(_DATA_KEYS)}, got {kind!r}")
         _check_keys(data, _DATA_KEYS[kind], f"data spec '{kind}'",
-                    _DATA_KEYS[kind] - _OPTIONAL_DATA_KEYS)
+                    _DATA_KEYS[kind] - {"cell_column"})
+        if "cell_column" in data and kernel["name"] != "scatter":
+            raise ValueError(f"data cell_column is read only by the scatter "
+                             f"kernel, not by '{kernel['name']}'")
         data = {key: whole(value, f"data {key}") if key in _WHOLE_DATA_KEYS
                 else value for key, value in data.items()}
-        object.__setattr__(self, "data", {**data, "kind": kind})
-        for what, path in (("graph", self.graph.get("path")),
-                           ("dataset", self.data.get("path"))):
+        for what, path in (("graph", graph.get("path")),
+                           ("dataset", data.get("path"))):
             if path is not None and not Path(path).exists():
                 raise FileNotFoundError(f"{what} file not found: {Path(path)}")
         object.__setattr__(self, "protocols", _check_protocols(self.protocols))
-        for name, least in (("iters", 1), ("runs", 1), ("seed", 0),
-                            ("checkpoint_max_points", 1)):
-            label = name.replace("_", " ", 1)
-            object.__setattr__(self, name, whole(getattr(self, name), label))
+        for name, least in (("iters", 1), ("runs", 1), ("seed", 0)):
+            object.__setattr__(self, name, whole(getattr(self, name), name))
             if getattr(self, name) < least:
-                raise ValueError(f"{label} must be >= {least}")
-        if self.checkpoint_policy not in _CHECKPOINT_POLICIES:
-            raise ValueError(f"checkpoint policy must be one of "
-                             f"{_CHECKPOINT_POLICIES}")
-        object.__setattr__(self, "checkpoint_step",
-                           whole(self.checkpoint_step, "checkpoint step"))
-        if (self.checkpoint_policy == "every"
-                and not 1 <= self.checkpoint_step <= self.iters):
-            raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
+                raise ValueError(f"{name} must be >= {least}")
+        checkpoints = _check_checkpoints(self.checkpoints, self.iters)
+        for name, value in (("graph", graph), ("kernel", kernel),
+                            ("data", {**data, "kind": kind}),
+                            ("checkpoints", checkpoints)):
+            object.__setattr__(self, name, _ReadOnlyDict(value))
 
 
 @dataclass
@@ -168,10 +177,19 @@ def _check_keys(keys, allowed: set[str], where: str,
                          f"required: {sorted(required)}")
 
 
+def _mapping(value, what: str) -> dict:
+    """A dict copy of ``value``, which must be a mapping."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a mapping, got "
+                         f"{type(value).__name__}")
+    return dict(value)
+
+
 def _check_graph_spec(spec: dict) -> dict:
     """A graph spec dict with its sizes (n, k, rows, cols) as ints, once it
-    names a known family with exactly that family's keys and its sizes are
-    whole numbers; raises ValueError otherwise."""
+    is a mapping that names a known family with exactly that family's keys
+    and its sizes are whole numbers; raises ValueError otherwise."""
+    spec = _mapping(spec, "graph spec")
     family = spec.get("family")
     if family not in _GRAPH_KEYS:
         raise ValueError(f"graph family must be one of "
@@ -183,13 +201,31 @@ def _check_graph_spec(spec: dict) -> dict:
     return {**spec, **sizes}
 
 
+def _check_checkpoints(spec, iters: int) -> dict:
+    """The checkpoints spec with its defaults filled: policy ``geometric``
+    with ``max_points`` 200, or ``every`` with ``step`` 1 (at most iters)."""
+    spec = _mapping(spec, "checkpoints spec")
+    policy = spec.get("policy", "geometric")
+    if policy not in _CHECKPOINT_POLICIES:
+        raise ValueError(f"checkpoint policy must be one of "
+                         f"{_CHECKPOINT_POLICIES}")
+    key, default = ("max_points", 200) if policy == "geometric" else ("step", 1)
+    _check_keys(set(spec) - {"policy"}, {key}, f"checkpoints spec '{policy}'")
+    value = whole(spec.get(key, default), f"checkpoint {key}")
+    if policy == "geometric" and value < 1:
+        raise ValueError("checkpoint max_points must be >= 1")
+    if policy == "every" and not 1 <= value <= iters:
+        raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
+    return {"policy": policy, key: value}
+
+
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Read a JSON experiment config into an :class:`ExperimentSpec`.
 
-    Only the JSON's shape is checked here: unknown keys at the top level and
-    in ``checkpoints``, and missing required keys. The spec checks the
-    values. Defaults: runs 1, seed 0, checkpoints policy "geometric" capped
-    at 200 points, output_dir ".".
+    Only the JSON's shape is checked here: that it is an object, with no
+    unknown key and every required key at the top level. The spec checks
+    the rest, ``checkpoints`` included. Defaults: runs 1, seed 0,
+    output_dir ".".
     """
     p = Path(path)
     if not p.exists():
@@ -198,19 +234,12 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{p}: invalid JSON ({exc})") from exc
-    _check_keys(raw, {"graph", "kernel", "data", "protocols", "iters", "runs",
-                      "seed", "checkpoints", "output_dir"},
-                "experiment config")
-    for req in ("graph", "kernel", "data", "protocols", "iters"):
-        if req not in raw:
-            raise ValueError(f"{p}: missing required key '{req}'")
-    checkpoints = dict(raw.pop("checkpoints", {}))
-    _check_keys(checkpoints, {"policy", "step", "max_points"},
-                "checkpoints spec")
-    return ExperimentSpec(
-        **{"runs": 1, "seed": 0, **raw,
-           "output_dir": str(raw.get("output_dir", "."))},
-        **{f"checkpoint_{key}": value for key, value in checkpoints.items()})
+    raw = _mapping(raw, f"{p}: experiment config")
+    required = {"graph", "kernel", "data", "protocols", "iters"}
+    _check_keys(raw, required | {"runs", "seed", "checkpoints", "output_dir"},
+                "experiment config", required)
+    return ExperimentSpec(**{"runs": 1, "seed": 0, **raw,
+                             "output_dir": str(raw.get("output_dir", "."))})
 
 
 def _check_protocols(protocols) -> tuple[str, ...]:
@@ -355,9 +384,10 @@ def _materialize_data(spec: ExperimentSpec):
 
 
 def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
-    if spec.checkpoint_policy == "geometric":
-        return geometric_checkpoints(spec.iters, spec.checkpoint_max_points)
-    return every_checkpoints(spec.iters, spec.checkpoint_step)
+    cp = spec.checkpoints
+    if cp["policy"] == "geometric":
+        return geometric_checkpoints(spec.iters, cp["max_points"])
+    return every_checkpoints(spec.iters, cp["step"])
 
 
 def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
@@ -408,9 +438,9 @@ def _run_jobs(inputs: tuple, keys: list[tuple[int, int]]) -> list[tuple]:
         return list(pool.map(_worker_job, keys))
 
 
-def run_experiment(spec: ExperimentSpec,
-                   write_csvs: bool = True) -> AggregateResult:
-    """Run all protocols of the experiment and aggregate error statistics.
+def run_experiment(spec: ExperimentSpec) -> AggregateResult:
+    """Run all protocols of the experiment, aggregate error statistics and
+    write them as CSVs to the spec's output directory.
 
     Relative errors are first averaged across nodes within a run, then
     across runs. Deterministic given the spec seed, and the same whether
@@ -451,8 +481,7 @@ def run_experiment(spec: ExperimentSpec,
         )
     result = AggregateResult(protocols=aggregates, truth=km.u_stat,
                              runs=spec.runs)
-    if write_csvs:
-        write_experiment_csvs(result, spec.output_dir)
+    write_experiment_csvs(result, spec.output_dir)
     return result
 
 

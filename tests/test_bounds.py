@@ -155,42 +155,32 @@ def test_mu_r_below_uniform_decay_past_t_c():
 # ------------------------------------------------------------- fit_rate
 
 
-def test_fit_rate_exact_inverse_t():
-    ts = np.array([2.0, 5.0, 10.0, 50.0, 200.0, 1000.0])
-    fit = fit_rate(ts, 3.0 / ts, "inv_t")
-    assert fit.constant == pytest.approx(3.0, abs=1e-10)
-    assert fit.residual < 1e-10
-    assert fit.envelope == pytest.approx(3.0, rel=1e-12)
-
-
 def test_fit_rate_exact_log_over_t():
     ts = np.array([2.0, 5.0, 10.0, 50.0, 200.0, 1000.0])
     fit = fit_rate(ts, 2.0 * np.log(ts) / ts, "logt_over_t")
     assert fit.constant == pytest.approx(2.0, abs=1e-10)
     assert fit.residual < 1e-10
-
-
-def test_fit_rate_exponential_two_parameter():
-    ts = np.linspace(2, 40, 12)
-    fit = fit_rate(ts, 5.0 * np.exp(-0.3 * ts), "exp")
-    assert fit.constant == pytest.approx(5.0, rel=1e-8)
-    assert fit.rate == pytest.approx(0.3, rel=1e-8)
+    assert fit.envelope == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fit_rate_all_zero():
     ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-    fit = fit_rate(ts, np.zeros(5), "inv_t")
+    fit = fit_rate(ts, np.zeros(5), "logt_over_t")
     assert fit.constant == 0.0 and fit.residual == 0.0
 
 
 def test_fit_rate_input_validation():
     ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
+    for model in ("cubic", "inv_t", "exp"):
+        with pytest.raises(ValueError) as info:
+            fit_rate(ts, np.ones(5), model)
+        assert str(info.value) == (f"unknown model '{model}'; expected "
+                                   f"'logt_over_t'")
     with pytest.raises(ValueError):
-        fit_rate(ts, np.ones(5), "cubic")
+        fit_rate(np.array([2.0, 3.0]), np.ones(2), "logt_over_t")
     with pytest.raises(ValueError):
-        fit_rate(np.array([2.0, 3.0]), np.ones(2), "inv_t")
-    with pytest.raises(ValueError):
-        fit_rate(np.array([0.5, 1.0, 1.5, 1.8, 1.9]), np.ones(5), "inv_t")
+        fit_rate(np.array([0.5, 1.0, 1.5, 1.8, 1.9]), np.ones(5),
+                 "logt_over_t")
 
 
 # ------------------------------------------------------------- reports
@@ -215,16 +205,10 @@ def test_bound_report_async_uses_rate_fit(rng, kernel_factory):
     assert np.isfinite(rep.constants["fit_constant"])
 
 
-@pytest.mark.parametrize("model, curve", [
-    ("inv_t", lambda fit, t: fit.constant / t),
-    ("logt_over_t", lambda fit, t: fit.constant * np.log(t) / t),
-    ("exp", lambda fit, t: fit.constant * np.exp(-fit.rate * t)),
-], ids=["inv_t", "logt_over_t", "exp"])
-def test_bound_report_draws_the_named_fit_model(model, curve, rng,
-                                                kernel_factory, monkeypatch):
+@pytest.mark.parametrize("model", ["logt_over_t"])
+def test_bound_report_draws_the_named_fit_model(model, rng, kernel_factory):
     # the record's fit_rate model decides both the fit and the drawn curve
-    monkeypatch.setitem(PROTOCOLS, "gosta_async",
-                        PROTOCOLS["gosta_async"]._replace(bound=model))
+    assert PROTOCOLS["gosta_async"].bound == model
     g = gs.make_complete(6)
     km = kernel_factory(6, rng)
     rep = bound_report(g, km, "gosta_async", geometric_checkpoints(500))
@@ -232,7 +216,8 @@ def test_bound_report_draws_the_named_fit_model(model, curve, rng,
     assert rep.constants["fit_constant"] == fit.constant
     late = rep.t_grid >= 2
     assert (~late).any() and np.isinf(rep.bound_val[~late]).all()
-    assert np.array_equal(rep.bound_val[late], curve(fit, rep.t_grid[late]))
+    t = rep.t_grid[late]
+    assert np.array_equal(rep.bound_val[late], fit.constant * np.log(t) / t)
 
 
 def test_bound_report_rejects_unknown_protocol(rng, kernel_factory):

@@ -42,6 +42,16 @@ def test_gen_data_kinds(tmp_path, capsys):
         assert len(rows) == 30
 
 
+def test_gen_data_names_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "gen-data", "--kind", "plain",
+                                "--n", "8", "--d", "1", "--seed", "-1",
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "gosta-sim: error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 def test_simulate_to_csv(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "gaussian_mixture", "--n", "16",
@@ -237,6 +247,26 @@ def test_table1_cli(tmp_path, capsys):
     lines = stdout.splitlines()
     assert lines[0] == "family,n,m,gap"
     assert len(lines) == 3
+
+
+def test_table1_out_writes_what_stdout_gets(tmp_path, capsys):
+    specs = ["--graph", "complete:n=40", "--graph", "grid2d:rows=6,cols=6"]
+    _, stdout, _ = run_cli(capsys, "table1", *specs)
+    out = tmp_path / "t1.csv"
+    code, written, err = run_cli(capsys, "table1", *specs, "--out", str(out))
+    assert (code, written, err) == (0, "", "")
+    assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("content, kind", [("5", "int"), ("[1, 2]", "list")])
+def test_experiment_names_a_config_that_is_no_object(tmp_path, capsys,
+                                                     content, kind):
+    path = tmp_path / "e.json"
+    path.write_text(content)
+    code, stdout, err = run_cli(capsys, "experiment", str(path))
+    assert (code, stdout) == (1, "")
+    assert err == (f"gosta-sim: error: {path}: experiment config must be a "
+                   f"mapping, got {kind}\n")
 
 
 def test_cli_graph_spec_names_a_fractional_key(capsys):

@@ -2,9 +2,11 @@ import json
 import logging
 import multiprocessing
 import os
+import pickle
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from gosta_sim.harness import (build_graph_from_spec, load_experiment,
                                run_experiment, synth_gaussian_mixture,
                                synth_two_class, table1)
 from gosta_sim.spectral import beta_second_smallest
+
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def minimal_config(tmp_path, **overrides):
@@ -42,7 +47,7 @@ def test_load_minimal_config_fills_defaults(tmp_path):
     spec = load_experiment(minimal_config(tmp_path))
     assert spec.runs == 1
     assert spec.seed == 0
-    assert spec.checkpoint_policy == "geometric"
+    assert spec.checkpoints == {"policy": "geometric", "max_points": 200}
     assert spec.output_dir == "."
 
 
@@ -121,10 +126,10 @@ def test_load_config_accepts_whole_floats(tmp_path):
         graph={"family": "grid2d", "rows": 3.0, "cols": 4},
         data={"kind": "gaussian_mixture", "n": 12.0, "d": 2.0,
               "clusters": 1.0, "separation": 0.0}))
-    assert (spec.iters, spec.runs, spec.seed, spec.checkpoint_step) == (
+    assert (spec.iters, spec.runs, spec.seed, spec.checkpoints["step"]) == (
         1_000_000, 2, 3, 1000)
     assert all(type(v) is int for v in (spec.iters, spec.runs, spec.seed,
-                                        spec.checkpoint_step))
+                                        spec.checkpoints["step"]))
 
 
 def test_load_config_unknown_key_rejected(tmp_path):
@@ -134,6 +139,40 @@ def test_load_config_unknown_key_rejected(tmp_path):
                           graph={"family": "complete", "n": 5, "extra": 2})
     with pytest.raises(ValueError, match="extra"):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("content, kind", [("5", "int"), ("[1, 2]", "list"),
+                                           ('"exp"', "str")])
+def test_load_config_that_is_no_object(tmp_path, content, kind):
+    path = tmp_path / "exp.json"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        load_experiment(path)
+    assert str(info.value) == (f"{path}: experiment config must be a "
+                               f"mapping, got {kind}")
+
+
+def test_spec_mappings_are_read_only_and_pickle(tmp_path):
+    spec = load_experiment(minimal_config(tmp_path))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    for s in (spec, copy):
+        for mapping in (s.graph, s.kernel, s.data, s.checkpoints):
+            before = dict(mapping)
+            key = next(iter(mapping))
+            for change in (lambda m: m.__setitem__("n", 12.5),
+                           lambda m: m.__delitem__(key),
+                           lambda m: m.__ior__({"n": 12.5}),
+                           lambda m: m.update(n=12.5),
+                           lambda m: m.setdefault("x", 1),
+                           lambda m: m.pop(key), lambda m: m.popitem(),
+                           lambda m: m.clear()):
+                with pytest.raises(TypeError, match="read-only"):
+                    change(mapping)
+            assert mapping == before
+    with pytest.raises(TypeError):
+        spec.data["n"] = 12.5
+    assert spec.data["n"] == 12
 
 
 def test_load_config_bad_json(tmp_path):
@@ -171,6 +210,7 @@ def test_run_experiment_rejects_repeated_protocol(tmp_path):
 
 MIXTURE = {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
            "separation": 0.0}
+SCATTER_CSV = str(DATA_DIR / "sample_scatter.csv")
 
 # Each case overrides ExperimentSpec fields of a good spec; both routes must
 # raise the expected text in full.
@@ -184,23 +224,47 @@ BAD_SPECS = {
     "iters_zero": ({"iters": 0}, ValueError, "iters must be >= 1"),
     "iters_fraction": ({"iters": 10.7}, ValueError,
                        "iters must be a whole number, got 10.7"),
-    "policy_unknown": ({"checkpoint_policy": "bogus"}, ValueError,
+    "policy_unknown": ({"checkpoints": {"policy": "bogus"}}, ValueError,
                        "checkpoint policy must be one of "
                        "('geometric', 'every')"),
-    "step_zero": ({"checkpoint_policy": "every", "checkpoint_step": 0},
+    "step_zero": ({"checkpoints": {"policy": "every", "step": 0}},
                   ValueError,
                   "checkpoint step must satisfy 1 <= step <= iters"),
-    "step_above_iters": ({"checkpoint_policy": "every",
-                          "checkpoint_step": 100}, ValueError,
+    "step_above_iters": ({"checkpoints": {"policy": "every", "step": 100}},
+                         ValueError,
                          "checkpoint step must satisfy 1 <= step <= iters"),
-    "step_fraction": ({"checkpoint_policy": "every",
-                       "checkpoint_step": 2.5}, ValueError,
+    "step_fraction": ({"checkpoints": {"policy": "every", "step": 2.5}},
+                      ValueError,
                       "checkpoint step must be a whole number, got 2.5"),
-    "max_points_zero": ({"checkpoint_max_points": 0}, ValueError,
+    "max_points_zero": ({"checkpoints": {"max_points": 0}}, ValueError,
                         "checkpoint max_points must be >= 1"),
-    "max_points_fraction": ({"checkpoint_max_points": 9.5}, ValueError,
+    "max_points_fraction": ({"checkpoints": {"max_points": 9.5}}, ValueError,
                             "checkpoint max_points must be a whole number, "
                             "got 9.5"),
+    "step_under_geometric": ({"checkpoints": {"policy": "geometric",
+                                              "step": 3}}, ValueError,
+                             "unknown key(s) ['step'] in checkpoints spec "
+                             "'geometric'; allowed: ['max_points']"),
+    "step_without_policy": ({"checkpoints": {"step": 3}}, ValueError,
+                            "unknown key(s) ['step'] in checkpoints spec "
+                            "'geometric'; allowed: ['max_points']"),
+    "max_points_under_every": ({"checkpoints": {"policy": "every",
+                                                "max_points": 20}},
+                               ValueError, "unknown key(s) ['max_points'] in "
+                               "checkpoints spec 'every'; allowed: ['step']"),
+    "checkpoints_not_mapping": ({"checkpoints": 5}, ValueError,
+                                "checkpoints spec must be a mapping, got int"),
+    "graph_not_mapping": ({"graph": 5}, ValueError,
+                          "graph spec must be a mapping, got int"),
+    "kernel_not_mapping": ({"kernel": "variance"}, ValueError,
+                           "kernel spec must be a mapping, got str"),
+    "data_not_mapping": ({"data": [MIXTURE]}, ValueError,
+                         "data spec must be a mapping, got list"),
+    "cell_column_with_variance": ({"data": {"kind": "csv",
+                                            "path": SCATTER_CSV,
+                                            "cell_column": 0}}, ValueError,
+                                  "data cell_column is read only by the "
+                                  "scatter kernel, not by 'variance'"),
     "kernel_extra_key": ({"kernel": {"name": "variance", "x": 1}},
                          ValueError, "unknown key(s) ['x'] in kernel spec; "
                          "allowed: ['name']"),
@@ -259,13 +323,8 @@ def test_bad_spec_fails_alike_from_json_and_in_code(tmp_path, fields, error,
             "kernel": {"name": "variance"}, "data": MIXTURE,
             "protocols": ["gosta_sync"], "iters": 50, "runs": 1, "seed": 0,
             **fields}
-    config = {k: v for k, v in spec.items() if not k.startswith("checkpoint_")}
-    checkpoints = {k.removeprefix("checkpoint_"): v for k, v in spec.items()
-                   if k.startswith("checkpoint_")}
-    if checkpoints:
-        config["checkpoints"] = checkpoints
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(spec))
     with pytest.raises(error) as from_json:
         load_experiment(path)
     with pytest.raises(error) as in_code:
@@ -650,6 +709,44 @@ def test_pool_matches_serial_bit_for_bit(tmp_path, monkeypatch):
                 == (tmp_path / "out2" / name).read_bytes())
 
 
+def test_csv_experiment_pool_matches_serial(tmp_path, monkeypatch):
+    # a csv dataset read as the scatter kernel needs it, on one and on two
+    # workers
+    design, part = gs.kernels.load_partitioned_csv(SCATTER_CSV)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        results[cpus] = run_experiment(_pool_config(
+            tmp_path, tmp_path / f"out{cpus}",
+            graph={"family": "complete", "n": design.n},
+            data={"kind": "csv", "path": SCATTER_CSV}, runs=2))
+    _assert_same_aggregates(results[1], results[2])
+    km = gs.build_kernel_matrix("scatter", design, part)
+    assert results[1].truth == results[2].truth == km.u_stat
+    for name in ("comparison.csv", "u2.csv"):
+        assert ((tmp_path / "out1" / name).read_bytes()
+                == (tmp_path / "out2" / name).read_bytes())
+
+
+def test_two_class_experiment_with_named_auc_kernel(tmp_path):
+    spec = load_experiment(minimal_config(
+        tmp_path, graph={"family": "complete", "n": 14},
+        kernel={"name": "auc"},
+        data={"kind": "two_class", "n": 14, "d": 3, "margin": 2.0},
+        protocols=["gosta_sync", "u2"], iters=100, seed=6,
+        output_dir=str(tmp_path / "out")))
+    result = run_experiment(spec)
+    # the data the spec draws, scored along its class-mean difference
+    ds = synth_two_class(14, 3, 2.0, np.random.default_rng(
+        gs.engines.derive_seed(6, 202)))
+    theta = gs.kernels.mean_difference_direction(ds)
+    auc = result.truth * 14**2 / (4.0 * ds.n_pos * ds.n_neg)
+    assert auc == pytest.approx(gs.auc_value(theta, ds), abs=1e-12)
+    assert 0.5 < auc < 1.0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "comparison.csv", "gosta_sync.csv", "u2.csv"]
+
+
 def test_worker_error_reaches_parent_and_cli(tmp_path, monkeypatch, capsys):
     message = "activation counts no longer sum to 2t"
 
@@ -677,9 +774,8 @@ def test_daemonic_process_runs_serially(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     spec = _pool_config(tmp_path, tmp_path / "out")
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        inner = pool.apply_async(run_experiment, (spec, False)).get(
-            timeout=120)
-    _assert_same_aggregates(run_experiment(spec, write_csvs=False), inner)
+        inner = pool.apply_async(run_experiment, (spec,)).get(timeout=120)
+    _assert_same_aggregates(run_experiment(spec), inner)
 
 
 def test_threaded_process_runs_serially(tmp_path, monkeypatch):

@@ -471,7 +471,7 @@ def test_experiment_still_forks_after_threaded_build(tmp_path, monkeypatch):
         "kernel": {"name": "scatter"},
         "protocols": ["u1", "gosta_sync"], "iters": 50, "runs": 2,
         "seed": 3, "output_dir": str(tmp_path / "out")}))
-    harness.run_experiment(harness.load_experiment(config), write_csvs=False)
+    harness.run_experiment(harness.load_experiment(config))
     pids = set(pid_file.read_text().split())
     assert pids and str(os.getpid()) not in pids
 
