@@ -50,15 +50,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs = kernels.whole(args.runs, "runs", 1)
     if not 1 <= args.record_every <= args.iters:
         raise ValueError("--record-every must satisfy 1 <= k <= --iters")
     g = _load_graph(args.graph, args.seed)
     km, x = _load_kernel(args)
     lines = ["run,t,comm_units,err_mean,err_std"]
     per_node_lines = ["run,t,node,estimate,error"]
-    for run in range(args.runs):
+    for run in range(runs):
         cfg = EngineConfig(protocol=args.protocol, max_iters=args.iters,
                            seed=engines.derive_seed(args.seed, 0, run),
                            checkpoints=expectation.every_checkpoints(
@@ -154,9 +153,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.seed < 0:
-        raise ValueError("seed must be >= 0")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(kernels.whole(args.seed, "seed", 0))
     if args.kind == "gaussian_mixture":
         design, part = harness.synth_gaussian_mixture(
             args.n, args.d, args.clusters, args.separation, rng)

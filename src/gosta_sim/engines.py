@@ -82,9 +82,7 @@ class EngineConfig:
             raise ValueError(f"unknown protocol '{self.protocol}'; "
                              f"expected one of {tuple(PROTOCOLS)}")
         object.__setattr__(self, "max_iters",
-                           whole(self.max_iters, "max_iters"))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+                           whole(self.max_iters, "max_iters", 1))
         cps = tuple(range(1, self.max_iters + 1) if self.checkpoints is None
                     else whole(self.checkpoints, "checkpoints").tolist())
         if not cps:
@@ -140,11 +138,8 @@ class RelativeError:
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Fixed splitting function mapping (base_seed, run indices) to a seed;
     all are whole numbers, and the base seed is >= 0."""
-    base_seed = whole(base_seed, "seed")
-    if base_seed < 0:
-        raise ValueError("seed must be >= 0")
-    ss = np.random.SeedSequence(
-        [base_seed, *(whole(i, "seed index") for i in indices)])
+    ss = np.random.SeedSequence([whole(base_seed, "seed", 0),
+                                 *(whole(i, "seed index") for i in indices)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

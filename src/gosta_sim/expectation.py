@@ -52,11 +52,9 @@ _CHUNK_ELEMENTS = 32768
 
 def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
     """1-2-5 geometric grid up to and including t_max, capped at
-    ``max_points >= 1`` points."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
+    ``max_points`` points; both are whole numbers >= 1."""
+    t_max = whole(t_max, "t_max", 1)
+    max_points = whole(max_points, "max_points", 1)
     pts = []
     decade = 1
     while decade <= t_max:
@@ -76,9 +74,9 @@ def geometric_checkpoints(t_max: int, max_points: int = 200) -> tuple[int, ...]:
 
 
 def every_checkpoints(t_max: int, step: int) -> tuple[int, ...]:
-    """Every ``step``-th iteration before t_max, then t_max itself."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    """Every ``step``-th iteration before t_max, then t_max itself; both
+    are whole numbers >= 1."""
+    t_max, step = whole(t_max, "t_max", 1), whole(step, "step", 1)
     return (*range(step, t_max, step), t_max)
 
 
@@ -124,8 +122,7 @@ def _setup(g: Graph, n: int, t_max: int, checkpoints, context: str):
     mode gets beta = 0 exactly."""
     if g.n != n:
         raise ValueError(f"graph size {g.n} does not match sample size {n}")
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    t_max = whole(t_max, "t_max", 1)
     cps = sorted(set(whole(list(checkpoints), "checkpoints").tolist()))
     if not cps or cps[0] < 1 or cps[-1] > t_max:
         raise ValueError("checkpoints must be nonempty and lie in [1, t_max]")

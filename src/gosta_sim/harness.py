@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -54,19 +57,43 @@ __all__ = [
     "node_values",
 ]
 
-_GRAPH_KEYS = {
-    "complete": {"n"},
-    "grid2d": {"rows", "cols"},
-    "watts_strogatz": {"n", "k", "p"},
-    "file": {"path"},
+_TYPES = {int: "a whole number", float: "a finite real number",
+          str: "a path string"}
+
+
+def _typed(value, kind: type, what: str, least: int | None = None):
+    """``value`` as ``kind``: an int is a whole number by the rule of
+    :func:`kernels.whole` (at least ``least`` if given), a float a finite
+    number, neither a bool; a str is a path string or path-like object."""
+    if kind is str and isinstance(value, os.PathLike):
+        value = os.fspath(value)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (isinstance(value, str) if kind is str else
+            number and (kind is int or abs(value) <= sys.float_info.max)):
+        raise ValueError(f"{what} must be {_TYPES[kind]}, got {value!r}")
+    return whole(value, what, least) if kind is int else kind(value)
+
+
+# Each part of an experiment spec: its name, its tag key, the type of each
+# other key per tag value, and the optional keys' defaults (None: absent).
+_GRAPHS = {
+    "complete": {"n": int},
+    "file": {"path": str},
+    "grid2d": {"rows": int, "cols": int},
+    "watts_strogatz": {"n": int, "k": int, "p": float},
 }
-_DATA_KEYS = {
-    "csv": {"path", "cell_column"},
-    "gaussian_mixture": {"n", "d", "clusters", "separation"},
-    "two_class": {"n", "d", "margin"},
-}
-_WHOLE_DATA_KEYS = ("n", "d", "clusters", "cell_column")
-_CHECKPOINT_POLICIES = ("geometric", "every")
+_GRAPH = ("graph", "family", _GRAPHS, {})
+_DATA = ("data", "kind", {
+    "csv": {"path": str, "cell_column": int},
+    "gaussian_mixture": {"n": int, "d": int, "clusters": int,
+                         "separation": float},
+    "two_class": {"n": int, "d": int, "margin": float},
+}, {"cell_column": None})
+_KERNEL = ("kernel", "name", {name: {} for name in kernels.KERNEL_NAMES}, {})
+_CHECKPOINTS = ("checkpoints", "policy", {
+    "every": {"step": int},
+    "geometric": {"max_points": int},
+}, {"policy": "geometric", "step": 1, "max_points": 200})
 
 
 class _ReadOnlyDict(dict):
@@ -85,10 +112,14 @@ class _ReadOnlyDict(dict):
 @dataclass(frozen=True)
 class ExperimentSpec:
     """An experiment description, checked when it is made, in code or by
-    :func:`load_experiment`. A broken rule raises ValueError, or
-    FileNotFoundError for a missing graph file or dataset, naming its key.
-    The whole-number fields and spec sizes are stored as ints, and the four
-    mappings as read-only dicts, ``checkpoints`` with its defaults filled."""
+    :func:`load_experiment`: each mapping against its part's table, each
+    value's type, the protocol names, the counts' lower limits, that only
+    scatter reads ``cell_column`` and that a graph file or dataset exists,
+    each failure naming its key. The builders check the rest as
+    :func:`run_experiment` starts, before any run: the graph and data
+    sizes, the rewiring probability, the signs of ``separation`` and
+    ``margin``, the kernel's data and the graph/data size match. Values
+    are stored converted, the mappings read-only with defaults filled."""
 
     graph: dict
     kernel: dict
@@ -101,38 +132,25 @@ class ExperimentSpec:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        graph = _check_graph_spec(self.graph)
-        kernel = _mapping(self.kernel, "kernel spec")
-        _check_keys(kernel, {"name"}, "kernel spec")
-        if kernel.get("name") not in kernels.KERNEL_NAMES:
-            raise ValueError(f"kernel name must be one of "
-                             f"{kernels.KERNEL_NAMES}")
-        data = _mapping(self.data, "data spec")
-        kind = data.pop("kind", None)
-        if kind not in _DATA_KEYS:
-            raise ValueError(f"data kind must be one of "
-                             f"{sorted(_DATA_KEYS)}, got {kind!r}")
-        _check_keys(data, _DATA_KEYS[kind], f"data spec '{kind}'",
-                    _DATA_KEYS[kind] - {"cell_column"})
-        if "cell_column" in data and kernel["name"] != "scatter":
+        for part in (_GRAPH, _KERNEL, _DATA, _CHECKPOINTS):
+            object.__setattr__(self, part[0], _ReadOnlyDict(
+                _check_part(getattr(self, part[0]), part)))
+        if "cell_column" in self.data and self.kernel["name"] != "scatter":
             raise ValueError(f"data cell_column is read only by the scatter "
-                             f"kernel, not by '{kernel['name']}'")
-        data = {key: whole(value, f"data {key}") if key in _WHOLE_DATA_KEYS
-                else value for key, value in data.items()}
-        for what, path in (("graph", graph.get("path")),
-                           ("dataset", data.get("path"))):
+                             f"kernel, not by '{self.kernel['name']}'")
+        for what, path in (("graph", self.graph.get("path")),
+                           ("dataset", self.data.get("path"))):
             if path is not None and not Path(path).exists():
                 raise FileNotFoundError(f"{what} file not found: {Path(path)}")
         object.__setattr__(self, "protocols", _check_protocols(self.protocols))
-        for name, least in (("iters", 1), ("runs", 1), ("seed", 0)):
-            object.__setattr__(self, name, whole(getattr(self, name), name))
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
-        checkpoints = _check_checkpoints(self.checkpoints, self.iters)
-        for name, value in (("graph", graph), ("kernel", kernel),
-                            ("data", {**data, "kind": kind}),
-                            ("checkpoints", checkpoints)):
-            object.__setattr__(self, name, _ReadOnlyDict(value))
+        for name, kind, least in (("iters", int, 1), ("runs", int, 1),
+                                  ("seed", int, 0), ("output_dir", str, None)):
+            object.__setattr__(self, name,
+                               _typed(getattr(self, name), kind, name, least))
+        if self.checkpoints.get("max_points", 1) < 1:
+            raise ValueError("checkpoint max_points must be >= 1")
+        if not 1 <= self.checkpoints.get("step", 1) <= self.iters:
+            raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
 
 
 @dataclass
@@ -163,8 +181,7 @@ class AggregateResult:
     runs: int
 
 
-def _check_keys(keys, allowed: set[str], where: str,
-                required=frozenset()) -> None:
+def _check_keys(keys, allowed: set, where: str, required: set) -> None:
     """Raise ValueError on a key outside ``allowed`` or one of ``required``
     missing from ``keys``."""
     unknown = set(keys) - allowed
@@ -185,48 +202,30 @@ def _mapping(value, what: str) -> dict:
     return dict(value)
 
 
-def _check_graph_spec(spec: dict) -> dict:
-    """A graph spec dict with its sizes (n, k, rows, cols) as ints, once it
-    is a mapping that names a known family with exactly that family's keys
-    and its sizes are whole numbers; raises ValueError otherwise."""
-    spec = _mapping(spec, "graph spec")
-    family = spec.get("family")
-    if family not in _GRAPH_KEYS:
-        raise ValueError(f"graph family must be one of "
-                         f"{sorted(_GRAPH_KEYS)}, got {family!r}")
-    _check_keys(set(spec) - {"family"}, _GRAPH_KEYS[family],
-                f"graph spec '{family}'", _GRAPH_KEYS[family])
-    sizes = {key: whole(spec[key], f"graph {key}")
-             for key in ("n", "k", "rows", "cols") if key in spec}
-    return {**spec, **sizes}
-
-
-def _check_checkpoints(spec, iters: int) -> dict:
-    """The checkpoints spec with its defaults filled: policy ``geometric``
-    with ``max_points`` 200, or ``every`` with ``step`` 1 (at most iters)."""
-    spec = _mapping(spec, "checkpoints spec")
-    policy = spec.get("policy", "geometric")
-    if policy not in _CHECKPOINT_POLICIES:
-        raise ValueError(f"checkpoint policy must be one of "
-                         f"{_CHECKPOINT_POLICIES}")
-    key, default = ("max_points", 200) if policy == "geometric" else ("step", 1)
-    _check_keys(set(spec) - {"policy"}, {key}, f"checkpoints spec '{policy}'")
-    value = whole(spec.get(key, default), f"checkpoint {key}")
-    if policy == "geometric" and value < 1:
-        raise ValueError("checkpoint max_points must be >= 1")
-    if policy == "every" and not 1 <= value <= iters:
-        raise ValueError("checkpoint step must satisfy 1 <= step <= iters")
-    return {"policy": policy, key: value}
+def _check_part(spec, part: tuple) -> dict:
+    """``spec`` with its values converted to their types and its defaults
+    filled, once it is a mapping whose tag names a row of ``part`` and
+    whose other keys are exactly that row's; raises ValueError otherwise."""
+    name, tag_key, rows, defaults = part
+    spec = _mapping(spec, f"{name} spec")
+    tag = spec.pop(tag_key, defaults.get(tag_key))
+    if not (isinstance(tag, str) and tag in rows):
+        raise ValueError(f"{name} {tag_key} must be one of {sorted(rows)}, "
+                         f"got {tag!r}")
+    _check_keys(spec, set(rows[tag]), f"{name} spec '{tag}'",
+                set(rows[tag]) - set(defaults))
+    return {tag_key: tag, **{key: value for key, value in defaults.items()
+                             if key in rows[tag] and value is not None},
+            **{key: _typed(value, rows[tag][key], f"{name} {key}")
+               for key, value in spec.items()}}
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
     """Read a JSON experiment config into an :class:`ExperimentSpec`.
 
     Only the JSON's shape is checked here: that it is an object, with no
-    unknown key and every required key at the top level. The spec checks
-    the rest, ``checkpoints`` included. Defaults: runs 1, seed 0,
-    output_dir ".".
-    """
+    unknown key and every required key. The spec checks the rest.
+    Defaults: runs 1, seed 0, and the spec's own."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"experiment config not found: {p}")
@@ -238,12 +237,15 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     required = {"graph", "kernel", "data", "protocols", "iters"}
     _check_keys(raw, required | {"runs", "seed", "checkpoints", "output_dir"},
                 "experiment config", required)
-    return ExperimentSpec(**{"runs": 1, "seed": 0, **raw,
-                             "output_dir": str(raw.get("output_dir", "."))})
+    return ExperimentSpec(**{"runs": 1, "seed": 0, **raw})
 
 
 def _check_protocols(protocols) -> tuple[str, ...]:
-    """``protocols`` as a tuple, nonempty, each known and listed once."""
+    """A nonempty list or tuple of known names, each once, as a tuple."""
+    if not (isinstance(protocols, (list, tuple))
+            and all(isinstance(proto, str) for proto in protocols)):
+        raise ValueError(f"protocols must be a list of protocol names, "
+                         f"got {protocols!r}")
     protocols = tuple(protocols)
     if not protocols:
         raise ValueError("protocols list must be nonempty")
@@ -315,11 +317,10 @@ def synth_two_class(n: int, d: int, margin: float,
 def parse_graph_spec_string(text: str) -> dict:
     """Parse CLI graph specs like ``complete:n=100``,
     ``grid2d:rows=10,cols=10``, ``watts_strogatz:n=100,k=5,p=0.3``, or a
-    path to a graph file."""
-    if ":" not in text:
-        return {"family": "file", "path": text}
-    family, _, rest = text.partition(":")
-    if family not in _GRAPH_KEYS:
+    path to a graph file. A path stays a string; any other value is read
+    as a number, then checked as its key's type."""
+    family, colon, rest = text.partition(":")
+    if not colon or family not in _GRAPHS:
         return {"family": "file", "path": text}
     out: dict = {"family": family}
     if rest:
@@ -330,14 +331,18 @@ def parse_graph_spec_string(text: str) -> dict:
             if key in out:
                 raise ValueError(f"repeated key '{key}' in graph spec "
                                  f"'{text}'")
-            out[key] = float(val)
-    return _check_graph_spec(out)
+            is_path = _GRAPHS[family].get(key) is str
+            try:
+                out[key] = val if is_path else float(val)
+            except ValueError:
+                out[key] = val  # its type check names the key
+    return _check_part(out, _GRAPH)
 
 
 def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     """Materialize a graph spec dict; generator randomness derives from
     ``seed`` through the fixed splitting function."""
-    spec = _check_graph_spec(spec)
+    spec = _check_part(spec, _GRAPH)
     family = spec["family"]
     if family == "complete":
         return make_complete(spec["n"])
@@ -345,8 +350,7 @@ def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
         return make_grid2d(spec["rows"], spec["cols"])
     if family == "watts_strogatz":
         rng = np.random.default_rng(derive_seed(seed, 101))
-        return make_watts_strogatz(spec["n"], spec["k"], float(spec["p"]),
-                                   rng)
+        return make_watts_strogatz(spec["n"], spec["k"], spec["p"], rng)
     return read_graph_file(spec["path"])
 
 
@@ -378,9 +382,8 @@ def _materialize_data(spec: ExperimentSpec):
     rng = np.random.default_rng(derive_seed(spec.seed, 202))
     if kind == "gaussian_mixture":
         return synth_gaussian_mixture(data["n"], data["d"], data["clusters"],
-                                      float(data["separation"]), rng)
-    return synth_two_class(data["n"], data["d"], float(data["margin"]),
-                           rng), None
+                                      data["separation"], rng)
+    return synth_two_class(data["n"], data["d"], data["margin"], rng), None
 
 
 def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
@@ -550,7 +553,7 @@ def table1(graph_specs: list[dict], seed: int = 0) -> list[dict]:
     """
     table = []
     for spec in graph_specs:
-        spec = _check_graph_spec(spec)
+        spec = _check_part(spec, _GRAPH)
         family = spec["family"]
         if family == "complete":
             n = spec["n"]

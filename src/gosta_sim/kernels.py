@@ -73,17 +73,24 @@ DENSE_KERNEL_LIMIT = 4000
 KERNEL_NAMES = ("variance", "scatter", "auc")
 
 
-def whole(values, what: str):
-    """``values`` as int64 (an int if a scalar) when each is a whole number:
-    ``1e6`` passes; ``12.7``, nan and inf raise ValueError naming ``what``.
-    The one whole-number rule of the CSV columns, constructors and specs."""
+def whole(values, what: str, least: int | None = None):
+    """``values`` as int64 (an int if a scalar) when each is a whole number,
+    and at least ``least`` if given: ``1e6`` passes; ``12.7``, nan, inf,
+    bools and strings raise ValueError naming ``what``. The one
+    whole-number rule of the CSV columns, constructors and specs."""
     a = np.asarray(values)
+    bad = a.ravel()
     if a.dtype.kind == "f":
-        bad = a[~(np.isfinite(a) & (a == np.round(a)))]
-        if bad.size:
-            rule = "be a whole number" if a.ndim == 0 else "hold whole numbers"
-            raise ValueError(f"{what} must {rule}, got {float(bad[0])!r}")
-    return int(values) if a.ndim == 0 else a.astype(np.int64)
+        bad = bad[~(np.isfinite(bad) & (bad == np.round(bad)))]
+    elif a.dtype.kind in "iu" or type(values) is int:
+        bad = bad[:0]
+    if bad.size:
+        rule = "be a whole number" if a.ndim == 0 else "hold whole numbers"
+        raise ValueError(f"{what} must {rule}, got {bad.tolist()[0]!r}")
+    out = int(values) if a.ndim == 0 else a.astype(np.int64)
+    if least is not None and np.any(np.less(out, least)):
+        raise ValueError(f"{what} must be >= {least}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,18 @@ def test_bounds_reject_bad_t(rng, kernel_factory):
         sync_error_bound(small_graph(), kernel_factory(6, rng), 0.5)
 
 
+@pytest.mark.parametrize("bound, n, t, message", [
+    (sync_error_bound, 6, 0.5, "bound defined for t >= 1"),
+    (u2_error_bound, 6, 0, "bound defined for t >= 1"),
+    # K_2 has lambda_2(1) = 1 - 2c = -1, outside the bound's hypotheses
+    (u2_error_bound, 2, 10, "lambda_2(1)^2 >= 1; bound hypotheses violated"),
+], ids=["sync_t_below_1", "u2_t_below_1", "u2_on_k2"])
+def test_bounds_name_what_they_refuse(bound, n, t, message):
+    with pytest.raises(ValueError) as info:
+        bound(gs.make_complete(n), constant_kernel(n), t)
+    assert str(info.value) == message
+
+
 def test_bound_report_rejects_fractional_t_grid(rng, kernel_factory):
     # t_grid takes the whole-number rule: 12.7 is not truncated to 12
     g, km = small_graph(), kernel_factory(6, rng)

@@ -239,6 +239,29 @@ def test_experiment_rejects_fractional_int_fields(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"graph": {"family": ["complete"], "n": 6}},
+     "graph family must be one of ['complete', 'file', 'grid2d', "
+     "'watts_strogatz'], got ['complete']"),
+    ({"protocols": [["u2"]]},
+     "protocols must be a list of protocol names, got [['u2']]"),
+    ({"output_dir": 5}, "output_dir must be a path string, got 5"),
+], ids=["family_list", "protocols_nested", "output_dir_number"])
+def test_experiment_names_the_key_of_a_mistyped_value(tmp_path, capsys,
+                                                      fields, message):
+    # no TypeError escapes: each is the spec's own ValueError
+    cfg = {"graph": {"family": "complete", "n": 6},
+           "kernel": {"name": "variance"},
+           "data": {"kind": "gaussian_mixture", "n": 6, "d": 2,
+                    "clusters": 1, "separation": 0.0},
+           "protocols": ["gosta_sync"], "iters": 10, **fields}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, err = run_cli(capsys, "experiment", str(path))
+    assert (code, stdout) == (1, "")
+    assert err == f"gosta-sim: error: {message}\n"
+
+
 def test_table1_cli(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "table1",
                               "--graph", "complete:n=40",

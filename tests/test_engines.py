@@ -62,6 +62,9 @@ def test_config_rejects_fractional_max_iters():
     with pytest.raises(ValueError) as info:
         EngineConfig(protocol="boyd", max_iters=100.7)
     assert str(info.value) == "max_iters must be a whole number, got 100.7"
+    with pytest.raises(ValueError) as info:
+        EngineConfig(protocol="boyd", max_iters=True)
+    assert str(info.value) == "max_iters must be a whole number, got True"
     cfg = EngineConfig(protocol="boyd", max_iters=1e2)
     assert cfg.max_iters == 100 and type(cfg.max_iters) is int
     assert cfg.checkpoints == tuple(range(1, 101))
@@ -492,7 +495,9 @@ def test_derive_seed_is_stable():
     ((1.5, 0, 0), "seed must be a whole number, got 1.5"),
     ((-1,), "seed must be >= 0"),
     ((1, 0.5), "seed index must be a whole number, got 0.5"),
-], ids=["fractional", "negative", "fractional_index"])
+    ((True, 0), "seed must be a whole number, got True"),
+    (("7", 0), "seed must be a whole number, got '7'"),
+], ids=["fractional", "negative", "fractional_index", "bool", "string"])
 def test_derive_seed_rejects_bad_seeds(args, message):
     with pytest.raises(ValueError) as info:
         derive_seed(*args)

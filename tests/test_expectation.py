@@ -62,7 +62,24 @@ def test_geometric_checkpoints_cap_keeps_t_max():
      "max_points must be >= 1"),
     (lambda: every_checkpoints(100, 0), "step must be >= 1"),
     (lambda: every_checkpoints(100, -3), "step must be >= 1"),
-], ids=["max_points_0", "max_points_-1", "step_0", "step_-3"])
+    # both grids take whole numbers, and t_max >= 1
+    (lambda: geometric_checkpoints(10.5), "t_max must be a whole number, "
+     "got 10.5"),
+    (lambda: geometric_checkpoints(0), "t_max must be >= 1"),
+    (lambda: geometric_checkpoints(100, True), "max_points must be a whole "
+     "number, got True"),
+    (lambda: every_checkpoints(0, 1), "t_max must be >= 1"),
+    (lambda: every_checkpoints(10.5, 1), "t_max must be a whole number, "
+     "got 10.5"),
+    (lambda: every_checkpoints(10, 2.5), "step must be a whole number, "
+     "got 2.5"),
+    (lambda: every_checkpoints(10, "2"), "step must be a whole number, "
+     "got '2'"),
+], ids=["max_points_0", "max_points_-1", "step_0", "step_-3",
+        "geometric_fractional_t_max", "geometric_t_max_0",
+        "geometric_bool_max_points", "every_t_max_0",
+        "every_fractional_t_max", "every_fractional_step",
+        "every_string_step"])
 def test_checkpoint_grids_reject_bad_sizes(call, message):
     with pytest.raises(ValueError) as info:
         call()

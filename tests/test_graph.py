@@ -82,6 +82,21 @@ def test_graph_check_sees_the_last_row():
         assert _graph_error(n, e) == message
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (0, np.zeros((0, 2), np.int64),
+     "graph needs at least one vertex, got n=0"),
+    (-2, np.zeros((0, 2), np.int64),
+     "graph needs at least one vertex, got n=-2"),
+    (3, np.array([0, 1]), "edges must be an (m, 2) array"),
+    (3, np.array([[0, 1, 2]]), "edges must be an (m, 2) array"),
+    (3, np.zeros((1, 2, 1), np.int64), "edges must be an (m, 2) array"),
+], ids=["no_vertex", "negative_n", "flat_edges", "three_columns", "3d_edges"])
+def test_graph_rejects_bad_sizes_and_shapes(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        graph.Graph(n, edges)
+    assert str(info.value) == message
+
+
 def test_complete_degenerate():
     with pytest.raises(ValueError):
         gs.make_complete(1)

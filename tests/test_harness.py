@@ -76,7 +76,7 @@ def test_load_config_rejects_fractional_checkpoint_int(tmp_path, key, value):
     cp = {"policy": "every" if key == "step" else "geometric", key: value}
     with pytest.raises(ValueError) as info:
         load_experiment(minimal_config(tmp_path, checkpoints=cp))
-    assert str(info.value) == (f"checkpoint {key} must be a whole number, "
+    assert str(info.value) == (f"checkpoints {key} must be a whole number, "
                                f"got {value!r}")
 
 
@@ -175,6 +175,17 @@ def test_spec_mappings_are_read_only_and_pickle(tmp_path):
     assert spec.data["n"] == 12
 
 
+def test_spec_output_dir_is_stored_as_a_string(tmp_path):
+    fields = dict(graph={"family": "complete", "n": 12},
+                  kernel={"name": "variance"}, data=MIXTURE,
+                  protocols=("gosta_sync",), iters=50, runs=1, seed=0)
+    spec = harness.ExperimentSpec(**fields, output_dir=tmp_path / "out")
+    assert spec.output_dir == str(tmp_path / "out")
+    data = {"kind": "csv", "path": DATA_DIR / "sample_scatter.csv"}
+    spec = harness.ExperimentSpec(**{**fields, "data": data})
+    assert spec.data["path"] == SCATTER_CSV
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -210,6 +221,7 @@ def test_run_experiment_rejects_repeated_protocol(tmp_path):
 
 MIXTURE = {"kind": "gaussian_mixture", "n": 12, "d": 2, "clusters": 1,
            "separation": 0.0}
+WS = {"family": "watts_strogatz", "n": 12, "k": 4, "p": 0.3}
 SCATTER_CSV = str(DATA_DIR / "sample_scatter.csv")
 
 # Each case overrides ExperimentSpec fields of a good spec; both routes must
@@ -225,8 +237,8 @@ BAD_SPECS = {
     "iters_fraction": ({"iters": 10.7}, ValueError,
                        "iters must be a whole number, got 10.7"),
     "policy_unknown": ({"checkpoints": {"policy": "bogus"}}, ValueError,
-                       "checkpoint policy must be one of "
-                       "('geometric', 'every')"),
+                       "checkpoints policy must be one of "
+                       "['every', 'geometric'], got 'bogus'"),
     "step_zero": ({"checkpoints": {"policy": "every", "step": 0}},
                   ValueError,
                   "checkpoint step must satisfy 1 <= step <= iters"),
@@ -235,11 +247,11 @@ BAD_SPECS = {
                          "checkpoint step must satisfy 1 <= step <= iters"),
     "step_fraction": ({"checkpoints": {"policy": "every", "step": 2.5}},
                       ValueError,
-                      "checkpoint step must be a whole number, got 2.5"),
+                      "checkpoints step must be a whole number, got 2.5"),
     "max_points_zero": ({"checkpoints": {"max_points": 0}}, ValueError,
                         "checkpoint max_points must be >= 1"),
     "max_points_fraction": ({"checkpoints": {"max_points": 9.5}}, ValueError,
-                            "checkpoint max_points must be a whole number, "
+                            "checkpoints max_points must be a whole number, "
                             "got 9.5"),
     "step_under_geometric": ({"checkpoints": {"policy": "geometric",
                                               "step": 3}}, ValueError,
@@ -266,11 +278,11 @@ BAD_SPECS = {
                                   "data cell_column is read only by the "
                                   "scatter kernel, not by 'variance'"),
     "kernel_extra_key": ({"kernel": {"name": "variance", "x": 1}},
-                         ValueError, "unknown key(s) ['x'] in kernel spec; "
-                         "allowed: ['name']"),
+                         ValueError, "unknown key(s) ['x'] in kernel spec "
+                         "'variance'; allowed: []"),
     "kernel_unknown": ({"kernel": {"name": "cosine"}}, ValueError,
-                       "kernel name must be one of ('variance', 'scatter', "
-                       "'auc')"),
+                       "kernel name must be one of ['auc', 'scatter', "
+                       "'variance'], got 'cosine'"),
     "data_extra_key": ({"data": {**MIXTURE, "extra": 1}}, ValueError,
                        "unknown key(s) ['extra'] in data spec "
                        "'gaussian_mixture'; allowed: ['clusters', 'd', 'n', "
@@ -311,6 +323,48 @@ BAD_SPECS = {
     "protocol_repeated": ({"protocols": ["u2", "gosta_sync", "u2"]},
                           ValueError,
                           "protocol 'u2' is listed more than once"),
+    # each value is checked by its field's type, with a message naming the
+    # key, instead of escaping as a TypeError or failing later unnamed
+    "graph_family_list": ({"graph": {"family": ["complete"], "n": 12}},
+                          ValueError, "graph family must be one of "
+                          "['complete', 'file', 'grid2d', 'watts_strogatz'],"
+                          " got ['complete']"),
+    "data_kind_list": ({"data": {**MIXTURE, "kind": ["gaussian_mixture"]}},
+                       ValueError, "data kind must be one of ['csv', "
+                       "'gaussian_mixture', 'two_class'], got "
+                       "['gaussian_mixture']"),
+    "protocols_string": ({"protocols": "u2"}, ValueError,
+                         "protocols must be a list of protocol names, "
+                         "got 'u2'"),
+    "protocols_nested": ({"protocols": [["u2"]]}, ValueError,
+                         "protocols must be a list of protocol names, "
+                         "got [['u2']]"),
+    "separation_string": ({"data": {**MIXTURE, "separation": "far"}},
+                          ValueError, "data separation must be a finite "
+                          "real number, got 'far'"),
+    "p_string": ({"graph": {**WS, "p": "x"}}, ValueError,
+                 "graph p must be a finite real number, got 'x'"),
+    "p_bool": ({"graph": {**WS, "p": True}}, ValueError,
+               "graph p must be a finite real number, got True"),
+    "p_nan": ({"graph": {**WS, "p": float("nan")}}, ValueError,
+              "graph p must be a finite real number, got nan"),
+    "p_beyond_float": ({"graph": {**WS, "p": 10**400}}, ValueError,
+                       f"graph p must be a finite real number, "
+                       f"got {10**400!r}"),
+    "margin_infinite": ({"data": {"kind": "two_class", "n": 12, "d": 2,
+                                  "margin": float("inf")}}, ValueError,
+                        "data margin must be a finite real number, got inf"),
+    "iters_bool": ({"iters": True}, ValueError,
+                   "iters must be a whole number, got True"),
+    "runs_string": ({"runs": "3"}, ValueError,
+                    "runs must be a whole number, got '3'"),
+    "graph_n_list": ({"graph": {"family": "complete", "n": [12]}}, ValueError,
+                     "graph n must be a whole number, got [12]"),
+    "graph_path_number": ({"graph": {"family": "file", "path": 5}},
+                          ValueError, "graph path must be a path string, "
+                          "got 5"),
+    "output_dir_number": ({"output_dir": 5}, ValueError,
+                          "output_dir must be a path string, got 5"),
 }
 
 
@@ -426,6 +480,27 @@ def test_parse_graph_spec_rejects_repeated_keys(text, key):
         parse_graph_spec_string(text)
 
 
+def test_parse_graph_spec_reads_each_value_by_its_type():
+    # a path stays a string; numbers are checked as their key's type
+    assert parse_graph_spec_string("file:path=g.txt") == {
+        "family": "file", "path": "g.txt"}
+    assert parse_graph_spec_string("complete") == {
+        "family": "file", "path": "complete"}
+    for text, message in (
+            ("watts_strogatz:n=20,k=4,p=nan",
+             "graph p must be a finite real number, got nan"),
+            ("watts_strogatz:n=20,k=4,p=inf",
+             "graph p must be a finite real number, got inf"),
+            ("watts_strogatz:n=20,k=4,p=far",
+             "graph p must be a finite real number, got 'far'"),
+            ("complete:n=abc", "graph n must be a whole number, got 'abc'"),
+            ("complete:n=12,x=abc", "unknown key(s) ['x'] in graph spec "
+             "'complete'; allowed: ['n']")):
+        with pytest.raises(ValueError) as info:
+            parse_graph_spec_string(text)
+        assert str(info.value) == message
+
+
 def test_load_config_missing_graph_key_rejected(tmp_path):
     path = minimal_config(tmp_path, graph={"family": "watts_strogatz",
                                            "n": 20})
@@ -445,6 +520,46 @@ def test_build_graph_from_spec_deterministic():
 
 
 # ------------------------------------------------------------- experiments
+
+
+# Rules that join several values are the builders', checked as
+# run_experiment starts: the spec is accepted, and the run stops before any
+# job runs or any output is written.
+RUN_TIME_CHECKS = {
+    "complete_n_1": ({"graph": {"family": "complete", "n": 1}},
+                     "complete graph needs n >= 2, got n=1"),
+    "ws_k_too_large": ({"graph": {**WS, "k": 12}},
+                       "need n > k >= 2, got n=12, k=12"),
+    "ws_p_above_1": ({"graph": {**WS, "p": 1.5}},
+                     "rewiring probability must be in [0, 1], got 1.5"),
+    "clusters_above_n": ({"data": {**MIXTURE, "clusters": 13}},
+                         "need n >= clusters >= 1, got n=12, clusters=13"),
+    "auc_without_labels": ({"kernel": {"name": "auc"}},
+                           "the auc kernel requires labeled data"),
+    "scatter_without_partition": ({"kernel": {"name": "scatter"},
+                                   "data": {"kind": "two_class", "n": 12,
+                                            "d": 2, "margin": 1.0}},
+                                  "the scatter kernel requires a partition"),
+    "size_mismatch": ({"graph": {"family": "complete", "n": 7},
+                       "data": {**MIXTURE, "n": 6}},
+                      "graph has 7 nodes but the dataset has 6 observations"),
+}
+
+
+@pytest.mark.parametrize("fields, message", RUN_TIME_CHECKS.values(),
+                         ids=RUN_TIME_CHECKS)
+def test_run_time_checks_stop_before_any_run(tmp_path, monkeypatch, fields,
+                                             message):
+    spec = harness.ExperimentSpec(**{
+        "graph": {"family": "complete", "n": 12},
+        "kernel": {"name": "variance"}, "data": MIXTURE,
+        "protocols": ("gosta_sync",), "iters": 50, "runs": 1, "seed": 0,
+        "output_dir": str(tmp_path / "out"), **fields})
+    monkeypatch.setattr(harness, "_run_jobs", None)  # no job may start
+    with pytest.raises(ValueError) as info:
+        run_experiment(spec)
+    assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_experiment_structure_and_determinism(tmp_path):

@@ -266,6 +266,36 @@ def test_partitioned_csv_rejects_fractional_cell_id(tmp_path, col):
                                "whole numbers, got 1.5")
 
 
+@pytest.mark.parametrize("values, message", [
+    (True, "x must be a whole number, got True"),
+    ("3", "x must be a whole number, got '3'"),
+    ("abc", "x must be a whole number, got 'abc'"),
+    (None, "x must be a whole number, got None"),
+    (12.7, "x must be a whole number, got 12.7"),
+    (float("inf"), "x must be a whole number, got inf"),
+    ([1, 2.5], "x must hold whole numbers, got 2.5"),
+    (np.array([True, False]), "x must hold whole numbers, got True"),
+    (["1", "2"], "x must hold whole numbers, got '1'"),
+], ids=["bool", "numeric_string", "string", "none", "fraction", "inf",
+        "list_fraction", "bool_array", "string_list"])
+def test_whole_accepts_only_numbers(values, message):
+    # a bool or a string is no number, whatever int() would make of it
+    with pytest.raises(ValueError) as info:
+        kernels.whole(values, "x")
+    assert str(info.value) == message
+
+
+def test_whole_converts_and_checks_its_lower_limit():
+    three = kernels.whole(3.0, "x")
+    assert three == 3 and type(three) is int
+    assert kernels.whole(2**70, "x", 0) == 2**70
+    assert kernels.whole(np.int64(5), "x", 5) == 5
+    assert kernels.whole([1.0, 2], "x").tolist() == [1, 2]
+    with pytest.raises(ValueError) as info:
+        kernels.whole(0, "runs", 1)
+    assert str(info.value) == "runs must be >= 1"
+
+
 def test_labels_and_cells_reject_fractional_values():
     # the constructors apply the CSV loaders' rule: 1.5 and -1.9 are not
     # truncated to 1 and -1, while whole-valued floats pass as int64
