@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph
-from .kernels import KernelMatrix, whole
+from .expectation import checked_checkpoints
+from .kernels import KernelMatrix
 from .spectral import SpectralSummary, spectral_summary
 
 __all__ = [
@@ -162,7 +163,9 @@ def fit_rate(ts, errs, model: str) -> FitResult:
 
 def bound_report(g: Graph, km: KernelMatrix, protocol: str,
                  t_grid) -> BoundReport:
-    """Exact oracle error together with the matching bound on a time grid.
+    """Exact oracle error together with the matching bound on a time grid:
+    ``t_grid`` is taken as given by :func:`checked_checkpoints`, from 1
+    with no horizon, and the oracle's curve ends at its last point.
 
     For a protocol whose record names the :func:`fit_rate` model instead of
     a bound function (the asynchronous protocol, whose theory only asserts
@@ -171,9 +174,7 @@ def bound_report(g: Graph, km: KernelMatrix, protocol: str,
     is reported alongside the spectral constants.
     """
     from .engines import PROTOCOLS  # engines imports this module
-    t_grid = sorted(set(whole(list(t_grid), "t_grid").tolist()))
-    if not t_grid or t_grid[0] < 1:
-        raise ValueError("t_grid must contain iterations >= 1")
+    t_grid = checked_checkpoints(t_grid, "t_grid", 1)
     proto = PROTOCOLS.get(protocol)
     if proto is None or proto.bound is None:
         raise ValueError(f"no bound available for protocol '{protocol}'")

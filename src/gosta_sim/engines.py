@@ -50,9 +50,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import sync_error_bound, u2_error_bound
-from .expectation import (boyd_expectation, gosta_async_expectation,
-                          gosta_sync_expectation, u1_expectation,
-                          u2_expectation)
+from .expectation import (boyd_expectation, checked_checkpoints,
+                          gosta_async_expectation, gosta_sync_expectation,
+                          u1_expectation, u2_expectation)
 from .graph import Graph, warn_if_unsuitable
 from .kernels import KernelMatrix, whole
 
@@ -67,9 +67,9 @@ __all__ = [
 @dataclass(frozen=True)
 class EngineConfig:
     """Run parameters for one protocol execution. Snapshots are taken at
-    the ``checkpoints``, strictly increasing iterations in [0, max_iters]:
-    every iteration by default, ``every_checkpoints(max_iters, k)`` for
-    every k-th and the last.
+    the ``checkpoints`` in [0, max_iters] (:func:`checked_checkpoints`),
+    every iteration by default. A run ends at its last checkpoint, and
+    ``max_iters`` still sets how many edges are drawn, and so flooding's picks.
     """
 
     protocol: str
@@ -83,15 +83,9 @@ class EngineConfig:
                              f"expected one of {tuple(PROTOCOLS)}")
         object.__setattr__(self, "max_iters",
                            whole(self.max_iters, "max_iters", 1))
-        cps = tuple(range(1, self.max_iters + 1) if self.checkpoints is None
-                    else whole(self.checkpoints, "checkpoints").tolist())
-        if not cps:
-            raise ValueError("checkpoints must be nonempty")
-        if any(t < 0 or t > self.max_iters for t in cps):
-            raise ValueError("checkpoints must lie in [0, max_iters]")
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(self, "checkpoints", checked_checkpoints(
+            np.arange(1, self.max_iters + 1) if self.checkpoints is None
+            else self.checkpoints, "checkpoints", 0, self.max_iters))
 
 
 @dataclass
@@ -113,12 +107,6 @@ class Trace:
     comm_units: np.ndarray
     truth: float | np.ndarray
     m_snapshots: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if (np.diff(self.ts) <= 0).any():
-            raise ValueError("trace checkpoints must be strictly increasing")
-        if (np.diff(self.comm_units) < 0).any():
-            raise ValueError("communication units must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -162,7 +150,8 @@ _BLOCK = 1 << 13
 
 def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
            step, lists, snapshot, perms=(), pairs: bool = False):
-    """Run ``cfg.max_iters`` iterations segment by segment.
+    """Run segment by segment to the last checkpoint. The edges of all
+    ``cfg.max_iters`` iterations are drawn first; flooding's picks follow.
 
     ``step(events, t)`` applies the iterations after the t-th, one per item
     of ``events``: the drawn edge ``(i, j)``, or both edges ``(i, j, a, b)``
@@ -171,11 +160,15 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
     per-node ``lists`` only at those endpoints. ``snapshot(t, *blocks)``
     maps a column of checkpoints and the lists' rows at them to estimates,
     checking invariants of its own; the blocks at positions ``perms`` must
-    be permutations in every row. Returns the checkpoints, the snapshots
+    be permutations in every row. Lists of another length than the graph's
+    fail before any edge is drawn. Returns the checkpoints, the snapshots
     and the communication ``rate * t``.
     """
-    warn_if_unsuitable(g, cfg.protocol)
     n, w = g.n, 4 if pairs else 2
+    if len(lists[0]) != n:
+        raise ValueError(f"graph size {n} does not match sample size "
+                         f"{len(lists[0])}")
+    warn_if_unsuitable(g, cfg.protocol)
     eidx = rng.integers(0, g.num_edges,
                         size=(cfg.max_iters, 2) if pairs else cfg.max_iters)
     ts = np.array(cfg.checkpoints, dtype=np.int64)
@@ -187,7 +180,7 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
     depth = min(len(ts), max(1, _BLOCK // n))
     stack = [np.empty((depth, n), m.dtype) for m in mirrors]
     k0 = t = a = b = 0
-    for k, stop in enumerate((*ts.tolist(), cfg.max_iters)):
+    for k, stop in enumerate(ts.tolist()):
         short = (stop - t) * w < n
         touched: list[int] = []
         while t < stop:
@@ -200,8 +193,6 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
             if short:
                 touched += ends[(t - a) * w:(end - a) * w]
             t = end
-        if k == len(ts):
-            break
         for buf, m, v, rows in zip(bufs, mirrors, lists, stack):
             if short:
                 for i in touched:
@@ -547,8 +538,6 @@ def run_protocol(cfg: EngineConfig, g: Graph | None = None,
         needs = ("a graph and " if proto.on_graph else "") + (
             "a node-value vector" if proto.on_values else "a kernel matrix")
         raise ValueError(f"{cfg.protocol} needs {needs}")
-    if proto.on_graph and not proto.on_values and g.n != km.n:
-        raise ValueError(f"graph size {g.n} does not match sample size {km.n}")
     return proto.runner(g, source, cfg)
 
 

@@ -43,8 +43,9 @@ from .kernels import KernelMatrix, whole
 from .spectral import laplacian_eigh
 
 __all__ = ["divided_difference", "geometric_checkpoints", "every_checkpoints",
-           "gosta_sync_expectation", "gosta_async_expectation",
-           "u1_expectation", "u2_expectation", "boyd_expectation"]
+           "checked_checkpoints", "gosta_sync_expectation",
+           "gosta_async_expectation", "u1_expectation", "u2_expectation",
+           "boyd_expectation"]
 
 # Elements of the asynchronous oracle's drive buffer (256 KiB of float64).
 _CHUNK_ELEMENTS = 32768
@@ -78,6 +79,20 @@ def every_checkpoints(t_max: int, step: int) -> tuple[int, ...]:
     are whole numbers >= 1."""
     t_max, step = whole(t_max, "t_max", 1), whole(step, "step", 1)
     return (*range(step, t_max, step), t_max)
+
+
+def checked_checkpoints(values, what: str, least: int,
+                        most: int | None = None) -> tuple[int, ...]:
+    """``values``, a nonempty 1-d sequence of whole numbers, strictly
+    increasing from ``least`` up to ``most`` if given, as a tuple of ints;
+    else ValueError naming ``what``. Runs start at 0, curves at 1."""
+    cps = whole(values, what, least)
+    if np.ndim(cps) != 1 or not len(cps) or (np.diff(cps) <= 0).any():
+        raise ValueError(f"{what} must be a nonempty, strictly increasing "
+                         "1-d sequence")
+    if most is not None and cps[-1] > most:
+        raise ValueError(f"{what} must lie in [{least}, {most}]")
+    return tuple(cps.tolist())
 
 
 def _power(defect, t):
@@ -117,15 +132,13 @@ def divided_difference(da, db, t: int) -> np.ndarray:
 
 
 def _setup(g: Graph, n: int, t_max: int, checkpoints, context: str):
-    """Sorted checkpoints, V and the defects ``1 - lambda = beta/m`` and
-    ``1 - mu = beta/(2m)`` from the graph's cached eigenbasis; the one null
-    mode gets beta = 0 exactly."""
+    """The checked checkpoints, V and the defects ``1 - lambda = beta/m``
+    and ``1 - mu = beta/(2m)`` from the graph's cached eigenbasis; the one
+    null mode gets beta = 0 exactly."""
     if g.n != n:
         raise ValueError(f"graph size {g.n} does not match sample size {n}")
-    t_max = whole(t_max, "t_max", 1)
-    cps = sorted(set(whole(list(checkpoints), "checkpoints").tolist()))
-    if not cps or cps[0] < 1 or cps[-1] > t_max:
-        raise ValueError("checkpoints must be nonempty and lie in [1, t_max]")
+    cps = checked_checkpoints(checkpoints, "checkpoints", 1,
+                              whole(t_max, "t_max", 1))
     warn_if_unsuitable(g, context)
     beta, v = laplacian_eigh(g)
     beta = beta.copy()

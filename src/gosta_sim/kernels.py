@@ -84,9 +84,14 @@ def whole(values, what: str, least: int | None = None):
         bad = bad[~(np.isfinite(bad) & (bad == np.round(bad)))]
     elif a.dtype.kind in "iu" or type(values) is int:
         bad = bad[:0]
-    if bad.size:
+    bad = bad.tolist()
+    if a.ndim and not isinstance(values, np.ndarray):
+        # np.asarray reads a bool among numbers as the number 0 or 1
+        bad += [bool(v) for v in np.asarray(values, object).flat
+                if isinstance(v, (bool, np.bool_))]
+    if bad:
         rule = "be a whole number" if a.ndim == 0 else "hold whole numbers"
-        raise ValueError(f"{what} must {rule}, got {bad.tolist()[0]!r}")
+        raise ValueError(f"{what} must {rule}, got {bad[0]!r}")
     out = int(values) if a.ndim == 0 else a.astype(np.int64)
     if least is not None and np.any(np.less(out, least)):
         raise ValueError(f"{what} must be >= {least}")
@@ -158,10 +163,6 @@ class Partition:
             raise ValueError("partition assignment must be one id per row")
         object.__setattr__(self, "assignment", a)
         a.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return int(self.assignment.shape[0])
 
 
 @dataclass(frozen=True)
@@ -261,6 +262,8 @@ def scatter_kernel(partition: Partition) -> KernelSpec:
     cells = partition.assignment
 
     def tile(xt, a, b, t, v, m):
+        if len(cells) != xt.shape[1]:
+            raise ValueError("partition size does not match the sample size")
         _sq_dist_tile(xt, a, b, t, v)
         np.sqrt(t, out=t)
         np.multiply(t, np.equal(cells[a, None], cells[b], out=m), out=t)
@@ -292,6 +295,8 @@ def auc_kernel(theta: np.ndarray, labels: np.ndarray) -> KernelSpec:
     lab = np.asarray(labels, dtype=np.int64)
 
     def tile(xt, a, b, t, v, m):
+        if len(lab) != xt.shape[1]:
+            raise ValueError("label count does not match the sample size")
         # every value is 0, 1 or 2, and l_i s_i > -l_j s_j exactly when
         # l_j s_j > -l_i s_i, so the matrix is exactly symmetric
         ls_a, ls_b = (lab[s] * _scores(xt[:, s], theta) for s in (a, b))
@@ -405,9 +410,6 @@ def build_kernel_matrix(kernel, data,
         design = data
     else:
         raise TypeError("data must be a DesignMatrix or LabeledDataset")
-    if kernel.name == "scatter" and partition is not None \
-            and partition.n != design.n:
-        raise ValueError("partition size does not match the sample size")
     n = design.n
     if n > DENSE_KERNEL_LIMIT:
         raise ValueError(

@@ -95,8 +95,11 @@ def test_bound_report_rejects_fractional_t_grid(rng, kernel_factory):
     with pytest.raises(ValueError) as info:
         bound_report(g, km, "gosta_sync", [1, 12.7])
     assert str(info.value) == "t_grid must hold whole numbers, got 12.7"
-    rep = bound_report(g, km, "gosta_sync", [1e1, 1.0])
+    rep = bound_report(g, km, "gosta_sync", [1.0, 1e1])
     assert rep.t_grid.tolist() == [1, 10]
+    # t_grid is taken as given: an unsorted grid is not sorted
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bound_report(g, km, "gosta_sync", [1e1, 1.0])
 
 
 # ------------------------------------------------------------- dominance
@@ -179,6 +182,23 @@ def test_fit_rate_all_zero():
     ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
     fit = fit_rate(ts, np.zeros(5), "logt_over_t")
     assert fit.constant == 0.0 and fit.residual == 0.0
+
+
+def test_fit_rate_with_a_zero_error_fits_linearly():
+    # one zero among positive errors leaves log space: K minimizes the
+    # squared error, and the residual is relative to |errs|. Worked by
+    # hand, with b = log(t)/t, S = sum b^2 and errs = 2 b but errs[0] = 0:
+    # the normal equation gives K = 2 (S - b0^2) / S, errs - K b has the
+    # squared norm 4 (S - b0^2) b0^2 / S, and so the residual is b0/sqrt(S)
+    ts = np.array([2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    b = np.log(ts) / ts
+    errs = 2.0 * b
+    errs[0] = 0.0
+    s = float(b @ b)
+    fit = fit_rate(ts, errs, "logt_over_t")
+    assert fit.constant == pytest.approx(2.0 * (s - b[0] ** 2) / s, rel=1e-12)
+    assert fit.residual == pytest.approx(b[0] / np.sqrt(s), rel=1e-12)
+    assert fit.envelope == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fit_rate_input_validation():

@@ -269,6 +269,45 @@ def test_checkpoint_aux_lists_checked_as_permutations(monkeypatch, rng,
         assert np.allclose((tr.m_snapshots * p).sum(axis=1), 2 * tr.ts)
 
 
+@pytest.mark.parametrize("protocol", ["boyd", "u1", "u2", "gosta_sync",
+                                      "gosta_async", "flooding"])
+def test_run_ends_at_its_last_checkpoint(monkeypatch, rng, kernel_factory,
+                                         protocol):
+    # no iteration after the last checkpoint is applied: every event that
+    # reaches a step is counted
+    import gosta_sim.engines as engines
+    drive, applied = engines._drive, []
+
+    def counting_drive(g, cfg, rng, rate, step, *args, **kwargs):
+        def counted(events, t):
+            events = list(events)
+            applied.extend(events)
+            step(iter(events), t)
+        return drive(g, cfg, rng, rate, counted, *args, **kwargs)
+
+    monkeypatch.setattr(engines, "_drive", counting_drive)
+    tr = gs.run_protocol(cfg_for(protocol, 500, 3, cps=[0, 7, 30]),
+                         g=small_graph(), km=kernel_factory(6, rng),
+                         x=np.arange(6.0))
+    assert len(applied) == 30 and tr.ts.tolist() == [0, 7, 30]
+
+
+@pytest.mark.parametrize("graph_n", [7, 5], ids=["larger", "smaller"])
+@pytest.mark.parametrize("runner", [gs.run_u1, gs.run_u2, gs.run_gosta_sync,
+                                    gs.run_gosta_async, gs.run_flooding],
+                         ids=lambda r: r.__name__)
+def test_runner_checks_its_graph_against_its_sample(runner, graph_n,
+                                                    kernel_factory):
+    # a runner called directly fails before it draws an edge, not on an
+    # index or a broadcast
+    km = kernel_factory(6, np.random.default_rng(0))
+    cfg = cfg_for(runner.__name__[4:], 10, 0)
+    with pytest.raises(ValueError) as info:
+        runner(gs.make_complete(graph_n), km, cfg)
+    assert str(info.value) == (f"graph size {graph_n} does not match "
+                               "sample size 6")
+
+
 def test_flooding_holdings_contain_self_and_grow(rng, kernel_factory):
     # the holdings are the reference's, whose estimates the engine matches
     # bit for bit

@@ -86,6 +86,55 @@ def test_checkpoint_grids_reject_bad_sizes(call, message):
     assert str(info.value) == message
 
 
+# Who takes checkpoints: a run (from 0, up to max_iters), the five oracles
+# (from 1, up to t_max) and bound_report's grid (from 1, no horizon).
+RUN, CURVES, GRID = "run", "curves", "grid"
+
+
+@pytest.mark.parametrize("bad, takers", [
+    (5, (RUN, CURVES, GRID)),
+    ([[1, 2]], (RUN, CURVES, GRID)),
+    ([], (RUN, CURVES, GRID)),
+    ([5, 3], (RUN, CURVES, GRID)),
+    ([3, 3], (RUN, CURVES, GRID)),
+    ([2.5], (RUN, CURVES, GRID)),
+    ([True, 2], (RUN, CURVES, GRID)),
+    ([4, 11], (RUN, CURVES)),
+    ([0], (CURVES, GRID)),
+    ([-1], (RUN,)),
+], ids=["scalar", "two_d", "empty", "unsorted", "repeated", "fraction",
+        "bool", "above_horizon", "zero_for_curve", "negative_for_run"])
+def test_one_checkpoint_rule(bad, takers):
+    # one rule for every list of checkpoints: each bad input is refused
+    # with a ValueError naming the argument, never sorted, cut or read as
+    # a number
+    g, km = small_graph(), constant_kernel(6)
+    calls = []
+    if RUN in takers:
+        calls.append(("checkpoints", lambda: EngineConfig(
+            protocol="u1", max_iters=10, checkpoints=bad)))
+    if CURVES in takers:
+        for name in ("boyd", "u1", "u2", "gosta_sync", "gosta_async"):
+            source = np.arange(6.0) if PROTOCOLS[name].on_values else km
+            calls.append(("checkpoints", lambda name=name, source=source:
+                          PROTOCOLS[name].oracle(g, source, 10, bad)))
+    if GRID in takers:
+        calls.append(("t_grid", lambda: gs.bound_report(g, km, "gosta_sync",
+                                                        bad)))
+    for what, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(f"{what} must ")
+
+
+def test_checked_checkpoints_returns_ints():
+    cps = expectation.checked_checkpoints(np.array([0.0, 3.0, 1e1]),
+                                          "checkpoints", 0, 10)
+    assert cps == (0, 3, 10) and all(type(t) is int for t in cps)
+    assert expectation.checked_checkpoints(range(1, 4), "t_grid", 1) == (
+        1, 2, 3)
+
+
 def test_capped_grid_loads_no_masked_arrays():
     # np.unique would import numpy.ma on its first call
     code = ("import sys; from gosta_sim.expectation import "
@@ -486,10 +535,13 @@ def test_oracles_reject_fractional_checkpoints(kernel_factory):
             PROTOCOLS[name].oracle(g, km, 10, [2.5, 7.9])
         assert str(info.value) == ("checkpoints must hold whole numbers, "
                                    "got 2.5")
-    out = gs.gosta_sync_expectation(g, km, 10, [1e1, 2.0])
+    out = gs.gosta_sync_expectation(g, km, 10, [2.0, 1e1])
     assert list(out) == [2, 10]
     assert np.array_equal(out[10], gs.gosta_sync_expectation(g, km, 10,
                                                              [10])[10])
+    # checkpoints are taken as given: an unsorted grid is not sorted
+    with pytest.raises(ValueError, match="strictly increasing"):
+        gs.gosta_sync_expectation(g, km, 10, [1e1, 2.0])
 
 
 # ------------------------------------------- eigenbasis vs step recursions

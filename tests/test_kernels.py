@@ -276,13 +276,39 @@ def test_partitioned_csv_rejects_fractional_cell_id(tmp_path, col):
     ([1, 2.5], "x must hold whole numbers, got 2.5"),
     (np.array([True, False]), "x must hold whole numbers, got True"),
     (["1", "2"], "x must hold whole numbers, got '1'"),
+    # np.asarray would read these bools as the numbers 1 and 0
+    ([1, True], "x must hold whole numbers, got True"),
+    ((2.0, np.False_), "x must hold whole numbers, got False"),
+    ([[3, 4], [True, 5]], "x must hold whole numbers, got True"),
 ], ids=["bool", "numeric_string", "string", "none", "fraction", "inf",
-        "list_fraction", "bool_array", "string_list"])
+        "list_fraction", "bool_array", "string_list", "bool_among_ints",
+        "numpy_bool_among_floats", "bool_in_nested_list"])
 def test_whole_accepts_only_numbers(values, message):
     # a bool or a string is no number, whatever int() would make of it
     with pytest.raises(ValueError) as info:
         kernels.whole(values, "x")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", ["scatter", "named_scatter", "auc"])
+@pytest.mark.parametrize("size", [400, 200], ids=["longer", "shorter"])
+def test_kernel_data_of_wrong_length_is_refused(kind, size):
+    # 300 rows span two tile rows, built on two threads where there are
+    # two CPUs; cells or labels of another length are not cut or broadcast
+    x = DesignMatrix(np.random.default_rng(0).normal(size=(300, 2)))
+    cells = Partition(np.arange(size) % 3)
+    labels = np.where(np.arange(size) % 2, 1, -1)
+    build, message = {
+        "scatter": (lambda: build_kernel_matrix(gs.scatter_kernel(cells), x),
+                    "partition size"),
+        "named_scatter": (lambda: build_kernel_matrix("scatter", x, cells),
+                          "partition size"),
+        "auc": (lambda: build_kernel_matrix(
+            gs.auc_kernel(np.ones(2), labels), x), "label count"),
+    }[kind]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"{message} does not match the sample size"
 
 
 def test_whole_converts_and_checks_its_lower_limit():
