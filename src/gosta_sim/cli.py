@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                             " watts_strogatz:n=100,k=5,p=0.3) or a file path")
         p.add_argument("--kernel", required=True, choices=kernels.KERNEL_NAMES)
         p.add_argument("--data", required=True, help="dataset CSV path")
-        p.add_argument("--cell-column", type=int, default=-1,
-                       help="cell-id column for the scatter kernel")
+        p.add_argument("--cell-column", type=int, help="cell-id column "
+                       "for the scatter kernel (default: the last)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="Monte-Carlo protocol runs")

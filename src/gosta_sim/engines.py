@@ -11,11 +11,9 @@ iteration costs the same, so communication after t iterations is
 ``rate * t``: 2 for boyd, 2d for u1 and flooding, 4d for u2 and 2 + 2d for
 both GoSta protocols.
 
-A run is strictly sequential and driven by one seeded random stream: all
-edge draws come first, in iteration order. Flooding's per-iteration picks
-follow them on the same stream, as 32-bit words taken in bulk and mapped
-exactly as ``rng.integers(0, c)`` maps them, so each pick is the value a
-scalar ``rng.integers`` call would return. ``_drive`` walks the segments
+A run is strictly sequential and driven by one seeded random stream: the
+edge draws up to the last checkpoint come first, in iteration order, then
+flooding's picks, one uniform double each. ``_drive`` walks the segments
 between checkpoints, handing each step its edges as Python ints in bounded
 chunks. An iteration touches only the 2-4 nodes on its drawn edges, so a
 checkpoint copies just the nodes touched since the last one into numpy
@@ -66,11 +64,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Run parameters for one protocol execution. Snapshots are taken at
-    the ``checkpoints`` in [0, max_iters] (:func:`checked_checkpoints`),
-    every iteration by default. A run ends at its last checkpoint, and
-    ``max_iters`` still sets how many edges are drawn, and so flooding's picks.
-    """
+    """Run parameters for one protocol execution: snapshots at the
+    ``checkpoints`` in [0, max_iters] (:func:`checked_checkpoints`, every
+    iteration by default), the last of which ends the run and its draws."""
 
     protocol: str
     max_iters: int
@@ -141,8 +137,8 @@ def _check_permutation(y) -> None:
         raise InvariantError("auxiliary index list is no longer a permutation")
 
 
-# Iterations whose edge draws (and raw 64-bit outputs whose flooding words)
-# are held as Python ints at one time, and elements of the (checkpoints x
+# Iterations whose edge draws (and flooding's picks, two per iteration) are
+# held as Python numbers at one time, and elements of the (checkpoints x
 # nodes) blocks in which snapshots are taken.
 _CHUNK = 1024
 _BLOCK = 1 << 13
@@ -151,7 +147,7 @@ _BLOCK = 1 << 13
 def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
            step, lists, snapshot, perms=(), pairs: bool = False):
     """Run segment by segment to the last checkpoint. The edges of all
-    ``cfg.max_iters`` iterations are drawn first; flooding's picks follow.
+    iterations up to it are drawn first; flooding's picks follow.
 
     ``step(events, t)`` applies the iterations after the t-th, one per item
     of ``events``: the drawn edge ``(i, j)``, or both edges ``(i, j, a, b)``
@@ -169,9 +165,9 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
         raise ValueError(f"graph size {n} does not match sample size "
                          f"{len(lists[0])}")
     warn_if_unsuitable(g, cfg.protocol)
-    eidx = rng.integers(0, g.num_edges,
-                        size=(cfg.max_iters, 2) if pairs else cfg.max_iters)
     ts = np.array(cfg.checkpoints, dtype=np.int64)
+    last = cfg.checkpoints[-1]
+    eidx = rng.integers(0, g.num_edges, size=(last, 2) if pairs else last)
     est = np.empty((len(ts), n))
     # array buffers take single-node writes at list speed, and numpy views
     # of them copy whole rows; a long segment refreshes whole lists
@@ -185,7 +181,7 @@ def _drive(g: Graph, cfg: EngineConfig, rng: np.random.Generator, rate: int,
         touched: list[int] = []
         while t < stop:
             if t == b:
-                a, b = t, min(t + _CHUNK, cfg.max_iters)
+                a, b = t, min(t + _CHUNK, last)
                 ends = g.edges[eidx[a:b]].ravel().tolist()
                 events = zip(*[iter(ends)] * w)
             end = min(stop, b)
@@ -373,47 +369,6 @@ def run_gosta_async(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     return Trace("gosta_async", *out, truth=km.u_stat, m_snapshots=msnap)
 
 
-def _uniform_below(rng: np.random.Generator):
-    """Return ``below(c)``, equal call for call to ``int(rng.integers(0, c))``
-    for 1 <= c <= 2**32, without a numpy call per draw.
-
-    numpy maps a 32-bit word w to ``(c * w) >> 32`` and draws again while
-    the low half of ``c * w`` is below ``(2**32 - c) % c`` (D. Lemire, "Fast
-    Random Integer Generation in an Interval", ACM TOMACS 2019); for c == 1
-    it draws nothing. The words are taken from the bit generator in bulk at
-    the first draw, in the order its ``next_uint32`` hands them out: the
-    half-word it may still hold, then the low and high halves of each raw
-    64-bit output. From then on the generator is ahead of the draws, so
-    nothing else may draw from it.
-    """
-    bg = rng.bit_generator
-
-    def chunks():
-        state = bg.state
-        if state["has_uint32"]:
-            yield (state["uinteger"],)
-        while True:
-            raw = bg.random_raw(_CHUNK)
-            words = np.empty(2 * _CHUNK, np.uint64)
-            words[0::2] = raw & 0xFFFFFFFF
-            words[1::2] = raw >> 32
-            yield words.tolist()
-
-    word = chain.from_iterable(chunks()).__next__
-
-    def below(c: int) -> int:
-        if c == 1:
-            return 0
-        m = c * word()
-        if m & 0xFFFFFFFF < c:
-            threshold = (0x100000000 - c) % c
-            while m & 0xFFFFFFFF < threshold:
-                m = c * word()
-        return m >> 32
-
-    return below
-
-
 def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     """Observation-flooding baseline with unbounded node memory.
 
@@ -422,25 +377,24 @@ def run_flooding(g: Graph, km: KernelMatrix, cfg: EngineConfig) -> Trace:
     discarded on arrival). A node's estimate is the average of its pair
     values over held indices other than itself, or 0 while it holds nothing
     else. Every transfer costs d units whether or not it is a duplicate.
-    The picks follow the edge draws on the same stream, as 32-bit words
-    taken in bulk and mapped exactly as ``rng.integers(0, c)`` maps them
-    (``_uniform_below``), so a run is bit-identical to one that makes a
-    scalar ``rng.integers`` call per pick.
+    A pick from c held indices is the one at ``int(u * c)`` (below c, as
+    u <= 1 - 2**-53) for the next uniform double u after the edge draws;
+    drawn in chunks, the doubles equal one ``rng.random()`` call per pick.
     """
     h = memoryview(km.dense())
-    n = km.n
     rng = np.random.default_rng(cfg.seed)
-    below = _uniform_below(rng)
-    held_lists: list[list[int]] = [[v] for v in range(n)]
-    held_sets: list[set[int]] = [{v} for v in range(n)]
-    sums = [0.0] * n
-    counts = [0] * n
+    u = chain.from_iterable(iter(lambda: rng.random(2 * _CHUNK).tolist(),
+                                 None)).__next__
+    held_lists: list[list[int]] = [[v] for v in range(km.n)]
+    held_sets: list[set[int]] = [{v} for v in range(km.n)]
+    sums = [0.0] * km.n
+    counts = [0] * km.n
 
     def step(events, t):
         for i, j in events:
             hi, hj = held_lists[i], held_lists[j]
-            pick_i = hi[below(len(hi))]
-            pick_j = hj[below(len(hj))]
+            pick_i = hi[int(u() * len(hi))]
+            pick_j = hj[int(u() * len(hj))]
             # a node holds its own index from the start, so a new arrival
             # is never the node itself
             if pick_i not in held_sets[j]:

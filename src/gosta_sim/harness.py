@@ -135,9 +135,7 @@ class ExperimentSpec:
         for part in (_GRAPH, _KERNEL, _DATA, _CHECKPOINTS):
             object.__setattr__(self, part[0], _ReadOnlyDict(
                 _check_part(getattr(self, part[0]), part)))
-        if "cell_column" in self.data and self.kernel["name"] != "scatter":
-            raise ValueError(f"data cell_column is read only by the scatter "
-                             f"kernel, not by '{self.kernel['name']}'")
+        _check_cell_column(self.kernel["name"], self.data.get("cell_column"))
         for what, path in (("graph", self.graph.get("path")),
                            ("dataset", self.data.get("path"))):
             if path is not None and not Path(path).exists():
@@ -354,12 +352,20 @@ def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     return read_graph_file(spec["path"])
 
 
-def load_csv_data(path, kernel_name: str, cell_column: int = -1):
+def _check_cell_column(kernel_name: str, cell_column) -> None:
+    if cell_column is not None and kernel_name != "scatter":
+        raise ValueError(f"data cell_column is read only by the scatter "
+                         f"kernel, not by '{kernel_name}'")
+
+
+def load_csv_data(path, kernel_name: str, cell_column: int | None = None):
     """Return (data, partition) from a dataset CSV, read as the kernel
-    needs it: with a cell column for scatter, a label column for auc and
-    plain rows for variance."""
+    needs it: with a cell column for scatter (``cell_column``, the last by
+    default; no other kernel takes one), labels for auc, plain rows else."""
+    _check_cell_column(kernel_name, cell_column)
     if kernel_name == "scatter":
-        return kernels.load_partitioned_csv(path, cell_column)
+        return kernels.load_partitioned_csv(
+            path, -1 if cell_column is None else cell_column)
     if kernel_name == "auc":
         return kernels.load_labeled_csv(path), None
     return kernels.load_design_csv(path), None
@@ -378,7 +384,7 @@ def _materialize_data(spec: ExperimentSpec):
     kind = data["kind"]
     if kind == "csv":
         return load_csv_data(data["path"], spec.kernel["name"],
-                             data.get("cell_column", -1))
+                             data.get("cell_column"))
     rng = np.random.default_rng(derive_seed(spec.seed, 202))
     if kind == "gaussian_mixture":
         return synth_gaussian_mixture(data["n"], data["d"], data["clusters"],

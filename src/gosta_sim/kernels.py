@@ -74,17 +74,18 @@ KERNEL_NAMES = ("variance", "scatter", "auc")
 
 
 def whole(values, what: str, least: int | None = None):
-    """``values`` as int64 (an int if a scalar) when each is a whole number,
-    and at least ``least`` if given: ``1e6`` passes; ``12.7``, nan, inf,
-    bools and strings raise ValueError naming ``what``. The one
-    whole-number rule of the CSV columns, constructors and specs."""
+    """``values`` as int64 (an int of any size if a scalar) when each is a
+    whole number, and at least ``least`` if given: ``1e6`` passes; ``12.7``,
+    nan, inf, bools, strings and ``[2**63]`` raise ValueError naming ``what``.
+    The one whole-number rule of the CSV columns, constructors and specs."""
     a = np.asarray(values)
-    bad = a.ravel()
+    flat = a.ravel()
     if a.dtype.kind == "f":
-        bad = bad[~(np.isfinite(bad) & (bad == np.round(bad)))]
-    elif a.dtype.kind in "iu" or type(values) is int:
-        bad = bad[:0]
-    bad = bad.tolist()
+        bad = flat[~(np.isfinite(flat) & (flat == np.round(flat)))].tolist()
+    else:  # np.asarray keeps ints beyond int64 as Python objects
+        bad = [] if a.dtype.kind in "iu" else [
+            v for v in flat.tolist()
+            if not (type(v) is int or type(v) is float and v.is_integer())]
     if a.ndim and not isinstance(values, np.ndarray):
         # np.asarray reads a bool among numbers as the number 0 or 1
         bad += [bool(v) for v in np.asarray(values, object).flat
@@ -92,6 +93,10 @@ def whole(values, what: str, least: int | None = None):
     if bad:
         rule = "be a whole number" if a.ndim == 0 else "hold whole numbers"
         raise ValueError(f"{what} must {rule}, got {bad[0]!r}")
+    wide = (flat < -2**63) | (flat >= 2**63)
+    if a.ndim and wide.any():  # named as given, not as np.asarray read it
+        raise ValueError(f"{what} must fit in int64, got "
+                         f"{np.asarray(values, object).flat[wide.argmax()]!r}")
     out = int(values) if a.ndim == 0 else a.astype(np.int64)
     if least is not None and np.any(np.less(out, least)):
         raise ValueError(f"{what} must be >= {least}")

@@ -292,8 +292,8 @@ def _ref_flooding_steps(g, max_iters, seed):
     held = [[v] for v in range(g.n)]
     for t in range(1, max_iters + 1):
         i, j = (int(v) for v in g.edges[eidx[t - 1]])
-        pick_i = held[i][int(rng.integers(0, len(held[i])))]
-        pick_j = held[j][int(rng.integers(0, len(held[j])))]
+        pick_i = held[i][int(rng.random() * len(held[i]))]
+        pick_j = held[j][int(rng.random() * len(held[j]))]
         if pick_i not in held[j]:
             held[j].append(pick_i)
         if pick_j not in held[i]:
@@ -302,12 +302,14 @@ def _ref_flooding_steps(g, max_iters, seed):
 
 
 def ref_run_flooding(g, h, max_iters, seed, checkpoints):
+    """The estimates at the checkpoints. A run draws its edges only up to
+    its last checkpoint, so ``max_iters`` is not read."""
     def estimate(held, k):
         vals = [h[k, l] for l in held[k] if l != k]
         return sum(vals) / len(vals) if vals else 0.0
 
     return {t: np.array([estimate(held, k) for k in range(g.n)])
-            for t, held in _ref_flooding_steps(g, max_iters, seed)
+            for t, held in _ref_flooding_steps(g, max(checkpoints), seed)
             if t in checkpoints}
 
 

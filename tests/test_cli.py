@@ -133,6 +133,28 @@ def test_simulate_rejects_fractional_label_or_cell(tmp_path, capsys, kernel,
     assert f"got {bad}" in err
 
 
+@pytest.mark.parametrize("kernel", ["variance", "auc", "scatter"])
+@pytest.mark.parametrize("command", ["simulate", "expect", "bounds"])
+def test_cell_column_is_read_only_by_scatter(tmp_path, capsys, command,
+                                            kernel):
+    # a two-class CSV: its last column is a label, read by scatter as cells
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "gen-data", "--kind", "two_class", "--n", "8", "--d", "2",
+            "--out", str(data))
+    out = tmp_path / "out.csv"
+    horizon = ["--iters", "10"] if command == "simulate" else ["--t-max", "10"]
+    code, _, err = run_cli(capsys, command, "--protocol", "gosta_sync",
+                           "--graph", "complete:n=8", "--kernel", kernel,
+                           "--data", str(data), "--cell-column", "2",
+                           *horizon, "--out", str(out))
+    if kernel == "scatter":
+        assert (code, err) == (0, "") and out.exists()
+    else:
+        assert (code, out.exists()) == (1, False)
+        assert err == ("gosta-sim: error: data cell_column is read only by "
+                       f"the scatter kernel, not by '{kernel}'\n")
+
+
 def test_simulate_per_node(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "plain", "--n", "8", "--d", "1",

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import gosta_sim as gs
 from gosta_sim.engines import (EngineConfig, InvariantError,
-                               _check_permutation, _uniform_below,
-                               derive_seed, relative_error)
+                               _check_permutation, derive_seed,
+                               relative_error)
 from gosta_sim.expectation import every_checkpoints
 
 import _reference as ref
@@ -292,6 +292,20 @@ def test_run_ends_at_its_last_checkpoint(monkeypatch, rng, kernel_factory,
     assert len(applied) == 30 and tr.ts.tolist() == [0, 7, 30]
 
 
+@pytest.mark.parametrize("protocol", ["boyd", "u1", "u2", "gosta_sync",
+                                      "gosta_async", "flooding"])
+def test_run_does_not_depend_on_max_iters(rng, kernel_factory, protocol):
+    # only the iterations up to the last checkpoint are drawn, so a horizon
+    # far past it changes no bit
+    km, x, c = kernel_factory(6, rng), np.arange(6.0), 40
+    runs = [gs.run_protocol(cfg_for(protocol, iters, 9, cps=[0, 3, 17, c]),
+                            g=small_graph(), km=km, x=x)
+            for iters in (c, 50 * c)]
+    for field in ("ts", "estimates", "comm_units", "m_snapshots"):
+        a, b = (getattr(tr, field) for tr in runs)
+        assert (a is b is None) or np.array_equal(a, b), field
+
+
 @pytest.mark.parametrize("graph_n", [7, 5], ids=["larger", "smaller"])
 @pytest.mark.parametrize("runner", [gs.run_u1, gs.run_u2, gs.run_gosta_sync,
                                     gs.run_gosta_async, gs.run_flooding],
@@ -340,28 +354,31 @@ def test_flooding_saturated_node_estimate(rng, kernel_factory):
     assert np.allclose(expected, km.row_means * 6 / 5, atol=1e-12)
 
 
-@pytest.mark.parametrize("prior", [0, 7, 8], ids=["none", "odd", "even"])
-def test_uniform_below_matches_numpy_integers(prior):
-    # flooding's picks must be numpy's own bounded draws, call for call; a
-    # numpy release that changes Generator.integers fails here
-    ranges = [1, 1, 2, 3, 5, 1, 30, 100, 1, 1000, 2**16 + 1, 2**31 + 1,
-              2**32 - 5, 2**32 - 1, 2**32]
-    for seed in range(20):
-        want = np.random.default_rng(seed)
-        got = np.random.default_rng(seed)
-        for rng in (want, got):
-            rng.integers(0, 13, size=prior)
-        # an odd-sized array draw leaves the second half of its last word
-        assert got.bit_generator.state["has_uint32"] == prior % 2
-        below = _uniform_below(got)
-        # c == 1 draws nothing: the generator has not moved
-        assert below(1) == int(want.integers(0, 1)) == 0
-        assert got.bit_generator.state == want.bit_generator.state
-        order = np.random.default_rng(seed + 100)
-        # about half the words drawn for c = 2**31 + 1 are rejected, so 3000
-        # draws run the rejection loop many times
-        for c in order.choice(ranges, size=3000):
-            assert below(int(c)) == int(want.integers(0, int(c))), (seed, c)
+def test_flooding_picks_uniformly_from_held_lists():
+    # the picks, read from the estimates alone: on a star the centre holds
+    # itself and then each leaf in the order of the leaves' first events,
+    # and a leaf's first event hands it one pick from the centre's list of
+    # that size, which h[a, b] = a + b names in the leaf's estimate
+    leaves, runs = 8, 400
+    g = gs.make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    v = np.arange(leaves + 1.0)
+    km = gs.KernelMatrix.from_dense((v[:, None] + v) * (1 - np.eye(len(v))))
+    counts = np.zeros((leaves + 1, leaves))  # [list size, position]
+    for seed in range(runs):
+        est = gs.run_flooding(g, km, cfg_for("flooding", 80, seed)).estimates
+        first = {leaf: np.flatnonzero(est[:, leaf])
+                 for leaf in range(1, leaves + 1)}
+        held = [0]
+        for k, leaf in sorted((f[0], leaf) for leaf, f in first.items()
+                              if len(f)):
+            counts[len(held), held.index(int(est[k, leaf]) - leaf)] += 1
+            held.append(leaf)
+    assert counts[1, 0] == runs and counts.sum() >= leaves * runs - 10
+    chi2 = sum(((counts[c, :c] - counts[c].sum() / c) ** 2).sum()
+               / (counts[c].sum() / c) for c in range(2, leaves + 1))
+    # 28 degrees of freedom: a uniform sampler exceeds 78.8 with
+    # probability 1e-6
+    assert chi2 < 78.8, counts
 
 
 # ---------------------------------------------------------------- master
@@ -411,8 +428,8 @@ GRAPHS = {"small": small_graph,
     pytest.param(2, "small", 60, SHORT_CPS, id="2"),
     pytest.param(3, "path", 3000, LONG_CPS, id="long_path"),
     pytest.param(4, "path", 3000, DENSE_CPS, id="dense_path"),
-    # an odd horizon leaves half of the last edge-draw word for flooding's
-    # first pick, and holdings grow to tens of indices
+    # an odd horizon, whose edge draws leave half a 64-bit output unused
+    # before flooding's first pick, and holdings grow to tens of indices
     pytest.param(5, "complete", 2001, {1, 2, 500, 2001}, id="odd_complete"),
 ])
 def test_engines_match_reference_implementations(seed, graph, iters, cps,

@@ -280,9 +280,15 @@ def test_partitioned_csv_rejects_fractional_cell_id(tmp_path, col):
     ([1, True], "x must hold whole numbers, got True"),
     ((2.0, np.False_), "x must hold whole numbers, got False"),
     ([[3, 4], [True, 5]], "x must hold whole numbers, got True"),
+    # beyond int64, where astype(np.int64) would wrap or overflow
+    ([1, 2**63], "x must fit in int64, got 9223372036854775808"),
+    ([1e19], "x must fit in int64, got 1e+19"),
+    ([-2**63 - 1], "x must fit in int64, got -9223372036854775809"),
+    ([1.0, 2**70], "x must fit in int64, got 1180591620717411303424"),
 ], ids=["bool", "numeric_string", "string", "none", "fraction", "inf",
         "list_fraction", "bool_array", "string_list", "bool_among_ints",
-        "numpy_bool_among_floats", "bool_in_nested_list"])
+        "numpy_bool_among_floats", "bool_in_nested_list", "int_at_2_63",
+        "float_beyond_int64", "int_below_int64", "float_beside_wide_int"])
 def test_whole_accepts_only_numbers(values, message):
     # a bool or a string is no number, whatever int() would make of it
     with pytest.raises(ValueError) as info:
