@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, simulate, expect, bounds, experiment, table1,
 gen-graph, gen-data. Data outputs are CSV, summaries are JSON; exit code 0
-on success, nonzero with a message on stderr otherwise.
+on success, nonzero with a message on stderr otherwise. The data commands
+build their inputs from an experiment spec of their flags, as experiments do.
 """
 
 from __future__ import annotations
@@ -14,24 +15,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engines, expectation, harness, kernels
+from . import engines, harness, kernels
 from .bounds import bound_report
 from .engines import PROTOCOLS, EngineConfig, node_errors, relative_error
 from .graph import read_graph_file, write_graph_file
 from .spectral import spectral_summary
 
 
-def _load_graph(spec_text: str, seed: int):
-    return harness.build_graph_from_spec(
-        harness.parse_graph_spec_string(spec_text), seed)
-
-
-def _load_kernel(args):
-    """The kernel matrix of ``--data`` and the node values read from it."""
-    data, part = harness.load_csv_data(args.data, args.kernel,
-                                       args.cell_column)
-    return (kernels.build_kernel_matrix(args.kernel, data, part),
-            harness.node_values(data))
+def _inputs(args, **fields) -> tuple:
+    """(spec, graph, kernel matrix, node values, checkpoints) of a data
+    command, from the spec of its flags and ``fields``, which checks them."""
+    data = {"kind": "csv", "path": args.data}
+    if args.cell_column is not None:
+        data["cell_column"] = args.cell_column
+    spec = harness.ExperimentSpec(
+        graph=harness.parse_graph_spec_string(args.graph),
+        kernel={"name": args.kernel}, data=data, protocols=[args.protocol],
+        seed=args.seed, **fields)
+    return (spec, *harness.build_inputs(spec))
 
 
 def _cmd_spectrum(args) -> int:
@@ -50,18 +51,15 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    runs = kernels.whole(args.runs, "runs", 1)
-    if not 1 <= args.record_every <= args.iters:
-        raise ValueError("--record-every must satisfy 1 <= k <= --iters")
-    g = _load_graph(args.graph, args.seed)
-    km, x = _load_kernel(args)
+    spec, g, km, x, cps = _inputs(args, iters=args.iters, runs=args.runs,
+                                  checkpoints={"policy": "every",
+                                               "step": args.record_every})
     lines = ["run,t,comm_units,err_mean,err_std"]
     per_node_lines = ["run,t,node,estimate,error"]
-    for run in range(runs):
-        cfg = EngineConfig(protocol=args.protocol, max_iters=args.iters,
-                           seed=engines.derive_seed(args.seed, 0, run),
-                           checkpoints=expectation.every_checkpoints(
-                               args.iters, args.record_every))
+    for run in range(spec.runs):
+        cfg = EngineConfig(protocol=args.protocol, max_iters=spec.iters,
+                           seed=engines.derive_seed(spec.seed, 0, run),
+                           checkpoints=cps)
         trace = engines.run_protocol(cfg, g=g, km=km, x=x)
         err = relative_error(trace)
         nodes_err = node_errors(trace)[0] if args.per_node else None
@@ -82,12 +80,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    g = _load_graph(args.graph, args.seed)
-    km, x = _load_kernel(args)
+    _, g, km, x, grid = _inputs(args, iters=args.t_max)
     proto = PROTOCOLS[args.protocol]
     source = x if proto.on_values else km
-    oracle = proto.oracle(g, source, args.t_max,
-                          expectation.geometric_checkpoints(args.t_max))
+    oracle = proto.oracle(g, source, args.t_max, grid)
     target = proto.limit(source)
     lines = ["t,node,expected_Z,target,abs_err"]
     for t in sorted(oracle):
@@ -101,9 +97,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    g = _load_graph(args.graph, args.seed)
-    km, _ = _load_kernel(args)
-    grid = expectation.geometric_checkpoints(args.t_max)
+    _, g, km, _, grid = _inputs(args, iters=args.t_max)
     report = bound_report(g, km, args.protocol, grid)
     lines = ["t,actual_err,bound_val,ratio"]
     for k, t in enumerate(report.t_grid):
@@ -147,7 +141,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    g = _load_graph(args.family_spec, args.seed)
+    g = harness.build_graph_from_spec(
+        harness.parse_graph_spec_string(args.family_spec), args.seed)
     write_graph_file(g, args.out)
     return 0
 

@@ -37,6 +37,9 @@ logger = logging.getLogger("gosta_sim.graph")
 # and of edge_slices, which every pass over the edges reads.
 _CHECK_ROWS = 1 << 16
 
+# Attempts at a connected graph before make_watts_strogatz gives up.
+WS_MAX_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -188,15 +191,15 @@ def _ws_base_ring(n: int, k: int) -> list[set[int]]:
     return adj
 
 
-def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
-                        max_retries: int = 100) -> Graph:
+def make_watts_strogatz(n: int, k: int, p: float,
+                        rng: np.random.Generator) -> Graph:
     """Small-world graph: ring lattice of mean degree k, each edge rewired
     independently with probability p.
 
     Rewiring keeps one endpoint fixed and redraws the other uniformly among
     non-adjacent vertices, so no self-loops or duplicate edges appear and the
     edge count is preserved. Disconnected outputs are rejected and regenerated
-    up to ``max_retries`` times, then an error is raised.
+    up to ``WS_MAX_RETRIES`` times in all, then an error is raised.
 
     Edges are visited in sorted order with one ``rng.random()`` each; a
     rewired edge (a, b) then draws ``idx = rng.integers(0, c)`` with
@@ -209,7 +212,7 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
         raise ValueError(f"need n > k >= 2, got n={n}, k={k}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must be in [0, 1], got {p}")
-    for _ in range(max_retries):
+    for _ in range(WS_MAX_RETRIES):
         adj = _ws_base_ring(n, k)
         for a, b in [(a, b) for a in range(n) for b in sorted(adj[a])
                      if a < b]:
@@ -234,7 +237,7 @@ def make_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator,
             return g
     raise ValueError(
         f"failed to generate a connected Watts-Strogatz graph "
-        f"(n={n}, k={k}, p={p}) in {max_retries} attempts"
+        f"(n={n}, k={k}, p={p}) in {WS_MAX_RETRIES} attempts"
     )
 
 

@@ -7,14 +7,16 @@ Per-run seeds derive from (base seed, protocol index, run index) through a
 fixed splitting function, so outputs are byte-identical on replay.
 
 The (protocol, run) jobs run on one forked worker process per available
-CPU; there is no option for it. The parent builds the graph, data and
-kernel once and checks the graph once, before forking, so the workers
-share the kernel's pages copy-on-write and receive nothing pickled. Each
-job sends back only its error curves and communication counts, which the
-parent places by job key, so every output is byte-identical to a serial
-run. With one CPU or one job, inside a daemonic process, in a process that
-already runs other threads, or where ``fork`` is unavailable, the same job
-function runs in-process instead.
+CPU; there is no option for it. The parent builds the data, graph and
+kernel once (:func:`build_inputs`, which the CLI's ``simulate``,
+``expect`` and ``bounds`` share) and checks the graph once, before
+forking, so the workers share the kernel's pages copy-on-write and
+receive nothing pickled. Each job sends back only its error curves and
+communication counts, which the parent places by job key, so every
+output is byte-identical to a serial run. With one CPU or one job,
+inside a daemonic process, in a process that already runs other threads,
+or where ``fork`` is unavailable, the same job function runs in-process
+instead.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ __all__ = [
     "table1",
     "build_graph_from_spec",
     "parse_graph_spec_string",
-    "load_csv_data",
-    "node_values",
+    "build_inputs",
 ]
 
 _TYPES = {int: "a whole number", float: "a finite real number",
@@ -115,10 +116,10 @@ class ExperimentSpec:
     :func:`load_experiment`: each mapping against its part's table, each
     value's type, the protocol names, the counts' lower limits, that only
     scatter reads ``cell_column`` and that a graph file or dataset exists,
-    each failure naming its key. The builders check the rest as
-    :func:`run_experiment` starts, before any run: the graph and data
-    sizes, the rewiring probability, the signs of ``separation`` and
-    ``margin``, the kernel's data and the graph/data size match. Values
+    each failure naming its key. The builders check the rest in
+    :func:`build_inputs`, before any run: the data file's rows, the data
+    and graph sizes, the rewiring probability, the signs of ``separation``
+    and ``margin``, the kernel's data and the graph/data size match. Values
     are stored converted, the mappings read-only with defaults filled."""
 
     graph: dict
@@ -126,8 +127,8 @@ class ExperimentSpec:
     data: dict
     protocols: tuple[str, ...]
     iters: int
-    runs: int
-    seed: int
+    runs: int = 1
+    seed: int = 0
     checkpoints: dict = field(default_factory=dict)
     output_dir: str = "."
 
@@ -135,7 +136,9 @@ class ExperimentSpec:
         for part in (_GRAPH, _KERNEL, _DATA, _CHECKPOINTS):
             object.__setattr__(self, part[0], _ReadOnlyDict(
                 _check_part(getattr(self, part[0]), part)))
-        _check_cell_column(self.kernel["name"], self.data.get("cell_column"))
+        if "cell_column" in self.data and self.kernel["name"] != "scatter":
+            raise ValueError(f"data cell_column is read only by the scatter "
+                             f"kernel, not by '{self.kernel['name']}'")
         for what, path in (("graph", self.graph.get("path")),
                            ("dataset", self.data.get("path"))):
             if path is not None and not Path(path).exists():
@@ -222,8 +225,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     """Read a JSON experiment config into an :class:`ExperimentSpec`.
 
     Only the JSON's shape is checked here: that it is an object, with no
-    unknown key and every required key. The spec checks the rest.
-    Defaults: runs 1, seed 0, and the spec's own."""
+    unknown key and every required key. The spec checks the rest and
+    fills in its defaults."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"experiment config not found: {p}")
@@ -235,7 +238,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     required = {"graph", "kernel", "data", "protocols", "iters"}
     _check_keys(raw, required | {"runs", "seed", "checkpoints", "output_dir"},
                 "experiment config", required)
-    return ExperimentSpec(**{"runs": 1, "seed": 0, **raw})
+    return ExperimentSpec(**raw)
 
 
 def _check_protocols(protocols) -> tuple[str, ...]:
@@ -352,39 +355,20 @@ def build_graph_from_spec(spec: dict, seed: int = 0) -> Graph:
     return read_graph_file(spec["path"])
 
 
-def _check_cell_column(kernel_name: str, cell_column) -> None:
-    if cell_column is not None and kernel_name != "scatter":
-        raise ValueError(f"data cell_column is read only by the scatter "
-                         f"kernel, not by '{kernel_name}'")
-
-
-def load_csv_data(path, kernel_name: str, cell_column: int | None = None):
-    """Return (data, partition) from a dataset CSV, read as the kernel
-    needs it: with a cell column for scatter (``cell_column``, the last by
-    default; no other kernel takes one), labels for auc, plain rows else."""
-    _check_cell_column(kernel_name, cell_column)
-    if kernel_name == "scatter":
-        return kernels.load_partitioned_csv(
-            path, -1 if cell_column is None else cell_column)
-    if kernel_name == "auc":
-        return kernels.load_labeled_csv(path), None
-    return kernels.load_design_csv(path), None
-
-
-def node_values(data) -> np.ndarray:
-    """The per-node values that plain averaging (boyd) starts from: the
-    first coordinate of each observation."""
-    design = data.design if isinstance(data, LabeledDataset) else data
-    return design.rows[:, 0].copy()
-
-
 def _materialize_data(spec: ExperimentSpec):
-    """Return (data, partition) for kernel construction."""
+    """Return (data, partition) for kernel construction. A CSV is read as
+    the kernel needs it: with its cell column for scatter (``cell_column``,
+    the last by default), with labels for auc, as plain rows otherwise."""
     data = spec.data
     kind = data["kind"]
     if kind == "csv":
-        return load_csv_data(data["path"], spec.kernel["name"],
-                             data.get("cell_column"))
+        name = spec.kernel["name"]
+        if name == "scatter":
+            return kernels.load_partitioned_csv(
+                data["path"], data.get("cell_column", -1))
+        if name == "auc":
+            return kernels.load_labeled_csv(data["path"]), None
+        return kernels.load_design_csv(data["path"]), None
     rng = np.random.default_rng(derive_seed(spec.seed, 202))
     if kind == "gaussian_mixture":
         return synth_gaussian_mixture(data["n"], data["d"], data["clusters"],
@@ -397,6 +381,20 @@ def _experiment_checkpoints(spec: ExperimentSpec) -> tuple[int, ...]:
     if cp["policy"] == "geometric":
         return geometric_checkpoints(spec.iters, cp["max_points"])
     return every_checkpoints(spec.iters, cp["step"])
+
+
+def build_inputs(spec: ExperimentSpec) -> tuple:
+    """(graph, kernel matrix, node values, checkpoints) of ``spec``. The
+    data is read or drawn first, so a bad dataset fails before any graph is
+    built; the node values (boyd's) are each observation's first coordinate."""
+    data, partition = _materialize_data(spec)
+    graph = build_graph_from_spec(spec.graph, spec.seed)
+    km = kernels.build_kernel_matrix(spec.kernel["name"], data, partition)
+    if graph.n != km.n:
+        raise ValueError(f"graph has {graph.n} nodes but the dataset has "
+                         f"{km.n} observations")
+    design = data.design if isinstance(data, LabeledDataset) else data
+    return graph, km, design.rows[:, 0].copy(), _experiment_checkpoints(spec)
 
 
 def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
@@ -455,18 +453,12 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     across runs. Deterministic given the spec seed, and the same whether
     the runs share one process or spread over several.
     """
-    graph = build_graph_from_spec(spec.graph, spec.seed)
-    data, partition = _materialize_data(spec)
-    km = kernels.build_kernel_matrix(spec.kernel["name"], data, partition)
-    if graph.n != km.n:
-        raise ValueError(f"graph has {graph.n} nodes but the dataset has "
-                         f"{km.n} observations")
+    inputs = (spec, *build_inputs(spec))
+    _, graph, km, _, cps = inputs
     # the first protocol run on the graph names the check, as its run would
     on_graph = [p for p in spec.protocols if PROTOCOLS[p].on_graph]
     if on_graph:
         warn_if_unsuitable(graph, on_graph[0])
-    cps = _experiment_checkpoints(spec)
-    inputs = (spec, graph, km, node_values(data), cps)
     keys = [(pidx, run) for pidx in range(len(spec.protocols))
             for run in range(spec.runs)]
     results = dict(zip(keys, _run_jobs(inputs, keys)))

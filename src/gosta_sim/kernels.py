@@ -465,29 +465,37 @@ def auc_value(theta: np.ndarray, ds: LabeledDataset) -> float:
     return float(numer / (4.0 * ds.n_pos * ds.n_neg))
 
 
-def _sniff_header(first_row: list[str]) -> bool:
+def _is_number(tok: str) -> bool:
     try:
-        for tok in first_row:
-            float(tok)
-        return False
-    except ValueError:
+        float(tok)
         return True
+    except ValueError:
+        return False
 
 
 def _read_csv(path: str | Path) -> np.ndarray:
-    """The rows of a float CSV, without its header if it has one."""
+    """The rows of a float CSV, without its header if it has one; a row of
+    another length or a value that is no number is named by its line."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
     with open(p, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{p}: empty dataset file")
-    if _sniff_header(rows[0]):
+    if not all(map(_is_number, rows[0][1])):  # a header
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{p}: no data rows")
-    return np.array([[float(v) for v in r] for r in rows])
+    for line, row in rows:
+        if len(row) != len(rows[0][1]):
+            raise ValueError(f"{p}: line {line} has {len(row)} values, "
+                             f"the first data row {len(rows[0][1])}")
+        for v in row:
+            if not _is_number(v):
+                raise ValueError(f"{p}: line {line}: {v!r} is not a number")
+    return np.array([[float(v) for v in row] for _, row in rows])
 
 
 def _split_column(path, col: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -524,13 +532,13 @@ def load_partitioned_csv(path: str | Path,
 
 def write_design_csv(path: str | Path, x: np.ndarray,
                      extra_column: np.ndarray | None = None) -> None:
-    """Write observations (plus an optional trailing label/cell column)."""
+    """Write observations (plus an optional whole-number label/cell column)."""
+    if extra_column is not None:
+        extra_column = whole(extra_column, "extra column")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for i in range(x.shape[0]):
             row = [format(v, ".17g") for v in x[i]]
             if extra_column is not None:
-                row.append(str(int(extra_column[i]))
-                           if float(extra_column[i]).is_integer()
-                           else format(extra_column[i], ".17g"))
+                row.append(str(extra_column[i]))
             writer.writerow(row)

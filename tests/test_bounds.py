@@ -208,11 +208,19 @@ def test_fit_rate_input_validation():
             fit_rate(ts, np.ones(5), model)
         assert str(info.value) == (f"unknown model '{model}'; expected "
                                    f"'logt_over_t'")
-    with pytest.raises(ValueError):
-        fit_rate(np.array([2.0, 3.0]), np.ones(2), "logt_over_t")
-    with pytest.raises(ValueError):
-        fit_rate(np.array([0.5, 1.0, 1.5, 1.8, 1.9]), np.ones(5),
-                 "logt_over_t")
+
+
+@pytest.mark.parametrize("ts, errs, message", [
+    ([2, 3, 4, 5, 6], [1, 1, 1, 1], "ts and errs must have matching shapes"),
+    ([2, 3, 4, 5, 6], [[1] * 5], "ts and errs must have matching shapes"),
+    ([2, 3], [1, 1], "need at least 5 checkpoints with t >= 2"),
+    ([0.5, 1, 1.5, 1.8, 1.9], [1] * 5,
+     "need at least 5 checkpoints with t >= 2"),
+], ids=["shorter_errs", "errs_2d", "two_points", "points_below_2"])
+def test_fit_rate_names_what_it_refuses(ts, errs, message):
+    with pytest.raises(ValueError) as info:
+        fit_rate(ts, errs, "logt_over_t")
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------------- reports

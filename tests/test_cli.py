@@ -109,8 +109,8 @@ def test_simulate_rejects_record_every_outside_iters(tmp_path, capsys, every):
                            "--data", str(data), "--iters", "10",
                            "--record-every", every, "--out", str(out))
     assert code == 1
-    assert err == ("gosta-sim: error: --record-every must satisfy "
-                   "1 <= k <= --iters\n")
+    assert err == ("gosta-sim: error: checkpoint step must satisfy "
+                   "1 <= step <= iters\n")
     assert not out.exists()
 
 
@@ -153,6 +153,44 @@ def test_cell_column_is_read_only_by_scatter(tmp_path, capsys, command,
         assert (code, out.exists()) == (1, False)
         assert err == ("gosta-sim: error: data cell_column is read only by "
                        f"the scatter kernel, not by '{kernel}'\n")
+
+
+@pytest.mark.parametrize("case", ["cell_column", "missing_data",
+                                  "missing_graph", "malformed_csv"])
+@pytest.mark.parametrize("command", ["simulate", "expect", "bounds"])
+def test_data_commands_refuse_bad_inputs_before_building(
+        tmp_path, capsys, monkeypatch, command, case):
+    # the flags make one experiment spec, and its data is read before any
+    # graph or kernel is built
+    data = tmp_path / "d.csv"
+    data.write_text("1,2\n3,4\n")
+    graph, flags = "complete:n=3000", ["--kernel", "variance"]
+    if case == "cell_column":
+        flags += ["--cell-column", "0"]
+        message = ("data cell_column is read only by the scatter kernel, "
+                   "not by 'variance'")
+    elif case == "missing_data":
+        data = tmp_path / "none.csv"
+        message = f"dataset file not found: {data}"
+    elif case == "missing_graph":
+        graph = str(tmp_path / "none.txt")
+        message = f"graph file not found: {graph}"
+    else:
+        data.write_text("1,2\n3,x\n")
+        message = f"{data}: line 2: 'x' is not a number"
+
+    def built(*args, **kwargs):
+        raise AssertionError("an input was built")
+
+    monkeypatch.setattr(gs.harness, "build_graph_from_spec", built)
+    monkeypatch.setattr(gs.kernels, "build_kernel_matrix", built)
+    horizon = ["--iters", "10"] if command == "simulate" else ["--t-max", "10"]
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, command, "--protocol", "gosta_sync",
+                                "--graph", graph, "--data", str(data), *flags,
+                                *horizon, "--out", str(out))
+    assert (code, stdout, out.exists()) == (1, "", False)
+    assert err == f"gosta-sim: error: {message}\n"
 
 
 def test_simulate_per_node(tmp_path, capsys):
@@ -376,17 +414,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
 def test_cli_rejects_graph_without_edges(tmp_path, capsys, n):
     gpath = tmp_path / "g.txt"
     gpath.write_text(f"{n} 0\n")
+    # no data set has one row, so at n = 1 bounds refuses the size first
     data = tmp_path / "d.csv"
-    run_cli(capsys, "gen-data", "--kind", "plain", "--n", str(n + 1),
+    run_cli(capsys, "gen-data", "--kind", "plain", "--n", "2",
             "--d", "1", "--out", str(data))
+    bounds = ["bounds", "--protocol", "u2", "--graph", str(gpath),
+              "--kernel", "variance", "--data", str(data), "--t-max", "10",
+              "--out", str(tmp_path / "b.csv")]
     for args in (["spectrum", str(gpath)], ["table1", "--graph", str(gpath)],
-                 ["bounds", "--protocol", "u2", "--graph", str(gpath),
-                  "--kernel", "variance", "--data", str(data), "--t-max",
-                  "10", "--out", str(tmp_path / "b.csv")]):
+                 bounds):
         code, _, err = run_cli(capsys, *args)
         assert code == 1
         assert err.startswith("gosta-sim: error: ")
-        assert "undefined on a graph with no edges" in err
+        if n == 1 and args is bounds:
+            assert err == ("gosta-sim: error: graph has 1 nodes but the "
+                           "dataset has 2 observations\n")
+        else:
+            assert "undefined on a graph with no edges" in err
 
 
 def test_cli_rejects_unusable_args(tmp_path, capsys):

@@ -322,6 +322,15 @@ def test_runner_checks_its_graph_against_its_sample(runner, graph_n,
                                "sample size 6")
 
 
+@pytest.mark.parametrize("x", [np.zeros(5), np.zeros(7), np.zeros((6, 1)),
+                               np.float64(0.0)],
+                         ids=["shorter", "longer", "column", "scalar"])
+def test_run_boyd_names_a_misshapen_x(x):
+    with pytest.raises(ValueError) as info:
+        gs.run_boyd(small_graph(), x, cfg_for("boyd", 10, 0))
+    assert str(info.value) == "x must hold one value per node"
+
+
 def test_flooding_holdings_contain_self_and_grow(rng, kernel_factory):
     # the holdings are the reference's, whose estimates the engine matches
     # bit for bit

@@ -86,6 +86,20 @@ def test_checkpoint_grids_reject_bad_sizes(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("graph_n", [5, 3], ids=["larger", "smaller"])
+@pytest.mark.parametrize("protocol", [name for name, proto in PROTOCOLS.items()
+                                      if proto.oracle is not None])
+def test_oracles_check_the_graph_against_the_sample(protocol, graph_n,
+                                                    kernel_factory):
+    proto = PROTOCOLS[protocol]
+    km = kernel_factory(4, np.random.default_rng(0))
+    source = np.arange(4.0) if proto.on_values else km
+    with pytest.raises(ValueError) as info:
+        proto.oracle(gs.make_complete(graph_n), source, 10, [1, 10])
+    assert str(info.value) == (f"graph size {graph_n} does not match "
+                               "sample size 4")
+
+
 # Who takes checkpoints: a run (from 0, up to max_iters), the five oracles
 # (from 1, up to t_max) and bound_report's grid (from 1, no horizon).
 RUN, CURVES, GRID = "run", "curves", "grid"

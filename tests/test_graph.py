@@ -1,4 +1,6 @@
 import tracemalloc
+from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -148,12 +150,12 @@ def test_ws_odd_k_mean_degree(rng):
     assert g.degrees.mean() == pytest.approx(5.0, abs=0.1)
 
 
-def _ws_outcome(make, n, k, p, seed, max_retries=100):
+def _ws_outcome(make, n, k, p, seed):
     """Edge array (or None if no connected graph came out) and the final
     generator state, so equal outcomes mean equal random-stream use too."""
     rng = np.random.default_rng(seed)
     try:
-        out = make(n, k, p, rng, max_retries=max_retries)
+        out = make(n, k, p, rng)
     except ValueError:
         out = None
     edges = out.edges if isinstance(out, gs.Graph) else out
@@ -161,10 +163,12 @@ def _ws_outcome(make, n, k, p, seed, max_retries=100):
 
 
 def _assert_same_as_reference(n, k, p, seed, max_retries=100):
-    edges, state = _ws_outcome(gs.make_watts_strogatz, n, k, p, seed,
-                               max_retries)
-    ref_edges, ref_state = _ws_outcome(ref_make_watts_strogatz, n, k, p, seed,
-                                       max_retries)
+    # patch.object, not monkeypatch: hypothesis reruns the test body
+    with patch.object(graph, "WS_MAX_RETRIES", max_retries):
+        edges, state = _ws_outcome(gs.make_watts_strogatz, n, k, p, seed)
+    ref_edges, ref_state = _ws_outcome(
+        partial(ref_make_watts_strogatz, max_retries=max_retries),
+        n, k, p, seed)
     assert state == ref_state
     if ref_edges is None:
         assert edges is None
@@ -196,8 +200,9 @@ def test_ws_disconnected_retry_matches_reference():
     # At n=6, k=2, p=1 the first attempt is often disconnected: pick seeds
     # that need a retry and check the regenerated graph.
     def connected_within(seed, max_retries):
-        edges = _ws_outcome(ref_make_watts_strogatz, 6, 2, 1.0, seed,
-                            max_retries)[0]
+        edges = _ws_outcome(partial(ref_make_watts_strogatz,
+                                    max_retries=max_retries),
+                            6, 2, 1.0, seed)[0]
         return edges is not None
 
     retried = [s for s in range(40)
@@ -391,6 +396,20 @@ def test_read_graph_rejects_bad_header(tmp_path):
     path.write_text("3 2\n1 2\n")
     with pytest.raises(ValueError):
         gs.read_graph_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected a header line 'n m'"),
+    ("5\n", "expected a header line 'n m'"),
+    ("3 1\n1 4\n", "edge endpoint outside [1, 3]"),
+    ("3 2\n1 2\n0 3\n", "edge endpoint outside [1, 3]"),
+], ids=["empty", "no_m", "endpoint_above_n", "endpoint_below_1"])
+def test_read_graph_file_names_what_it_refuses(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        gs.read_graph_file(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_warn_if_unsuitable(caplog):

@@ -426,6 +426,34 @@ def test_mixture_validation(rng):
         synth_gaussian_mixture(2, 2, 3, 1.0, rng)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: synth_gaussian_mixture(5, 2, 0, 1.0, rng),
+     "need n >= clusters >= 1, got n=5, clusters=0"),
+    (lambda rng: synth_gaussian_mixture(5, 0, 2, 1.0, rng),
+     "dimension must be >= 1"),
+    (lambda rng: synth_gaussian_mixture(5, 2, 2, -0.5, rng),
+     "separation must be >= 0"),
+    (lambda rng: synth_two_class(1, 2, 1.0, rng), "need n >= 2"),
+    (lambda rng: synth_two_class(4, 0, 1.0, rng), "dimension must be >= 1"),
+    (lambda rng: synth_two_class(4, 2, -1.0, rng), "margin must be >= 0"),
+    (lambda rng: harness.parse_graph_spec_string("complete:n"),
+     "bad graph spec item 'n' in 'complete:n'"),
+], ids=["mixture_no_clusters", "mixture_d_0",
+        "mixture_negative_separation", "two_class_n_1", "two_class_d_0",
+        "two_class_negative_margin", "graph_spec_item_without_value"])
+def test_generators_and_specs_name_what_they_refuse(rng, call, message):
+    with pytest.raises(ValueError) as info:
+        call(rng)
+    assert str(info.value) == message
+
+
+def test_load_experiment_names_a_missing_config(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError) as info:
+        load_experiment(path)
+    assert str(info.value) == f"experiment config not found: {path}"
+
+
 def test_two_class_large_margin_high_auc(rng):
     ds = synth_two_class(200, 3, 10.0, rng)
     theta = gs.kernels.mean_difference_direction(ds)

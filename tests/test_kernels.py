@@ -226,6 +226,29 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(part.assignment, cells)
 
 
+@pytest.mark.parametrize("column", [[1.0, -1.0, 1.0], [3, -2, 2**40]],
+                         ids=["labels_as_floats", "wide_cells"])
+def test_written_extra_column_reads_back(tmp_path, column):
+    x = np.arange(6.0).reshape(3, 2) / 7
+    path = tmp_path / "d.csv"
+    write_design_csv(path, x, np.array(column))
+    assert [line.rsplit(",", 1)[1] for line in path.read_text().split()] == [
+        str(int(c)) for c in column]
+    _, part = load_partitioned_csv(path)
+    assert part.assignment.tolist() == [int(c) for c in column]
+    if set(column) <= {1, -1}:
+        assert load_labeled_csv(path).labels.tolist() == column
+
+
+def test_write_design_csv_refuses_a_fractional_extra_column(tmp_path):
+    # the loaders could not read such a column back
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError) as info:
+        write_design_csv(path, np.zeros((3, 2)), np.array([0.5, 1, 2]))
+    assert str(info.value) == "extra column must hold whole numbers, got 0.5"
+    assert not path.exists()
+
+
 def test_csv_header_sniffing(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b,label\n1.0,2.0,1\n3.0,4.0,-1\n")
@@ -296,6 +319,47 @@ def test_whole_accepts_only_numbers(values, message):
     assert str(info.value) == message
 
 
+def _labeled(labels):
+    return LabeledDataset(DesignMatrix(np.arange(6.0).reshape(3, 2)), labels)
+
+
+def _skew_tile(xt, a, b, t, v, m):
+    t[:] = 0.0
+    t[0, -1] = 1.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DesignMatrix(np.zeros(3)), ValueError,
+     "design matrix must be 2-dimensional (n, d)"),
+    (lambda: DesignMatrix(np.zeros((1, 2))), ValueError,
+     "need at least 2 observations, got 1"),
+    (lambda: DesignMatrix(np.zeros((3, 0))), ValueError,
+     "observation dimension must be >= 1"),
+    (lambda: DesignMatrix([[0.0, np.inf], [1.0, 2.0]]), ValueError,
+     "design matrix contains non-finite entries"),
+    (lambda: _labeled([1, -1]), ValueError,
+     "labels must be one value per observation"),
+    (lambda: _labeled([1, -1, 2]), ValueError, "labels must be -1 or +1"),
+    (lambda: Partition([[1, 2], [3, 4]]), ValueError,
+     "partition assignment must be one id per row"),
+    (lambda: KernelMatrix.from_dense(np.zeros((2, 3))), ValueError,
+     "kernel matrix must be square"),
+    (lambda: build_kernel_matrix("variance", np.zeros((3, 2))), TypeError,
+     "data must be a DesignMatrix or LabeledDataset"),
+    (lambda: build_kernel_matrix(gs.KernelSpec("skew", _skew_tile),
+                                 DesignMatrix(np.zeros((3, 2)))), ValueError,
+     "kernel tile is not symmetric with a zero diagonal"),
+    (lambda: gs.auc_value(np.ones(3), _labeled([1, -1, 1])), ValueError,
+     "theta must hold one weight per coordinate"),
+], ids=["design_1d", "design_one_row", "design_no_columns", "design_inf",
+        "labels_too_few", "label_2", "partition_2d", "dense_not_square",
+        "data_not_a_sample", "tile_not_symmetric", "theta_too_long"])
+def test_data_and_kernel_checks_name_what_they_refuse(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("kind", ["scatter", "named_scatter", "auc"])
 @pytest.mark.parametrize("size", [400, 200], ids=["longer", "shorter"])
 def test_kernel_data_of_wrong_length_is_refused(kind, size):
@@ -360,6 +424,27 @@ def test_split_column_loaders_check_the_column(tmp_path):
         with pytest.raises(ValueError) as info:
             load_partitioned_csv(two, cell_column=col)
         assert str(info.value) == f"{two}: cell column {col} out of range"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty dataset file"),
+    ("\n\n", "empty dataset file"),
+    ("a,b,c\n", "no data rows"),
+    ("1,2,1\n3,x,-1\n", "line 2: 'x' is not a number"),
+    ("a,b,c\n1,2,1\n\n3,4\n", "line 4 has 2 values, the first data row 3"),
+    ("1,2,1\n3,4,-1,5\n", "line 2 has 4 values, the first data row 3"),
+], ids=["empty", "blank_lines", "header_only", "not_a_number",
+        "short_row_after_blank_line", "long_row"])
+@pytest.mark.parametrize("load", [load_design_csv, load_labeled_csv,
+                                  load_partitioned_csv],
+                         ids=lambda load: load.__name__)
+def test_csv_loaders_name_the_file_and_line_they_refuse(tmp_path, load, text,
+                                                       message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_row_means_read_only(rng, kernel_factory):
@@ -540,8 +625,9 @@ def test_experiment_still_forks_after_threaded_build(tmp_path, monkeypatch):
 
 def test_import_loads_no_process_pool():
     # the fork pool's modules load only when an experiment runs its jobs;
-    # importing them would add to every command's start-up time
-    code = ("import sys, gosta_sim; "
+    # importing them would add to every command's start-up time (the CLI's
+    # too)
+    code = ("import sys, gosta_sim, gosta_sim.cli; "
             "print(sorted(m for m in ('concurrent.futures', "
             "'multiprocessing') if m in sys.modules))")
     env = dict(os.environ)
