@@ -341,16 +341,30 @@ def write_graph_file(g: Graph, path: str | Path) -> None:
 
 
 def read_graph_file(path: str | Path) -> Graph:
-    """Read the plain-text graph format written by :func:`write_graph_file`."""
-    text = Path(path).read_text(encoding="ascii")
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: expected a header line 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"{path}: expected {m} edge lines, found "
-                         f"{(len(tokens) - 2) // 2}")
-    pairs = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
+    """Read the plain-text graph format written by :func:`write_graph_file`;
+    a token that is no 64-bit integer is named with its line."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"graph file not found: {p}")
+    text = p.read_text(encoding="ascii")
+    try:
+        values = np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        for line, row in enumerate(text.split("\n"), 1):
+            for tok in row.split():
+                try:
+                    np.int64(tok)
+                except (ValueError, OverflowError):
+                    raise ValueError(f"{p}: line {line}: {tok!r} is not a "
+                                     f"64-bit integer") from None
+        raise
+    if len(values) < 2:
+        raise ValueError(f"{p}: expected a header line 'n m'")
+    n, m = int(values[0]), int(values[1])
+    if len(values) != 2 + 2 * m:
+        raise ValueError(f"{p}: expected {m} edge lines, found "
+                         f"{(len(values) - 2) // 2}")
+    pairs = values[2:].reshape(m, 2)
     if m > 0 and (pairs.min() < 1 or pairs.max() > n):
-        raise ValueError(f"{path}: edge endpoint outside [1, {n}]")
+        raise ValueError(f"{p}: edge endpoint outside [1, {n}]")
     return make_graph(n, pairs - 1)

@@ -6,17 +6,18 @@ and runs, and writes one CSV per protocol plus a combined comparison CSV.
 Per-run seeds derive from (base seed, protocol index, run index) through a
 fixed splitting function, so outputs are byte-identical on replay.
 
-The (protocol, run) jobs run on one forked worker process per available
-CPU; there is no option for it. The parent builds the data, graph and
-kernel once (:func:`build_inputs`, which the CLI's ``simulate``,
-``expect`` and ``bounds`` share) and checks the graph once, before
-forking, so the workers share the kernel's pages copy-on-write and
-receive nothing pickled. Each job sends back only its error curves and
-communication counts, which the parent places by job key, so every
-output is byte-identical to a serial run. With one CPU or one job,
-inside a daemonic process, in a process that already runs other threads,
-or where ``fork`` is unavailable, the same job function runs in-process
-instead.
+The (protocol, run) jobs run on one forked child process per available
+CPU (:func:`parallel.on_forks`); there is no option for it. The parent
+builds the data, graph and kernel once (:func:`build_inputs`, which the
+CLI's ``simulate``, ``expect`` and ``bounds`` share) and checks the graph
+once, before forking, so the children share the kernel's pages
+copy-on-write and receive nothing pickled: each takes job numbers from
+one pipe and runs a closure over the inputs it inherited. Each job sends
+back only its error curves and communication counts, which the parent
+places by job key, so every output is byte-identical to a serial run.
+With one CPU or one job, inside a daemonic process, in a process that
+already runs other threads, or where ``fork`` is unavailable, the same
+jobs run in-process instead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -411,38 +411,10 @@ def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
     return err.mean, err.std, err.absolute, trace.comm_units
 
 
-# The inputs of the experiment a pool worker serves. Set once in each
-# worker, from the parent's objects inherited through fork.
-_worker_inputs: tuple | None = None
-
-
-def _adopt_inputs(inputs: tuple) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_job(key: tuple[int, int]) -> tuple:
-    return _run_job(_worker_inputs, key)
-
-
 def _run_jobs(inputs: tuple, keys: list[tuple[int, int]]) -> list[tuple]:
-    """Results of ``_run_job`` for every key, in key order, from one forked
-    worker per available CPU. The jobs run in this process instead where a
-    pool cannot help or cannot be forked safely: a daemonic process may not
-    have children, and a fork taken while another thread holds a lock can
-    deadlock the child."""
-    import multiprocessing
-    import threading
-    workers = min(parallel.available_cpus(), len(keys))
-    if (workers < 2 or multiprocessing.current_process().daemon
-            or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return list(map(partial(_run_job, inputs), keys))
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_adopt_inputs,
-                             initargs=(inputs,)) as pool:
-        return list(pool.map(_worker_job, keys))
+    """Results of ``_run_job`` for every key, in key order, from forked
+    workers that inherit ``inputs`` (:func:`parallel.on_forks`)."""
+    return parallel.on_forks(lambda i: _run_job(inputs, keys[i]), len(keys))
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:

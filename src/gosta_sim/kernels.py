@@ -474,8 +474,9 @@ def _is_number(tok: str) -> bool:
 
 
 def _read_csv(path: str | Path) -> np.ndarray:
-    """The rows of a float CSV, without its header if it has one; a row of
-    another length or a value that is no number is named by its line."""
+    """The rows of a float CSV, without its header if it has one (a first
+    row holding no number); a row of another length or a value that is no
+    number is named by its line."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
@@ -484,7 +485,7 @@ def _read_csv(path: str | Path) -> np.ndarray:
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{p}: empty dataset file")
-    if not all(map(_is_number, rows[0][1])):  # a header
+    if not any(map(_is_number, rows[0][1])):  # a header
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{p}: no data rows")

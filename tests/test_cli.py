@@ -410,6 +410,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["table1", "--graph"]],
+                         ids=["spectrum", "table1"])
+def test_graph_commands_name_a_missing_or_bad_graph_file(tmp_path, capsys,
+                                                         command):
+    # as the data commands and experiments do
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, *command, str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"gosta-sim: error: graph file not found: {missing}\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 2\n1 2\n2 x\n")
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"gosta-sim: error: {bad}: line 3: 'x' is not a 64-bit "
+                   f"integer\n")
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cli_rejects_graph_without_edges(tmp_path, capsys, n):
     gpath = tmp_path / "g.txt"

@@ -403,13 +403,25 @@ def test_read_graph_rejects_bad_header(tmp_path):
     ("5\n", "expected a header line 'n m'"),
     ("3 1\n1 4\n", "edge endpoint outside [1, 3]"),
     ("3 2\n1 2\n0 3\n", "edge endpoint outside [1, 3]"),
-], ids=["empty", "no_m", "endpoint_above_n", "endpoint_below_1"])
+    ("3 2\n1 2\n2 x\n", "line 3: 'x' is not a 64-bit integer"),
+    ("3 1.5\n1 2\n", "line 1: '1.5' is not a 64-bit integer"),
+    ("3 1\n\n1 99999999999999999999\n",
+     "line 3: '99999999999999999999' is not a 64-bit integer"),
+], ids=["empty", "no_m", "endpoint_above_n", "endpoint_below_1",
+        "edge_token", "header_token", "token_above_int64"])
 def test_read_graph_file_names_what_it_refuses(tmp_path, text, message):
     path = tmp_path / "g.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as info:
         gs.read_graph_file(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_read_graph_file_names_a_missing_file(tmp_path):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        gs.read_graph_file(path)
+    assert str(info.value) == f"graph file not found: {path}"
 
 
 def test_warn_if_unsuitable(caplog):

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -919,6 +921,38 @@ def test_daemonic_process_runs_serially(tmp_path, monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inner = pool.apply_async(run_experiment, (spec,)).get(timeout=120)
     _assert_same_aggregates(run_experiment(spec), inner)
+
+
+def test_forked_experiment_imports_no_process_pool(tmp_path):
+    # the jobs run on two forked children in a fresh interpreter, and
+    # neither multiprocessing nor concurrent.futures is loaded after it
+    pid_file = tmp_path / "pids"
+    config = minimal_config(tmp_path, protocols=["u1", "gosta_sync"],
+                            runs=2, output_dir=str(tmp_path / "out"))
+    code = "\n".join([
+        "import os, sys",
+        "from gosta_sim import engines, harness, parallel",
+        "parallel.available_cpus = lambda: 2",
+        "run = engines.run_protocol",
+        "def recording(*args, **kwargs):",
+        f"    with open({str(pid_file)!r}, 'a') as f:",
+        "        f.write(f'{os.getpid()}\\n')",
+        "    return run(*args, **kwargs)",
+        "engines.run_protocol = recording",
+        f"harness.run_experiment(harness.load_experiment({str(config)!r}))",
+        "print(os.getpid(), sorted(m for m in ('concurrent.futures', "
+        "'multiprocessing') if m in sys.modules))"])
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    pid, modules = out.stdout.strip().split(" ", 1)
+    assert modules == "[]"
+    pids = _run_pids(pid_file)
+    assert pid not in pids
+    assert len(pid_file.read_text().split()) == 4
 
 
 def test_threaded_process_runs_serially(tmp_path, monkeypatch):

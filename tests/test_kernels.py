@@ -433,8 +433,12 @@ def test_split_column_loaders_check_the_column(tmp_path):
     ("1,2,1\n3,x,-1\n", "line 2: 'x' is not a number"),
     ("a,b,c\n1,2,1\n\n3,4\n", "line 4 has 2 values, the first data row 3"),
     ("1,2,1\n3,4,-1,5\n", "line 2 has 4 values, the first data row 3"),
+    # a first row holding a number is data, so its typo is named
+    ("1,x,1\n2,3,-1\n4,5,1\n", "line 1: 'x' is not a number"),
+    ("\na,2,c\n1,2,1\n", "line 2: 'a' is not a number"),
 ], ids=["empty", "blank_lines", "header_only", "not_a_number",
-        "short_row_after_blank_line", "long_row"])
+        "short_row_after_blank_line", "long_row", "typo_in_first_row",
+        "header_holding_a_number"])
 @pytest.mark.parametrize("load", [load_design_csv, load_labeled_csv,
                                   load_partitioned_csv],
                          ids=lambda load: load.__name__)
@@ -624,9 +628,9 @@ def test_experiment_still_forks_after_threaded_build(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_process_pool():
-    # the fork pool's modules load only when an experiment runs its jobs;
-    # importing them would add to every command's start-up time (the CLI's
-    # too)
+    # importing the process-pool modules would add to every command's
+    # start-up time (the CLI's too); an experiment's forked run loads none
+    # of them either (test_harness)
     code = ("import sys, gosta_sim, gosta_sim.cli; "
             "print(sorted(m for m in ('concurrent.futures', "
             "'multiprocessing') if m in sys.modules))")
