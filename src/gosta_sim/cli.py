@@ -3,7 +3,8 @@
 Subcommands: spectrum, simulate, expect, bounds, experiment, table1,
 gen-graph, gen-data. Data outputs are CSV, summaries are JSON; exit code 0
 on success, nonzero with a message on stderr otherwise. The data commands
-build their inputs from an experiment spec of their flags, as experiments do.
+build their inputs from an experiment spec of their flags, as experiments do,
+and ``simulate``'s runs are an experiment's jobs (``harness._run_jobs``).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engines, harness, kernels
+from . import harness, kernels
 from .bounds import bound_report
-from .engines import PROTOCOLS, EngineConfig, node_errors, relative_error
+from .engines import PROTOCOLS, node_errors, relative_error
 from .graph import read_graph_file, write_graph_file
 from .spectral import spectral_summary
 
@@ -51,31 +52,27 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec, g, km, x, cps = _inputs(args, iters=args.iters, runs=args.runs,
-                                  checkpoints={"policy": "every",
-                                               "step": args.record_every})
-    lines = ["run,t,comm_units,err_mean,err_std"]
-    per_node_lines = ["run,t,node,estimate,error"]
-    for run in range(spec.runs):
-        cfg = EngineConfig(protocol=args.protocol, max_iters=spec.iters,
-                           seed=engines.derive_seed(spec.seed, 0, run),
-                           checkpoints=cps)
-        trace = engines.run_protocol(cfg, g=g, km=km, x=x)
-        err = relative_error(trace)
-        nodes_err = node_errors(trace)[0] if args.per_node else None
-        for k, t in enumerate(trace.ts):
-            lines.append(f"{run},{int(t)},{int(trace.comm_units[k])},"
-                         f"{float(err.mean[k]):.17g},{float(err.std[k]):.17g}")
-            if args.per_node:
-                for node in range(trace.estimates.shape[1]):
-                    per_node_lines.append(
-                        f"{run},{int(t)},{node + 1},"
-                        f"{trace.estimates[k, node]:.17g},"
-                        f"{nodes_err[k, node]:.17g}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    inputs = _inputs(args, iters=args.iters, runs=args.runs, checkpoints={
+        "policy": "every", "step": args.record_every})
+
+    def rows(key, trace):  # formatted in the child that ran the run
+        run, ts, err = key[1], trace.ts.tolist(), relative_error(trace)
+        lines = "".join(f"{run},{t},{c},{m:.17g},{s:.17g}\n" for t, c, m, s
+                        in zip(ts, trace.comm_units.tolist(),
+                               err.mean.tolist(), err.std.tolist()))
+        return lines, "".join(
+            f"{run},{t},{node},{z:.17g},{e:.17g}\n"
+            for t, zs, es in zip(ts, trace.estimates.tolist(),
+                                 node_errors(trace)[0].tolist())
+            for node, (z, e) in enumerate(zip(zs, es), 1)
+        ) if args.per_node else ""
+
+    lines, nodes = map("".join, zip(*harness._run_jobs(
+        inputs, [(0, run) for run in range(args.runs)], rows)))
+    Path(args.out).write_text("run,t,comm_units,err_mean,err_std\n" + lines)
     if args.per_node:
-        extra = Path(args.out).with_suffix(".nodes.csv")
-        extra.write_text("\n".join(per_node_lines) + "\n")
+        Path(args.out).with_suffix(".nodes.csv").write_text(
+            "run,t,node,estimate,error\n" + nodes)
     return 0
 
 

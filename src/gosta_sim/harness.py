@@ -6,18 +6,17 @@ and runs, and writes one CSV per protocol plus a combined comparison CSV.
 Per-run seeds derive from (base seed, protocol index, run index) through a
 fixed splitting function, so outputs are byte-identical on replay.
 
-The (protocol, run) jobs run on one forked child process per available
-CPU (:func:`parallel.on_forks`); there is no option for it. The parent
-builds the data, graph and kernel once (:func:`build_inputs`, which the
-CLI's ``simulate``, ``expect`` and ``bounds`` share) and checks the graph
-once, before forking, so the children share the kernel's pages
-copy-on-write and receive nothing pickled: each takes job numbers from
-one pipe and runs a closure over the inputs it inherited. Each job sends
-back only its error curves and communication counts, which the parent
-places by job key, so every output is byte-identical to a serial run.
-With one CPU or one job, inside a daemonic process, in a process that
-already runs other threads, or where ``fork`` is unavailable, the same
-jobs run in-process instead.
+Every run, an experiment's or a ``simulate`` command's, is a (protocol,
+run) job of :func:`_run_jobs`, on one forked child per available CPU
+(:func:`parallel.on_forks`); there is no option for it. The parent builds
+the data, graph and kernel once (:func:`build_inputs`, which ``simulate``,
+``expect`` and ``bounds`` share) and checks the graph once, before
+forking, so the children share the kernel's pages copy-on-write and
+receive nothing pickled. Each job sends back only what its caller keeps
+of the run (error curves and communication counts, or CSV rows), placed
+by job key, so every output is byte-identical to a serial run. With one
+CPU or one job, inside a daemonic process, in a process running other
+threads, or where ``fork`` is unavailable, the jobs run in-process.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 import numbers
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,7 +271,7 @@ def synth_gaussian_mixture(n: int, d: int, clusters: int, separation: float,
                          f"clusters={clusters}")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if separation < 0:
+    if _typed(separation, float, "separation") < 0:
         raise ValueError("separation must be >= 0")
     centers = np.zeros((clusters, d))
     if clusters > 1:
@@ -302,7 +301,7 @@ def synth_two_class(n: int, d: int, margin: float,
         raise ValueError("need n >= 2")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if margin < 0:
+    if _typed(margin, float, "margin") < 0:
         raise ValueError("margin must be >= 0")
     n_pos = (n + 1) // 2
     n_neg = n - n_pos
@@ -397,24 +396,25 @@ def build_inputs(spec: ExperimentSpec) -> tuple:
     return graph, km, design.rows[:, 0].copy(), _experiment_checkpoints(spec)
 
 
-def _run_job(inputs: tuple, key: tuple[int, int]) -> tuple:
-    """One run of the experiment: ``key`` is (protocol index, run index).
-    Returns (per-checkpoint node-mean error, node std, absolute flag,
-    communication units)."""
+def _run_jobs(inputs: tuple, keys: list[tuple[int, int]],
+              keep: Callable) -> list:
+    """``keep(key, trace)`` of the run of each (protocol index, run index)
+    key, in key order, computed on the forked workers that run the jobs
+    (:func:`parallel.on_forks`). The graph is checked first, as its first
+    protocol's run would: refused before any fork, warned about once."""
     spec, graph, km, x, cps = inputs
-    pidx, run = key
-    cfg = EngineConfig(protocol=spec.protocols[pidx], max_iters=spec.iters,
-                       seed=derive_seed(spec.seed, pidx, run),
-                       checkpoints=cps)
-    trace = engines.run_protocol(cfg, g=graph, km=km, x=x)
-    err = relative_error(trace)
-    return err.mean, err.std, err.absolute, trace.comm_units
+    on_graph = [p for p in spec.protocols if PROTOCOLS[p].on_graph]
+    if on_graph:
+        warn_if_unsuitable(graph, on_graph[0])
 
+    def job(i: int):
+        pidx, run = keys[i]
+        cfg = EngineConfig(protocol=spec.protocols[pidx], max_iters=spec.iters,
+                           seed=derive_seed(spec.seed, pidx, run),
+                           checkpoints=cps)
+        return keep(keys[i], engines.run_protocol(cfg, g=graph, km=km, x=x))
 
-def _run_jobs(inputs: tuple, keys: list[tuple[int, int]]) -> list[tuple]:
-    """Results of ``_run_job`` for every key, in key order, from forked
-    workers that inherit ``inputs`` (:func:`parallel.on_forks`)."""
-    return parallel.on_forks(lambda i: _run_job(inputs, keys[i]), len(keys))
+    return parallel.on_forks(job, len(keys))
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:
@@ -426,31 +426,31 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     the runs share one process or spread over several.
     """
     inputs = (spec, *build_inputs(spec))
-    _, graph, km, _, cps = inputs
-    # the first protocol run on the graph names the check, as its run would
-    on_graph = [p for p in spec.protocols if PROTOCOLS[p].on_graph]
-    if on_graph:
-        warn_if_unsuitable(graph, on_graph[0])
+    _, _, km, _, cps = inputs
     keys = [(pidx, run) for pidx in range(len(spec.protocols))
             for run in range(spec.runs)]
-    results = dict(zip(keys, _run_jobs(inputs, keys)))
+
+    def errors(key, trace):  # all the aggregates read of one run
+        err = relative_error(trace)
+        return err.mean, err.std, err.absolute, trace.comm_units
+
+    results = dict(zip(keys, _run_jobs(inputs, keys, errors)))
 
     aggregates: dict[str, ProtocolAggregate] = {}
     for pidx, proto in enumerate(spec.protocols):
-        runs = [results[pidx, run] for run in range(spec.runs)]
-        per_run_mean = np.array([r[0] for r in runs])
-        per_run_std = np.array([r[1] for r in runs])
-        _, _, absolute, comm = runs[-1]
+        means, stds, absolutes, comms = zip(*(results[pidx, run]
+                                              for run in range(spec.runs)))
+        per_run_mean, per_run_std = np.array(means), np.array(stds)
         aggregates[proto] = ProtocolAggregate(
             protocol=proto,
             ts=np.array(cps, dtype=np.int64),
-            comm_units=comm,
+            comm_units=comms[-1],
             err_mean=per_run_mean.mean(axis=0),
             err_std_nodes=per_run_std.mean(axis=0),
             err_std_runs=per_run_mean.std(axis=0),
             per_run_means=per_run_mean,
             per_run_stds=per_run_std,
-            absolute=absolute,
+            absolute=absolutes[-1],
         )
     result = AggregateResult(protocols=aggregates, truth=km.u_stat,
                              runs=spec.runs)

@@ -489,14 +489,17 @@ def _read_csv(path: str | Path) -> np.ndarray:
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{p}: no data rows")
+    values = []
     for line, row in rows:
         if len(row) != len(rows[0][1]):
             raise ValueError(f"{p}: line {line} has {len(row)} values, "
                              f"the first data row {len(rows[0][1])}")
-        for v in row:
-            if not _is_number(v):
-                raise ValueError(f"{p}: line {line}: {v!r} is not a number")
-    return np.array([[float(v) for v in row] for _, row in rows])
+        try:
+            values.append([float(v) for v in row])
+        except ValueError:
+            bad = next(v for v in row if not _is_number(v))
+            raise ValueError(f"{p}: line {line}: {bad!r} is not a number")
+    return np.array(values)
 
 
 def _split_column(path, col: int, name: str) -> tuple[np.ndarray, np.ndarray]:

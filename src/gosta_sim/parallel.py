@@ -1,10 +1,10 @@
 """The CPUs this process may use, a snake-order split over threads and a
 job queue over forked children, with no ``multiprocessing`` import.
 
-``harness`` runs an experiment's jobs with :func:`on_forks`. ``kernels``
-splits the row blocks of the kernel-matrix build with :func:`on_threads`,
-whose threads never outlive the call, so the children are still forked
-from a single-threaded process.
+``harness`` runs the jobs of an experiment or of ``simulate`` with
+:func:`on_forks`. ``kernels`` splits the row blocks of the kernel-matrix
+build with :func:`on_threads`, whose threads never outlive the call, so
+the children are still forked from a single-threaded process.
 """
 
 from __future__ import annotations

@@ -52,6 +52,24 @@ def test_gen_data_names_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    ("gaussian_mixture", "separation", "nan"),
+    ("gaussian_mixture", "separation", "inf"),
+    ("two_class", "margin", "nan"),
+    ("two_class", "margin", "inf"),
+])
+def test_gen_data_names_a_value_that_is_not_finite(tmp_path, capsys, kind,
+                                                   flag, value):
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "gen-data", "--kind", kind,
+                                "--n", "8", "--d", "2", f"--{flag}", value,
+                                "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == (f"gosta-sim: error: {flag} must be a finite real number, "
+                   f"got {value}\n")
+    assert not out.exists()
+
+
 def test_simulate_to_csv(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_cli(capsys, "gen-data", "--kind", "gaussian_mixture", "--n", "16",

@@ -423,6 +423,16 @@ def test_mixture_remainder_to_early_cells(rng):
     assert list(np.bincount(part.assignment)[1:]) == [4, 4, 3]
 
 
+def test_mixture_in_one_dimension_puts_its_centers_on_a_line():
+    # cells of 3, 2 and 2 rows around 0, 2.5 and 5, plus the same draws
+    design, part = synth_gaussian_mixture(7, 1, 3, 2.5,
+                                          np.random.default_rng(3))
+    noise = np.random.default_rng(3).standard_normal((7, 1))
+    assert part.assignment.tolist() == [1, 1, 1, 2, 2, 3, 3]
+    assert np.allclose(design.rows - noise,
+                       [[0.0]] * 3 + [[2.5]] * 2 + [[5.0]] * 2, atol=1e-12)
+
+
 def test_mixture_validation(rng):
     with pytest.raises(ValueError):
         synth_gaussian_mixture(2, 2, 3, 1.0, rng)
@@ -440,9 +450,20 @@ def test_mixture_validation(rng):
     (lambda rng: synth_two_class(4, 2, -1.0, rng), "margin must be >= 0"),
     (lambda rng: harness.parse_graph_spec_string("complete:n"),
      "bad graph spec item 'n' in 'complete:n'"),
+    # NaN passes a `< 0` test and inf reaches the design matrix
+    (lambda rng: synth_gaussian_mixture(5, 2, 2, float("nan"), rng),
+     "separation must be a finite real number, got nan"),
+    (lambda rng: synth_gaussian_mixture(5, 1, 2, float("inf"), rng),
+     "separation must be a finite real number, got inf"),
+    (lambda rng: synth_two_class(4, 2, float("nan"), rng),
+     "margin must be a finite real number, got nan"),
+    (lambda rng: synth_two_class(4, 2, float("-inf"), rng),
+     "margin must be a finite real number, got -inf"),
 ], ids=["mixture_no_clusters", "mixture_d_0",
         "mixture_negative_separation", "two_class_n_1", "two_class_d_0",
-        "two_class_negative_margin", "graph_spec_item_without_value"])
+        "two_class_negative_margin", "graph_spec_item_without_value",
+        "mixture_nan_separation", "mixture_infinite_separation",
+        "two_class_nan_margin", "two_class_minus_infinite_margin"])
 def test_generators_and_specs_name_what_they_refuse(rng, call, message):
     with pytest.raises(ValueError) as info:
         call(rng)
@@ -1013,3 +1034,111 @@ def test_disconnected_graph_fails_in_parent(tmp_path, monkeypatch):
     result = run_experiment(_pool_config(
         tmp_path, tmp_path / "out", graph=graph, protocols=["master_node"]))
     assert list(result.protocols) == ["master_node"]
+
+
+# ------------------------------------------- simulate's runs are experiment jobs
+
+
+def _simulate(out, *flags, protocol="gosta_sync",
+              graph="watts_strogatz:n=24,k=4,p=0.3"):
+    """Exit code of ``gosta-sim simulate`` on the sample scatter data."""
+    return main(["simulate", "--protocol", protocol, "--graph", graph,
+                 "--kernel", "scatter", "--data", SCATTER_CSV,
+                 "--iters", "300", "--record-every", "10", "--seed", "4",
+                 "--out", str(out), *flags])
+
+
+def test_simulate_forks_its_runs_bit_for_bit(tmp_path, monkeypatch):
+    # two workers even on a one-CPU host, so the fork path always runs
+    pids = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        pid_file = tmp_path / f"pids{cpus}"
+        with monkeypatch.context() as m:
+            _record_run_pids(m, pid_file)
+            assert _simulate(tmp_path / f"sim{cpus}.csv",
+                             "--runs", "3", "--per-node") == 0
+        pids[cpus] = _run_pids(pid_file)
+    assert pids[1] == {str(os.getpid())}
+    assert str(os.getpid()) not in pids[2]
+    for name in ("sim{}.csv", "sim{}.nodes.csv"):
+        one = (tmp_path / name.format(1)).read_bytes()
+        assert one == (tmp_path / name.format(2)).read_bytes()
+    assert len(one.splitlines()) == 1 + 3 * 30 * 24  # runs x t x nodes
+
+
+def test_simulate_writes_the_experiment_csv(tmp_path):
+    # the same runs, so the same rows but for the protocol column
+    for proto in gs.engines.PROTOCOLS:
+        sim = tmp_path / f"{proto}.sim.csv"
+        assert _simulate(sim, "--runs", "3", protocol=proto) == 0
+        run_experiment(harness.ExperimentSpec(
+            graph={"family": "watts_strogatz", "n": 24, "k": 4, "p": 0.3},
+            kernel={"name": "scatter"},
+            data={"kind": "csv", "path": SCATTER_CSV}, protocols=[proto],
+            iters=300, runs=3, seed=4,
+            checkpoints={"policy": "every", "step": 10},
+            output_dir=str(tmp_path / "exp")))
+        rows = (tmp_path / "exp" / f"{proto}.csv").read_text().splitlines()
+        assert sim.read_text().splitlines() == [
+            row.split(",", 1)[1] for row in rows], proto
+
+
+def test_simulate_warns_of_a_bipartite_graph_once(tmp_path, monkeypatch,
+                                                  caplog):
+    caplog.set_level(logging.WARNING, logger="gosta_sim.graph")
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    # forked workers inherit the handler and would append to the same file
+    log_file = tmp_path / "warnings.log"
+    handler = logging.FileHandler(log_file)
+    logger = logging.getLogger("gosta_sim.graph")
+    logger.addHandler(handler)
+    try:
+        assert _simulate(tmp_path / "sim.csv", "--runs", "3",
+                         graph="grid2d:rows=4,cols=6") == 0
+    finally:
+        logger.removeHandler(handler)
+        handler.close()
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "gosta_sim.graph"]
+    assert warnings == ["gosta_sync: graph is bipartite; convergence "
+                        "guarantees are weaker on bipartite topologies"]
+    assert log_file.read_text().splitlines() == warnings
+
+
+def test_simulate_refuses_a_disconnected_graph_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    pid_file = tmp_path / "pids"
+    _record_run_pids(monkeypatch, pid_file)
+    gpath = tmp_path / "split.txt"
+    gs.write_graph_file(gs.make_graph(24, [(i, i + 1) for i in range(23)
+                                           if i != 11]), gpath)
+    assert _simulate(tmp_path / "sim.csv", "--runs", "3",
+                     graph=str(gpath)) == 1
+    assert capsys.readouterr().err.startswith(
+        "gosta-sim: error: gosta_sync: graph is disconnected")
+    assert not pid_file.exists()
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_run_error_exits_1_and_leaves_no_child(tmp_path,
+                                                       monkeypatch, capsys):
+    message = "activation counts no longer sum to 2t"
+    runner = gs.engines.PROTOCOLS["gosta_sync"].runner
+    second = gs.engines.derive_seed(4, 0, 1)
+
+    def broken_on_run_1(g, km, cfg):
+        if cfg.seed == second:
+            raise InvariantError(message)
+        return runner(g, km, cfg)
+
+    monkeypatch.setitem(gs.engines.PROTOCOLS, "gosta_sync",
+                        gs.engines.PROTOCOLS["gosta_sync"]._replace(
+                            runner=broken_on_run_1))
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert _simulate(tmp_path / "sim.csv", "--runs", "3") == 1
+    assert capsys.readouterr().err == f"gosta-sim: error: {message}\n"
+    assert not (tmp_path / "sim.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -436,9 +436,14 @@ def test_split_column_loaders_check_the_column(tmp_path):
     # a first row holding a number is data, so its typo is named
     ("1,x,1\n2,3,-1\n4,5,1\n", "line 1: 'x' is not a number"),
     ("\na,2,c\n1,2,1\n", "line 2: 'a' is not a number"),
+    # a row's length is checked before its values; only the first row of
+    # text is a header
+    ("1,2,1\n3,x\n", "line 2 has 2 values, the first data row 3"),
+    ("a,b,c\nd,e,f\n1,2,1\n", "line 2: 'd' is not a number"),
 ], ids=["empty", "blank_lines", "header_only", "not_a_number",
         "short_row_after_blank_line", "long_row", "typo_in_first_row",
-        "header_holding_a_number"])
+        "header_holding_a_number", "short_row_with_a_typo",
+        "second_row_of_text"])
 @pytest.mark.parametrize("load", [load_design_csv, load_labeled_csv,
                                   load_partitioned_csv],
                          ids=lambda load: load.__name__)
@@ -449,6 +454,22 @@ def test_csv_loaders_name_the_file_and_line_they_refuse(tmp_path, load, text,
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_csv_values_are_parsed_once(tmp_path, monkeypatch):
+    # a token is looked at again only in a row that fails to convert: here
+    # the header's three
+    looked = []
+    is_number = kernels._is_number
+    monkeypatch.setattr(kernels, "_is_number",
+                        lambda tok: looked.append(tok) or is_number(tok))
+    path = tmp_path / "d.csv"
+    path.write_text("x,y,cell\n" + "".join(
+        f"{i / 4},{-i},{i % 3}\n" for i in range(40)))
+    design, part = load_partitioned_csv(path)
+    assert looked == ["x", "y", "cell"]
+    assert design.rows[9].tolist() == [2.25, -9.0]
+    assert part.assignment[:4].tolist() == [0, 1, 2, 0]
 
 
 def test_row_means_read_only(rng, kernel_factory):

@@ -101,6 +101,24 @@ def test_failed_children_empty_the_queue(two_cpus, alarm):
     assert str(info.value) == "0" * 100000
     assert_no_child_left()
 
+def test_queue_of_children_that_all_died_is_reported(two_cpus, alarm):
+    # each child dies on its first job, so the queue's writer finds no
+    # reader left before it has written 20000 job numbers
+    alarm(20)
+    with pytest.raises(RuntimeError) as info:
+        parallel.on_forks(lambda i: os._exit(3), 20000)
+    assert str(info.value) == ("a worker process exited with status 3 "
+                               "before sending its results")
+    assert_no_child_left()
+
+
+def test_cpus_without_affinity_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, cpus in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert parallel.available_cpus() == cpus
+
+
 @pytest.mark.parametrize("leave, message", [
     (lambda: os.kill(os.getpid(), signal.SIGKILL),
      "a worker process was killed by signal SIGKILL"),
